@@ -24,7 +24,7 @@ from .errors import (
 from .evolution import Trajectory, gaussian_data, sech2_data, simulate
 from .identities import fractional_bound_exponents, series_symmetrized_values
 from .multipliers import GevreyWeight, ModelParams, apply_I, apply_phi
-from .norms import hs_norm
+from .norms import energy, hs_norm
 from .spectral import (
     Grid,
     SpectralField,
@@ -124,10 +124,11 @@ class ConservationReport:
     energy_series: list[tuple[float, float]]
 
 
-def measure_defect(u0: SpectralField, sigma: float, delta: float,
-                   params: ModelParams, c_cal: float = 1.0,
-                   n_samples: int = 40) -> ConservationReport:
-    """Simulate on [0, delta] and report the I-weighted energy defect.
+def measure_defects(u0: SpectralField, sigmas, delta: float,
+                    params: ModelParams, c_cal: float = 1.0,
+                    n_samples: int = 40) -> list[ConservationReport]:
+    """Simulate once on [0, delta] and report the I-weighted energy defect
+    at each sigma, read off the same states (sigma does not enter the flow).
 
     defect is sup_t E(t) - E(0); defect_abs is sup_t |E(t) - E(0)| (the
     magnitude used for scaling fits, since the signed defect can vanish when
@@ -136,29 +137,38 @@ def measure_defect(u0: SpectralField, sigma: float, delta: float,
     """
     if not delta > 0:
         raise InvalidInput(f"delta must be positive, got {delta}")
-    run = ModelParams(params.alpha, params.grid, params.dt, delta)
+    alpha = params.alpha
+    run = ModelParams(alpha, params.grid, params.dt, delta)
     n_steps = max(int(round(delta / params.dt)), 1)
     sample_every = max(n_steps // n_samples, 1)
-    weight = GevreyWeight(sigma)
-    traj = simulate(u0, run, weight, sample_every=sample_every)
-    energies = np.array([r.energy for r in traj.reports])
-    e0 = energies[0]
-    defect = float(np.max(energies - e0))
-    defect_abs = float(np.max(np.abs(energies - e0)))
-    _, beta, _ = fractional_bound_exponents(params.alpha)
-    u0_norm = hs_norm(apply_I(u0, weight), params.alpha / 2.0)
-    bound = c_cal * delta * sigma**beta * u0_norm**3
-    return ConservationReport(
-        sigma=sigma,
-        delta=delta,
-        alpha=params.alpha,
-        defect=defect,
-        defect_abs=defect_abs,
-        predicted_bound=bound,
-        bound_satisfied=bool(defect_abs <= bound * (1.0 + 1e-9)) if sigma > 0
-        else bool(defect_abs <= 1e-8 * max(e0, 1.0)),
-        energy_series=[(float(t), float(e)) for t, e in zip(traj.times, energies)],
-    )
+    traj = simulate(u0, run, GevreyWeight(0.0), sample_every=sample_every)
+    _, beta, _ = fractional_bound_exponents(alpha)
+    reports = []
+    for sigma in sigmas:
+        energies = np.array([energy(state, sigma, alpha) for state in traj.states])
+        e0 = energies[0]
+        defect_abs = float(np.max(np.abs(energies - e0)))
+        u0_norm = hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0)
+        bound = c_cal * delta * sigma**beta * u0_norm**3
+        reports.append(ConservationReport(
+            sigma=sigma,
+            delta=delta,
+            alpha=alpha,
+            defect=float(np.max(energies - e0)),
+            defect_abs=defect_abs,
+            predicted_bound=bound,
+            bound_satisfied=bool(defect_abs <= bound * (1.0 + 1e-9)) if sigma > 0
+            else bool(defect_abs <= 1e-8 * max(e0, 1.0)),
+            energy_series=[(float(t), float(e)) for t, e in zip(traj.times, energies)],
+        ))
+    return reports
+
+
+def measure_defect(u0: SpectralField, sigma: float, delta: float,
+                   params: ModelParams, c_cal: float = 1.0,
+                   n_samples: int = 40) -> ConservationReport:
+    """measure_defects at a single sigma."""
+    return measure_defects(u0, [sigma], delta, params, c_cal, n_samples)[0]
 
 
 def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
@@ -168,17 +178,16 @@ def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
     """Log-log slope of the defect magnitude against sigma.
 
     sigma values whose defect sits below the discretization floor (measured
-    at sigma = 0) are dropped; fewer than 4 usable points raises
-    InsufficientData.  Returns (slope, per-sigma reports).
+    at sigma = 0 on the same trajectory) are dropped; fewer than 4 usable
+    points raises InsufficientData.  Returns (slope, per-sigma reports).
     """
     sigma_list = sorted(float(s) for s in sigma_list)
     if len(sigma_list) < 2 or min(sigma_list) <= 0:
         raise InvalidInput("sigma_list must contain >= 2 positive values")
+    base, *reports = measure_defects(u0, [0.0] + sigma_list, delta, params,
+                                     c_cal=c_cal)
     if floor is None:
-        base = measure_defect(u0, 0.0, delta, params, c_cal=c_cal)
         floor = 10.0 * base.defect_abs + 1e-14
-    reports = [measure_defect(u0, s, delta, params, c_cal=c_cal)
-               for s in sigma_list]
     usable = [(s, r.defect_abs) for s, r in zip(sigma_list, reports)
               if r.defect_abs > floor]
     if len(usable) < 4:

@@ -6,8 +6,9 @@ Usage:
 
 Config files are flat ``key = value`` text with INI-style sections (sections
 are organizational only; keys are globally flat).  Every key can also be
-overridden on the command line by a flag of the same name.  Every run embeds
-the full resolved config and seed in its JSON output for reproducibility.
+overridden on the command line by a flag of the same name; keys are
+case-sensitive and one not in COMMON_DEFAULTS is a config error.  Every run
+embeds the full resolved config and seed in its JSON output.
 
 Exit-code map (public contract): 0 ok, 2 config error, 3 simulation failure,
 4 identity violation, 5 insufficient data, 6 cross-check failure.
@@ -21,8 +22,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
 
 from . import analytics, errors, evolution, identities
 from .multipliers import GevreyWeight, ModelParams, SymbolKind
@@ -66,20 +65,26 @@ COMMON_DEFAULTS = {
     "C2": "",
     "u0_norm": "1.0",
     "delta": "",
-    "jobs": "1",
 }
+
+
+def _check_key(key: str) -> str:
+    if key not in COMMON_DEFAULTS:
+        raise errors.InvalidInput(f"unknown config key {key!r}")
+    return key
 
 
 def load_config(path: str | None) -> dict[str, str]:
     resolved = dict(COMMON_DEFAULTS)
     if path:
         parser = configparser.ConfigParser()
+        parser.optionxform = str  # keep the case of keys such as T, C1, C2
         read = parser.read(path)
         if not read:
             raise errors.InvalidInput(f"config file not found: {path}")
         for section in [parser.defaults()] + [parser[s] for s in parser.sections()]:
             for key, value in dict(section).items():
-                resolved[key] = value
+                resolved[_check_key(key)] = value
     return resolved
 
 
@@ -89,7 +94,7 @@ def apply_overrides(config: dict[str, str], extra: list[str]) -> dict[str, str]:
     for flag, value in zip(extra[::2], extra[1::2]):
         if not flag.startswith("--"):
             raise errors.InvalidInput(f"expected --key value overrides, got {flag!r}")
-        config[flag[2:].replace("-", "_")] = value
+        config[_check_key(flag[2:].replace("-", "_"))] = value
     return config
 
 
@@ -276,53 +281,32 @@ def cmd_schedule(config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _sweep_task(task: dict) -> tuple[str, dict]:
-    grid = Grid(task["n_points"], task["domain_length"])
-    params = ModelParams(task["alpha"], grid, task["dt"], task["delta"])
-    factory = evolution.INITIAL_DATA[task["data"]]
-    u0 = factory(grid, task["amplitude"], task["width"])
-    report = analytics.measure_defect(u0, task["sigma"], task["delta"],
-                                      params, c_cal=task["c2"])
-    key = f"alpha={task['alpha']!r},sigma={task['sigma']!r}"
-    return key, {
-        "alpha": task["alpha"],
-        "sigma": task["sigma"],
-        "defect": report.defect,
-        "defect_abs": report.defect_abs,
-        "predicted_bound": report.predicted_bound,
-        "bound_satisfied": report.bound_satisfied,
-    }
-
-
 def cmd_sweep(config: dict[str, str]) -> int:
     grid = _grid(config)
     cal = _calibration(config)
-    tasks = []
+    u0 = _initial_data(config, grid)
+    sigmas = _floats(config["sigma_grid"])
+    results = {}
     for alpha in _floats(config["alpha_grid"]):
-        u0 = _initial_data(config, grid)
         if config["delta"]:
             delta = float(config["delta"])
         else:
             delta = evolution.lifespan(u0, _weight(config), alpha, cal.c1)
-        for sigma in _floats(config["sigma_grid"]):
-            tasks.append({
-                "n_points": grid.n_points,
-                "domain_length": grid.domain_length,
-                "alpha": alpha, "sigma": sigma, "delta": delta,
-                "dt": float(config["dt"]), "data": config["data"],
-                "amplitude": float(config["amplitude"]),
-                "width": float(config["width"]), "c2": cal.c2,
-            })
-    jobs = int(config["jobs"])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_task, tasks))
-    else:
-        results = [_sweep_task(task) for task in tasks]
+        params = ModelParams(alpha, grid, float(config["dt"]), delta)
+        for report in analytics.measure_defects(u0, sigmas, delta, params,
+                                                c_cal=cal.c2):
+            results[f"alpha={alpha!r},sigma={report.sigma!r}"] = {
+                "alpha": alpha,
+                "sigma": report.sigma,
+                "defect": report.defect,
+                "defect_abs": report.defect_abs,
+                "predicted_bound": report.predicted_bound,
+                "bound_satisfied": report.bound_satisfied,
+            }
     write_json(config["output_json"], {
         "config": config,
         "calibration": {"c1": cal.c1, "c2": cal.c2},
-        "results": dict(sorted(results)),
+        "results": results,
     })
     return EXIT_OK
 

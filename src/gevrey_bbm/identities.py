@@ -2,7 +2,7 @@
 
 The odd power sums xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1) factor through
 xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
-factorization exactly (big-rational arithmetic plus a symbolic expansion,
+factorization exactly (big-integer arithmetic plus a symbolic expansion,
 never floating point) and evaluates the weighted series built from it,
 together with the Psi majorant and its empirical constant.
 """
@@ -24,15 +24,16 @@ SERIES_TAIL_REL = 1e-12
 
 @dataclass(frozen=True)
 class Triad:
-    """Three exact rational frequencies with xi1 + xi2 + xi3 == 0."""
+    """Three exact frequencies (int kept, else Fraction) summing to 0."""
 
-    xi1: Fraction
-    xi2: Fraction
-    xi3: Fraction
+    xi1: int | Fraction
+    xi2: int | Fraction
+    xi3: int | Fraction
 
     def __post_init__(self):
         for name in ("xi1", "xi2", "xi3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            if not isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.xi1 + self.xi2 + self.xi3 != 0:
             raise InvalidInput(
                 f"triad {self.xi1, self.xi2, self.xi3} is not on the hyperplane"
@@ -50,7 +51,7 @@ class IdentityReport:
     max_defect: Fraction
 
 
-def power_sum(t: Triad, k: int) -> Fraction:
+def power_sum(t: Triad, k: int) -> int | Fraction:
     """xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1), exactly."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -58,12 +59,12 @@ def power_sum(t: Triad, k: int) -> Fraction:
     return t.xi1**p + t.xi2**p + t.xi3**p
 
 
-def factored_form(t: Triad, k: int) -> Fraction:
+def factored_form(t: Triad, k: int) -> int | Fraction:
     """xi1*xi2*xi3 * sum_{i+j=2k-2} (xi1^i(-xi2)^j + xi1^i(-xi3)^j + xi2^i(-xi3)^j)."""
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     x1, x2, x3 = t.xi1, t.xi2, t.xi3
-    total = Fraction(0)
+    total = 0
     for i in range(2 * k - 1):
         j = 2 * k - 2 - i
         total += x1**i * (-x2) ** j + x1**i * (-x3) ** j + x2**i * (-x3) ** j
@@ -96,7 +97,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
     Covers all integer triads with |xi_i| <= coordinate_range on the
     hyperplane for k = 1..k_max, in exact arithmetic, and additionally
     checks the two-variable symbolic expansion for k = 1..symbolic_k_max
-    (default min(k_max, 6)).  Raises IdentityViolation on any mismatch.
+    (default min(k_max, 6); 0 skips it).  Raises IdentityViolation.
     """
     if k_max < 1:
         raise InvalidInput(f"k_max must be >= 1, got {k_max}")
@@ -109,7 +110,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
             c = -a - b
             if abs(c) > r:
                 continue
-            triad = Triad(Fraction(a), Fraction(b), Fraction(c))
+            triad = Triad(a, b, c)
             tested += 1
             for k in range(1, k_max + 1):
                 left = power_sum(triad, k)
@@ -119,7 +120,9 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
                         f"mismatch at triad {(a, b, c)}, k={k}: {left} != {right}",
                         counterexample=(triad, k, left, right),
                     )
-    for k in range(1, (symbolic_k_max or min(k_max, 6)) + 1):
+    if symbolic_k_max is None:
+        symbolic_k_max = min(k_max, 6)
+    for k in range(1, symbolic_k_max + 1):
         residual = _symbolic_defect(k)
         if residual:
             raise IdentityViolation(

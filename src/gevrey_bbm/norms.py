@@ -70,7 +70,7 @@ def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:
 def energy(field: SpectralField, sigma: float, alpha: float) -> float:
     """I-weighted energy: sum (1+|xi|^alpha) cosh(sigma*xi)^2 |coeff|^2.
 
-    At sigma = 0 and alpha = 2 this is exactly the conserved H^1 quantity.
+    At sigma = 0: the flow's exact quadratic invariant (H^1 at alpha = 2).
     """
     if alpha < 1:
         raise InvalidInput(f"alpha must be >= 1, got {alpha}")
@@ -88,15 +88,14 @@ def energy(field: SpectralField, sigma: float, alpha: float) -> float:
 
 
 def h1_invariant(field: SpectralField) -> float:
-    """The exactly conserved quantity integral(u^2 + u_x^2) dx."""
-    xi2 = field.grid.wavenumbers**2
-    total = np.sum((1.0 + xi2) * np.abs(field.coeffs) ** 2)
-    return float(field.grid.parseval_weight * total)
+    """The alpha = 2 invariant integral(u^2 + u_x^2) dx."""
+    return energy(field, 0.0, 2.0)
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """All scalar diagnostics of one field at one (sigma, s, alpha)."""
+    """All scalar diagnostics of one field at one (sigma, s, alpha);
+    h1_invariant is the flow's quadratic invariant energy(field, 0, alpha)."""
 
     l2: float
     h1: float
@@ -113,5 +112,5 @@ def norm_report(field: SpectralField, weight: GevreyWeight, alpha: float) -> Nor
         h_alpha_half=hs_norm(field, alpha / 2.0),
         gevrey=gevrey_norm(field, weight),
         energy=energy(field, weight.sigma, alpha),
-        h1_invariant=h1_invariant(field),
+        h1_invariant=energy(field, 0.0, alpha),
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gevrey_bbm import analytics
 from gevrey_bbm.analytics import (
     Calibration,
     calibrate_bilinear_constant,
@@ -10,6 +11,7 @@ from gevrey_bbm.analytics import (
     estimate_radius,
     loglog_slope,
     measure_defect,
+    measure_defects,
     random_band_limited_field,
     schedule_sigma,
     track_radius,
@@ -92,6 +94,19 @@ class TestMeasureDefect:
         with pytest.raises(InvalidInput):
             measure_defect(zero_field(grid64), 0.1, 0.0, params)
 
+    def test_one_trajectory_serves_every_sigma(self, grid64):
+        # sigma does not enter the flow: the energies read off the shared
+        # trajectory equal those of a run that carries the weight itself
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        params = ModelParams(2.0, grid64, 1e-2, 0.5)
+        sigmas = [0.0, 0.05, 0.2]
+        reports = measure_defects(u0, sigmas, 0.5, params, n_samples=10)
+        for sigma, report in zip(sigmas, reports):
+            traj = simulate(u0, params, GevreyWeight(sigma), sample_every=5)
+            assert report.sigma == sigma
+            assert report.energy_series == [
+                (float(t), r.energy) for t, r in zip(traj.times, traj.reports)]
+
 
 class TestScalingFit:
     def test_synthetic_quadratic_slope(self):
@@ -111,6 +126,21 @@ class TestScalingFit:
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
         with pytest.raises(InvalidInput):
             defect_scaling_fit(zero_field(grid64), [0.1], 1.0, params)
+
+    def test_simulates_once(self, grid64, monkeypatch):
+        calls = []
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "simulate", counting_simulate)
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        params = ModelParams(2.0, grid64, 1e-2, 0.5)
+        _, reports = defect_scaling_fit(u0, np.geomspace(0.01, 0.3, 6), 0.5,
+                                        params)
+        assert len(reports) == 6
+        assert len(calls) == 1
 
 
 class TestBilinearCalibration:

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from gevrey_bbm import analytics
 from gevrey_bbm.cli import CSV_HEADER, apply_overrides, load_config, main
+from gevrey_bbm.evolution import simulate
 
 
 def run(tmp_path, command, **overrides):
@@ -40,6 +42,25 @@ class TestConfigHandling:
         assert config["t_end"] == "1.5"
         # untouched keys keep their defaults
         assert config["alpha"] == "2.0"
+
+    def test_config_file_keys_keep_their_case(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[schedule]\nT = 0.5\nC1 = 1.0\nC2 = 1.0\n")
+        code, payload = run(tmp_path, "schedule", config=cfg)
+        assert code == 0
+        assert payload["horizon_T"] == 0.5
+        assert payload["delta"] == 0.125  # from C1 = 1, not the shipped C1
+
+    @pytest.mark.parametrize("flag", ["--n_point", "--jobs"])
+    def test_unknown_override_exits_2(self, flag, capsys):
+        assert main(["simulate", flag, "64"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unknown_file_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nn_point = 64\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -128,3 +149,29 @@ class TestSweep:
         results = payload["results"]
         assert len(results) == 4
         assert all(r["bound_satisfied"] for r in results.values())
+
+    def test_simulates_once_per_alpha(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "simulate", counting_simulate)
+        code, payload = run(tmp_path, "sweep", n_points=64, dt=5e-3,
+                            delta=0.5, alpha_grid="2.0")
+        assert code == 0
+        assert len(payload["results"]) == 6
+        assert len(calls) == 1
+
+    def test_cosine_matches_conservation(self, tmp_path):
+        # both subcommands must measure the same initial data
+        common = dict(data="cosine", n_points=64, dt=5e-3, delta=0.5,
+                      sigma_grid="0.1")
+        code, sweep = run(tmp_path, "sweep", alpha_grid="2.0", **common)
+        assert code == 0
+        code, conservation = run(tmp_path, "conservation", alpha=2.0, **common)
+        assert code == 0
+        (result,) = sweep["results"].values()
+        (report,) = conservation["reports"]
+        assert result["defect_abs"] == report["defect_abs"]

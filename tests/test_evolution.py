@@ -101,6 +101,16 @@ class TestStepRk4:
         assert abs(h1_invariant(state) - e0) / e0 < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_reported_invariant_is_conserved(alpha):
+    grid = Grid(128)
+    u0 = gaussian_data(grid, amplitude=0.5, width=4.0)
+    params = ModelParams(alpha, grid, 2e-3, 1.0)
+    traj = simulate(u0, params, GevreyWeight(0.1), sample_every=50)
+    values = np.array([r.h1_invariant for r in traj.reports])
+    assert np.max(np.abs(values - values[0])) / values[0] < 1e-10
+
+
 class TestLifespan:
     def test_formula(self, grid64):
         weight = GevreyWeight(0.0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gevrey_bbm import identities
 from gevrey_bbm.errors import InvalidInput, SeriesDivergence
 from gevrey_bbm.identities import (
     Triad,
@@ -24,6 +25,11 @@ class TestTriad:
     def test_off_hyperplane_rejected(self):
         with pytest.raises(InvalidInput):
             Triad(Fraction(1), Fraction(1), Fraction(1))
+
+    def test_integers_stay_integers(self):
+        t = Triad(1, 1, -2)
+        assert all(type(x) is int for x in (t.xi1, t.xi2, t.xi3))
+        assert type(Triad(1.5, -1, Fraction(-1, 2)).xi1) is Fraction
 
     def test_accepts_rationals(self):
         t = Triad(Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2))
@@ -77,6 +83,14 @@ class TestVerifyFactorIdentity:
 
     def test_symbolic_expansion_to_k3(self):
         report = verify_factor_identity(3, 2, symbolic_k_max=3)
+        assert report.all_equal
+
+    def test_symbolic_k_max_zero_skips_the_symbolic_check(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError(f"symbolic check called at k={k}")
+
+        monkeypatch.setattr(identities, "_symbolic_defect", refuse)
+        report = verify_factor_identity(3, 2, symbolic_k_max=0)
         assert report.all_equal
 
     def test_inputs_validated(self):
