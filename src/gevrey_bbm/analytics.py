@@ -31,7 +31,6 @@ from .spectral import (
     dealias,
     forward_transform,
     inverse_transform,
-    zero_nyquist,
 )
 
 DEFAULT_NOISE_FLOOR = 1e-14
@@ -64,10 +63,12 @@ def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
     grid = field.grid
     n = grid.n_points
     L = grid.domain_length
-    a = field.coeffs / L  # Fourier-series coefficients
     band = _active_band(grid)
     if sigma == 0.0:
         return 0.0  # empty series: exact conservation
+    # Fourier-series coefficients of every mode, in FFT order
+    c = field.coeffs
+    a = np.concatenate([c, np.conj(c[-2:0:-1])]) / L
     j = np.arange(-band, band + 1)
     j1, j2 = np.meshgrid(j, j, indexing="ij")
     j3 = -j1 - j2
@@ -91,9 +92,9 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
     """
     if sigma < 0:
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
-    band = _active_band(field.grid)
-    keep = np.abs(field.grid.mode_numbers) <= band
-    field = zero_nyquist(field.with_coeffs(np.where(keep, field.coeffs, 0.0)))
+    coeffs = field.coeffs.copy()
+    coeffs[_active_band(field.grid) + 1:] = 0.0
+    field = field.with_coeffs(coeffs)
     value_a = _defect_rate_physical(field, sigma)
     value_b = _defect_rate_triads(field, sigma)
     # absolute floor keeps exact-zero cases (sigma=0, single modes) passing
@@ -135,8 +136,8 @@ def measure_defects(u0: SpectralField, sigmas, delta: float,
     the energy only decreases).  The bound check uses the calibrated c_cal:
     defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
     """
-    if not delta > 0:
-        raise InvalidInput(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise InvalidInput(f"delta must be positive and finite, got {delta}")
     alpha = params.alpha
     run = ModelParams(alpha, params.grid, params.dt, delta)
     n_steps = max(int(round(delta / params.dt)), 1)
@@ -211,17 +212,19 @@ def random_band_limited_field(grid: Grid, rng: np.random.Generator,
                               decay: float = 0.5, amplitude: float = 1.0
                               ) -> SpectralField:
     """Random real field with modes confined to the alias-free band."""
+    n = grid.n_points
     band = _active_band(grid)
-    xi = grid.wavenumbers
-    modes = grid.mode_numbers
-    mags = rng.uniform(0.1, 1.0, grid.n_points) * np.exp(-decay * np.abs(xi))
-    phases = rng.uniform(0.0, 2.0 * np.pi, grid.n_points)
+    # draw every mode +-j in FFT order, symmetrize, then keep j = 0..n/2
+    modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    xi = 2.0 * np.pi * modes / grid.domain_length
+    mags = rng.uniform(0.1, 1.0, n) * np.exp(-decay * np.abs(xi))
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
     coeffs = mags * np.exp(1j * phases)
     coeffs[np.abs(modes) > band] = 0.0
     # hermitian-symmetrize and rescale
-    mirror = np.conj(coeffs[(-np.arange(grid.n_points)) % grid.n_points])
+    mirror = np.conj(coeffs[(-np.arange(n)) % n])
     coeffs = 0.5 * (coeffs + mirror) * amplitude * grid.domain_length
-    return zero_nyquist(SpectralField(grid, coeffs))
+    return SpectralField(grid, coeffs[: n // 2 + 1])
 
 
 def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
@@ -247,7 +250,7 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
         product = forward_transform(
             inverse_transform(u) * inverse_transform(v), grid
         )
-        product = zero_nyquist(dealias(product))
+        product = dealias(product)
         num = hs_norm(apply_phi(apply_I(product, weight), alpha), s)
         best = max(best, num / (nu * nv))
     return best

@@ -9,10 +9,6 @@ class InvalidInput(GevreyBBMError):
     """Argument violates a documented precondition."""
 
 
-class SymmetryViolation(GevreyBBMError):
-    """Spectral coefficients break Hermitian symmetry beyond tolerance."""
-
-
 class OverflowRisk(GevreyBBMError):
     """Linear-scale evaluation of an exponential weight would overflow.
 

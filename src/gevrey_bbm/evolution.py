@@ -65,10 +65,10 @@ class PicardDiagnostics:
 
 
 def nonlinear_term(field: SpectralField) -> SpectralField:
-    """u^2 computed pseudospectrally, dealiased, Nyquist zeroed."""
+    """u^2 computed pseudospectrally and dealiased (which clears the
+    Nyquist mode too)."""
     samples = inverse_transform(field)
-    squared = forward_transform(samples * samples, field.grid)
-    return zero_nyquist(dealias(squared))
+    return dealias(forward_transform(samples * samples, field.grid))
 
 
 def rhs(field: SpectralField, alpha: float) -> SpectralField:

@@ -96,8 +96,8 @@ class ModelParams:
 
 
 def apply_phi(field: SpectralField, alpha: float) -> SpectralField:
-    """Apply the dispersive multiplier; the odd imaginary symbol preserves
-    Hermitian symmetry."""
+    """Apply the dispersive multiplier; the symbol is odd and imaginary, so
+    phi(-xi) = conj(phi(xi)) and the half-spectrum determines the result."""
     return field.with_coeffs(field.coeffs * phi_symbol(field.grid.wavenumbers, alpha))
 
 
@@ -110,8 +110,8 @@ def semigroup(field: SpectralField, t: float, alpha: float) -> SpectralField:
 
 
 def apply_I(field: SpectralField, weight: GevreyWeight) -> SpectralField:
-    """Apply the analytic-weight multiplier (both symbols are even in xi,
-    so Hermitian symmetry is preserved)."""
+    """Apply the analytic-weight multiplier (both symbols are real and even
+    in xi, so the half-spectrum determines the result)."""
     return field.with_coeffs(field.coeffs * weight.symbol(field.grid.wavenumbers))
 
 
@@ -122,7 +122,7 @@ def apply_D_beta(field: SpectralField, beta: float) -> SpectralField:
     if beta == 0:
         return field.with_coeffs(field.coeffs.copy())
     return field.with_coeffs(
-        field.coeffs * np.abs(field.grid.wavenumbers) ** beta
+        field.coeffs * field.grid.wavenumbers ** beta
     )
 
 

@@ -1,6 +1,7 @@
 """Scalar functionals on spectral fields: Sobolev, Gevrey, and energy norms.
 
-All discrete sums carry the grid's Parseval weight (see spectral module)
+All discrete sums run over the stored half-spectrum, count each mode with
+its multiplicity and carry the grid's Parseval weight (see spectral module),
 so that every norm approximates its continuum counterpart and the analytic
 equivalence constants apply unchanged.
 
@@ -23,9 +24,10 @@ from .spectral import SpectralField
 LOG_DOMAIN_CROSSOVER = 300.0
 
 
-def _weighted_sqrt_sum(field: SpectralField, weights: np.ndarray) -> float:
-    """sqrt(parseval_weight * sum(weights * |coeffs|^2)) in linear scale."""
-    total = np.sum(weights * np.abs(field.coeffs) ** 2)
+def _weighted_sqrt_sum(field: SpectralField, weights) -> float:
+    """sqrt(parseval_weight * sum(multiplicity * weights * |coeffs|^2)),
+    in linear scale."""
+    total = np.sum(field.grid.multiplicity * weights * np.abs(field.coeffs) ** 2)
     return float(np.sqrt(field.grid.parseval_weight * total))
 
 
@@ -35,6 +37,7 @@ def _log_weighted_sqrt_sum(field: SpectralField, log_weights: np.ndarray) -> flo
     mask = mags > 0.0
     if not np.any(mask):
         return 0.0
+    log_weights = log_weights + np.log(field.grid.multiplicity)
     terms = log_weights[mask] + 2.0 * np.log(mags[mask])
     log_total = logsumexp(terms) + np.log(field.grid.parseval_weight)
     return float(np.exp(0.5 * log_total))
@@ -42,12 +45,12 @@ def _log_weighted_sqrt_sum(field: SpectralField, log_weights: np.ndarray) -> flo
 
 def l2_norm(field: SpectralField) -> float:
     """L^2 norm of the physical field, computed spectrally (Parseval)."""
-    return _weighted_sqrt_sum(field, np.ones(field.grid.n_points))
+    return _weighted_sqrt_sum(field, 1.0)
 
 
 def hs_norm(field: SpectralField, s: float) -> float:
     """Sobolev H^s norm with weight (1+|xi|)^{2s}."""
-    xi = np.abs(field.grid.wavenumbers)
+    xi = field.grid.wavenumbers
     return _weighted_sqrt_sum(field, (1.0 + xi) ** (2.0 * s))
 
 
@@ -57,7 +60,7 @@ def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:
     w is exp(sigma*|xi|) for the exp symbol and cosh(sigma*xi) for the cosh
     symbol.  Always finite: uses log-domain accumulation past the crossover.
     """
-    xi = np.abs(field.grid.wavenumbers)
+    xi = field.grid.wavenumbers
     if weight.sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
         if weight.kind is SymbolKind.COSH:
             w = np.cosh(weight.sigma * xi) ** 2 * (1.0 + xi) ** (2.0 * weight.s)
@@ -76,10 +79,10 @@ def energy(field: SpectralField, sigma: float, alpha: float) -> float:
         raise InvalidInput(f"alpha must be >= 1, got {alpha}")
     if sigma < 0:
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
-    xi = np.abs(field.grid.wavenumbers)
+    xi = field.grid.wavenumbers
     if sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
         w = (1.0 + xi**alpha) * np.cosh(sigma * xi) ** 2
-        total = np.sum(w * np.abs(field.coeffs) ** 2)
+        total = np.sum(field.grid.multiplicity * w * np.abs(field.coeffs) ** 2)
         return float(field.grid.parseval_weight * total)
     cosh_weight = GevreyWeight(sigma, kind=SymbolKind.COSH)
     log_w = np.log1p(xi**alpha) + 2.0 * cosh_weight.log_symbol(xi)

@@ -6,14 +6,18 @@ carries the L/n quadrature weight,
     coeff(j) = (L/n) * sum_m u(x_m) exp(-i xi_j x_m),   xi_j = 2*pi*j/L,
 
 so that coeff(0) = mean(u) * L and the discrete coefficients approximate the
-continuum Fourier transform on a domain of length L.  The matching Parseval
-weight for coefficient-space sums is 1/L:
+continuum Fourier transform on a domain of length L.
 
-    integral |u|^2 dx  =  (1/L) * sum_j |coeff(j)|^2.
+Fields are real, so coeff(-j) = conj(coeff(j)) and only the real-FFT
+half-spectrum j = 0, 1, ..., n/2 is stored: Hermitian symmetry holds by
+construction.  coeff(0) is real.  Every mode 0 < j < n/2 stands for itself
+and its mirror -j, so coefficient-space sums weight it by multiplicity 2
+(``Grid.multiplicity``); with the Parseval weight 1/L,
 
-Mode indices follow numpy FFT ordering (0, 1, ..., n/2-1, -n/2, ..., -1).
-The unpaired mode at |j| = n/2 has no conjugate partner on the grid; it is
-forced to zero after every nonlinear evaluation to keep fields exactly real.
+    integral |u|^2 dx  =  (1/L) * sum_j multiplicity(j) * |coeff(j)|^2.
+
+The mode j = n/2 has no partner on the grid and the inverse transform reads
+only its real part; it is forced to zero after every nonlinear evaluation.
 
 The domain is a torus of length L (default 64): the continuum problem lives
 on the whole real line, and the periodic box is a desk-scale proxy.  All
@@ -25,12 +29,16 @@ well away from the boundary of its effective support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, SymmetryViolation
+from .errors import InvalidInput
 
-HERMITIAN_RTOL = 1e-12
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -55,15 +63,22 @@ class Grid:
         """Collocation points x_m = m * dx."""
         return np.arange(self.n_points) * self.dx
 
-    @property
+    @cached_property
     def mode_numbers(self) -> np.ndarray:
-        """Integer mode indices j in FFT ordering."""
-        return np.fft.fftfreq(self.n_points, d=1.0 / self.n_points).astype(int)
+        """Stored mode indices j = 0, 1, ..., n/2 (read-only)."""
+        return _read_only(np.arange(self.n_points // 2 + 1))
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """xi_j = 2*pi*j / L in FFT ordering."""
-        return 2.0 * np.pi * self.mode_numbers / self.domain_length
+        """xi_j = 2*pi*j / L for the stored modes (read-only)."""
+        return _read_only(2.0 * np.pi * self.mode_numbers / self.domain_length)
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """How many modes +-j each stored entry stands for: (1, 2, ..., 2, 1)."""
+        counts = np.full(self.n_points // 2 + 1, 2.0)
+        counts[0] = counts[-1] = 1.0
+        return _read_only(counts)
 
     @property
     def parseval_weight(self) -> float:
@@ -78,32 +93,23 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A real-valued periodic field stored by its Fourier coefficients."""
+    """A real-valued periodic field stored by its half-spectrum j = 0..n/2."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.grid.n_points,):
-            raise InvalidInput(
-                f"coeffs must have shape ({self.grid.n_points},), got {coeffs.shape}"
-            )
+        size = self.grid.n_points // 2 + 1
+        if coeffs.shape != (size,):
+            raise InvalidInput(f"coeffs must have shape ({size},), got {coeffs.shape}")
+        if abs(coeffs[0].imag) > 0.0:  # a NaN passes on to blowup detection
+            raise InvalidInput(f"coeff(0) of a real field is real, got {coeffs[0]}")
         object.__setattr__(self, "coeffs", coeffs)
         self.coeffs.setflags(write=False)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)
-
-
-def hermitian_defect(field: SpectralField) -> float:
-    """Relative departure from coeff(-j) == conj(coeff(j))."""
-    c = field.coeffs
-    mirror = np.conj(c[(-np.arange(field.grid.n_points)) % field.grid.n_points])
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(c - mirror)) / scale)
 
 
 def forward_transform(samples, grid: Grid) -> SpectralField:
@@ -116,50 +122,38 @@ def forward_transform(samples, grid: Grid) -> SpectralField:
         raise InvalidInput(
             f"expected {grid.n_points} samples, got shape {samples.shape}"
         )
-    coeffs = np.fft.fft(samples) * (grid.domain_length / grid.n_points)
+    coeffs = np.fft.rfft(samples) * (grid.domain_length / grid.n_points)
     return SpectralField(grid, coeffs)
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Reconstruct real physical samples from the coefficients.
-
-    Raises SymmetryViolation if the Hermitian defect exceeds tolerance; the
-    (tiny) imaginary residue of the reconstruction is asserted and discarded.
-    """
-    if hermitian_defect(field) > 1e-10:
-        raise SymmetryViolation(
-            f"Hermitian defect {hermitian_defect(field):.3e} exceeds 1e-10"
-        )
+    """Reconstruct the real physical samples from the coefficients."""
     grid = field.grid
-    z = np.fft.ifft(field.coeffs) * (grid.n_points / grid.domain_length)
-    scale = max(np.max(np.abs(z)), 1.0)
-    residue = np.max(np.abs(z.imag)) / scale
-    if residue > 1e-10:
-        raise SymmetryViolation(f"imaginary residue {residue:.3e} exceeds 1e-10")
-    return z.real.copy()
+    return np.fft.irfft(field.coeffs, grid.n_points) * (grid.n_points / grid.domain_length)
 
 
 def dealias(field: SpectralField) -> SpectralField:
-    """Zero all modes with |j| > n/3 (2/3 rule for the quadratic term)."""
-    keep = np.abs(field.grid.mode_numbers) <= field.grid.dealias_cutoff
-    return field.with_coeffs(np.where(keep, field.coeffs, 0.0))
+    """Zero all modes with j > n/3 (2/3 rule for the quadratic term)."""
+    coeffs = field.coeffs.copy()
+    coeffs[field.grid.dealias_cutoff + 1:] = 0.0
+    return field.with_coeffs(coeffs)
 
 
 def zero_nyquist(field: SpectralField) -> SpectralField:
-    """Zero the unpaired |j| = n/2 mode (no conjugate partner on the grid)."""
+    """Zero the unpaired j = n/2 mode (no conjugate partner on the grid)."""
     coeffs = field.coeffs.copy()
-    coeffs[field.grid.n_points // 2] = 0.0
+    coeffs[-1] = 0.0
     return field.with_coeffs(coeffs)
 
 
 def modulus_field(field: SpectralField) -> SpectralField:
     """Field whose coefficient at each j is |coeff(j)|.
 
-    The result is real and even in j, hence still Hermitian, and has the
-    same L^2 norm as the input (Parseval).
+    Real coefficients describe a real field that is even in x.  Stored
+    modes keep their multiplicity, so the L^2 norm is unchanged (Parseval).
     """
     return field.with_coeffs(np.abs(field.coeffs).astype(np.complex128))
 
 
 def zero_field(grid: Grid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.n_points, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(grid.n_points // 2 + 1, dtype=np.complex128))

@@ -62,6 +62,16 @@ class TestConfigHandling:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["conservation", "--amplitude", "0"],
+        ["sweep", "--amplitude", "0"],
+        ["conservation", "--delta", "inf"],
+    ])
+    def test_infinite_window_exits_2(self, argv, capsys):
+        # zero data has an infinite lifespan; no window can be simulated
+        assert main(argv + ["--n_points", "64", "--sigma_grid", "0.1"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_csv_header_and_rows(self, tmp_path):

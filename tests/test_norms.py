@@ -14,9 +14,15 @@ from gevrey_bbm.spectral import Grid, SpectralField, forward_transform, zero_fie
 
 
 def single_mode(grid, j, amplitude=1.0):
-    coeffs = np.zeros(grid.n_points, dtype=complex)
-    coeffs[j] = coeffs[-j] = amplitude
+    """The pair of modes +-j, both of the given amplitude."""
+    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
+    coeffs[j] = amplitude
     return SpectralField(grid, coeffs)
+
+
+def full_wavenumbers(grid):
+    """xi_j for every mode j = -n/2 .. n/2 - 1, in FFT order."""
+    return 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
 
 
 class TestSobolevNorms:
@@ -49,11 +55,12 @@ class TestGevreyNorm:
 
     def test_exponential_spectrum_against_direct_sum(self, grid128):
         xi = grid128.wavenumbers
-        field = SpectralField(grid128, np.exp(-np.abs(xi)))
+        field = SpectralField(grid128, np.exp(-xi))
         weight = GevreyWeight(0.5, s=0.0, kind=SymbolKind.EXP)
-        # independent accumulation, plain python loop
+        # independent accumulation over every mode, plain python loop
         total = sum(
-            np.exp(2 * 0.5 * abs(x)) * abs(np.exp(-abs(x))) ** 2 for x in xi
+            np.exp(2 * 0.5 * abs(x)) * abs(np.exp(-abs(x))) ** 2
+            for x in full_wavenumbers(grid128)
         )
         expected = np.sqrt(total / grid128.domain_length)
         assert gevrey_norm(field, weight) == pytest.approx(expected, rel=1e-10)
@@ -68,7 +75,9 @@ class TestGevreyNorm:
         coeffs = np.exp(-1.2 * sigma * np.abs(xi))
         field = SpectralField(grid, coeffs)
         weight = GevreyWeight(sigma, kind=SymbolKind.EXP)
-        direct = np.sqrt(np.sum(np.exp(2 * sigma * np.abs(xi)) * coeffs**2)
+        xi_all = np.abs(full_wavenumbers(grid))
+        direct = np.sqrt(np.sum(np.exp(2 * sigma * xi_all)
+                                * np.exp(-1.2 * sigma * xi_all) ** 2)
                          / grid.domain_length)
         assert gevrey_norm(field, weight) == pytest.approx(direct, rel=1e-10)
 

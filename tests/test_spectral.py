@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gevrey_bbm.errors import InvalidInput, SymmetryViolation
+from gevrey_bbm.errors import InvalidInput
 from gevrey_bbm.norms import l2_norm
 from gevrey_bbm.spectral import (
     Grid,
     SpectralField,
     dealias,
     forward_transform,
-    hermitian_defect,
     inverse_transform,
     modulus_field,
     zero_field,
@@ -31,13 +32,23 @@ class TestGrid:
         assert grid64.points[-1] == 64.0 - grid64.dx
         np.testing.assert_array_equal(
             grid64.mode_numbers[:4], [0, 1, 2, 3])
-        assert grid64.mode_numbers[-1] == -1
+        assert grid64.mode_numbers[-1] == 32
+        np.testing.assert_array_equal(grid64.multiplicity[:3], [1, 2, 2])
+        assert grid64.multiplicity[-1] == 1
+        assert np.sum(grid64.multiplicity) == 64
         assert grid64.parseval_weight == 1.0 / 64.0
         assert grid64.dealias_cutoff == 21
 
     def test_wavenumbers_scale(self, grid64):
         np.testing.assert_allclose(
             grid64.wavenumbers, 2 * np.pi * grid64.mode_numbers / 64.0)
+
+    def test_cached_arrays_are_read_only(self, grid64):
+        assert grid64.wavenumbers is grid64.wavenumbers
+        for array in (grid64.mode_numbers, grid64.wavenumbers,
+                      grid64.multiplicity):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestForwardTransform:
@@ -52,12 +63,14 @@ class TestForwardTransform:
         assert np.max(np.abs(field.coeffs[1:])) == 0.0
 
     def test_single_cosine_two_modes(self, grid64):
+        # cos = (e^{i xi x} + e^{-i xi x}) / 2: the stored j = 1 stands for both
         samples = np.cos(2 * np.pi * grid64.points / 64.0)
         field = forward_transform(samples, grid64)
         mags = np.abs(field.coeffs)
         nonzero = np.flatnonzero(mags > 1e-10 * mags.max())
-        assert sorted(grid64.mode_numbers[nonzero].tolist()) == [-1, 1]
-        assert mags[1] == pytest.approx(mags[-1])
+        assert grid64.mode_numbers[nonzero].tolist() == [1]
+        assert grid64.multiplicity[1] == 2
+        assert mags[1] == pytest.approx(64.0 / 2.0)
 
     def test_round_trip(self, rng):
         grid = Grid(32)
@@ -68,6 +81,26 @@ class TestForwardTransform:
     def test_shape_checked(self, grid64):
         with pytest.raises(InvalidInput):
             forward_transform(np.zeros(32), grid64)
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_matches_full_complex_fft(self, n, rng):
+        grid = Grid(n, 10.0)
+        samples = rng.standard_normal(n)
+        reference = (np.fft.fft(samples) * (10.0 / n))[: n // 2 + 1]
+        coeffs = forward_transform(samples, grid).coeffs
+        assert np.max(np.abs(coeffs - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+class TestSpectralField:
+    def test_rejects_full_length_coeffs(self, grid64):
+        with pytest.raises(InvalidInput):
+            SpectralField(grid64, np.zeros(64, dtype=complex))
+
+    def test_rejects_complex_dc(self, grid64):
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[0] = 1.0 + 1e-300j
+        with pytest.raises(InvalidInput):
+            SpectralField(grid64, coeffs)
 
 
 class TestInverseTransform:
@@ -80,38 +113,45 @@ class TestInverseTransform:
         np.testing.assert_allclose(inverse_transform(field), samples,
                                    atol=1e-12)
 
-    def test_rejects_broken_symmetry(self, grid64):
-        coeffs = np.zeros(64, dtype=complex)
-        coeffs[1] = 1.0  # no conjugate partner at j = -1
-        with pytest.raises(SymmetryViolation):
-            inverse_transform(SpectralField(grid64, coeffs))
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_matches_ifft_of_hermitian_extension(self, n, rng):
+        grid = Grid(n, 10.0)
+        coeffs = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        coeffs[0] = coeffs[0].real
+        coeffs[-1] = coeffs[-1].real
+        full = np.concatenate([coeffs, np.conj(coeffs[-2:0:-1])])
+        reference = np.fft.ifft(full).real * (n / 10.0)
+        back = inverse_transform(SpectralField(grid, coeffs))
+        assert np.max(np.abs(back - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-class TestHermitianDefect:
-    def test_real_field_has_none(self, random_field):
-        assert hermitian_defect(random_field) < 1e-12
-
-    def test_zero_field(self, grid64):
-        assert hermitian_defect(zero_field(grid64)) == 0.0
+@settings(max_examples=50, deadline=None)
+@given(half_n=st.integers(4, 256), seed=st.integers(0, 2**32 - 1))
+def test_parseval(half_n, seed):
+    grid = Grid(2 * half_n, 7.0)
+    samples = np.random.default_rng(seed).standard_normal(grid.n_points)
+    expected = np.sum(samples**2) * grid.dx
+    assert l2_norm(forward_transform(samples, grid)) ** 2 == pytest.approx(
+        expected, rel=1e-12)
 
 
 class TestDealias:
     def test_low_modes_untouched(self, grid64):
-        coeffs = np.zeros(64, dtype=complex)
-        coeffs[1] = coeffs[-1] = 2.0
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[1] = 2.0
         field = SpectralField(grid64, coeffs)
         np.testing.assert_array_equal(dealias(field).coeffs, coeffs)
 
     def test_high_modes_removed(self, grid64):
-        coeffs = np.zeros(64, dtype=complex)
-        coeffs[31] = coeffs[-31] = 1.0  # |j| = n/2 - 1, above n/3
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[31] = 1.0  # |j| = n/2 - 1, above n/3
         assert np.all(dealias(SpectralField(grid64, coeffs)).coeffs == 0)
 
     def test_survivor_count(self):
         grid = Grid(48)
-        field = SpectralField(grid, np.ones(48, dtype=complex))
-        survivors = np.count_nonzero(dealias(field).coeffs)
-        assert survivors == 2 * (48 // 3) + 1
+        field = SpectralField(grid, np.ones(25, dtype=complex))
+        kept = dealias(field).coeffs != 0
+        assert np.sum(grid.multiplicity[kept]) == 2 * (48 // 3) + 1
 
 
 class TestModulusField:
@@ -119,10 +159,10 @@ class TestModulusField:
         assert np.all(modulus_field(zero_field(grid64)).coeffs == 0)
 
     def test_imaginary_pair(self, grid64):
-        coeffs = np.zeros(64, dtype=complex)
-        coeffs[1], coeffs[-1] = 1j, -1j
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[1] = 1j  # with its mirror -1j at j = -1
         out = modulus_field(SpectralField(grid64, coeffs))
-        assert out.coeffs[1] == 1.0 and out.coeffs[-1] == 1.0
+        assert out.coeffs[1] == 1.0
 
     def test_preserves_l2(self, random_field):
         assert l2_norm(modulus_field(random_field)) == pytest.approx(
@@ -130,7 +170,7 @@ class TestModulusField:
 
 
 def test_zero_nyquist_clears_unpaired_mode(grid64):
-    coeffs = np.ones(64, dtype=complex)
+    coeffs = np.ones(33, dtype=complex)
     out = zero_nyquist(SpectralField(grid64, coeffs))
     assert out.coeffs[32] == 0.0
     assert out.coeffs[1] == 1.0
