@@ -10,8 +10,13 @@ Two solvers are provided:
   on a uniform time sub-grid with composite trapezoidal quadrature.  Used
   for verification over a single local-existence window, not for long runs.
 
-The quadratic term is evaluated pseudospectrally and dealiased (2/3 rule);
-linear multipliers need no dealiasing.
+Both run on one private kernel over raw half-spectrum arrays (the last
+axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
+rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
+and ``_rk4`` one step.  ``nonlinear_term``, ``rhs`` and ``step_rk4`` are
+thin ``SpectralField`` wrappers over it; ``simulate`` computes phi once and
+builds a ``SpectralField`` only at sample points; ``picard_solve`` squares
+every time node in one batched ``_square`` call.
 """
 
 from __future__ import annotations
@@ -25,14 +30,7 @@ import numpy as np
 from .errors import BlowupDetected, InvalidInput, NoConvergence
 from .multipliers import GevreyWeight, ModelParams, apply_I, phi_symbol, semigroup
 from .norms import NormReport, hs_norm, norm_report
-from .spectral import (
-    Grid,
-    SpectralField,
-    dealias,
-    forward_transform,
-    inverse_transform,
-    zero_nyquist,
-)
+from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
 
 BLOWUP_CAP = 1e12
 
@@ -64,40 +62,64 @@ class PicardDiagnostics:
     converged: bool
 
 
+def _square(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dealiased u^2 of half-spectra along the last axis (any leading shape).
+
+    The same arithmetic as forward_transform(inverse_transform(u)**2)
+    followed by dealias (which clears the Nyquist mode too), on raw arrays.
+    """
+    n, length = grid.n_points, grid.domain_length
+    samples = np.fft.irfft(coeffs, n, axis=-1) * (n / length)
+    square = np.fft.rfft(samples * samples, axis=-1) * (length / n)
+    square[..., grid.dealias_cutoff + 1:] = 0.0
+    return square
+
+
+def _rhs(coeffs: np.ndarray, grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """-phi(D)(u + u^2/2) on a raw half-spectrum; symbol is phi."""
+    return -symbol * (coeffs + 0.5 * _square(coeffs, grid))
+
+
+def _rk4(coeffs: np.ndarray, dt: float, grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """One classical RK4 step on a raw half-spectrum; symbol is phi."""
+    k1 = _rhs(coeffs, grid, symbol)
+    k2 = _rhs(coeffs + 0.5 * dt * k1, grid, symbol)
+    k3 = _rhs(coeffs + 0.5 * dt * k2, grid, symbol)
+    k4 = _rhs(coeffs + dt * k3, grid, symbol)
+    return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _warn_if_unstable(dt: float, symbol: np.ndarray) -> None:
+    """Warn when dt*max|phi| >= 1.  Called directly from a public function,
+    so stacklevel 3 names that function's caller."""
+    margin = dt * float(np.max(np.abs(symbol)))
+    if margin >= 1.0:
+        warnings.warn(f"dt*max|phi| = {margin:.3g} >= 1; accuracy may degrade",
+                      stacklevel=3)
+
+
 def nonlinear_term(field: SpectralField) -> SpectralField:
     """u^2 computed pseudospectrally and dealiased (which clears the
     Nyquist mode too)."""
-    samples = inverse_transform(field)
-    return dealias(forward_transform(samples * samples, field.grid))
+    return field.with_coeffs(_square(field.coeffs, field.grid))
 
 
 def rhs(field: SpectralField, alpha: float) -> SpectralField:
     """-phi(D)(u + u^2/2), the full spectral right-hand side."""
-    combined = field.coeffs + 0.5 * nonlinear_term(field).coeffs
     symbol = phi_symbol(field.grid.wavenumbers, alpha)
-    return field.with_coeffs(-symbol * combined)
+    return field.with_coeffs(_rhs(field.coeffs, field.grid, symbol))
 
 
 def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
-    """One classical RK4 step of the spectral ODE system."""
+    """One classical RK4 step of the spectral ODE system; warns when
+    dt*max|phi| >= 1."""
     if dt < 0:
         raise InvalidInput(f"dt must be >= 0, got {dt}")
     if dt == 0:
         return field
-    symbol_max = float(np.max(np.abs(phi_symbol(field.grid.wavenumbers, alpha))))
-    if dt * symbol_max >= 1.0:
-        warnings.warn(
-            f"dt*max|phi| = {dt * symbol_max:.3g} >= 1; accuracy may degrade",
-            stacklevel=2,
-        )
-    k1 = rhs(field, alpha)
-    k2 = rhs(field.with_coeffs(field.coeffs + 0.5 * dt * k1.coeffs), alpha)
-    k3 = rhs(field.with_coeffs(field.coeffs + 0.5 * dt * k2.coeffs), alpha)
-    k4 = rhs(field.with_coeffs(field.coeffs + dt * k3.coeffs), alpha)
-    new = field.coeffs + (dt / 6.0) * (
-        k1.coeffs + 2.0 * k2.coeffs + 2.0 * k3.coeffs + k4.coeffs
-    )
-    return field.with_coeffs(new)
+    symbol = phi_symbol(field.grid.wavenumbers, alpha)
+    _warn_if_unstable(dt, symbol)
+    return field.with_coeffs(_rk4(field.coeffs, dt, field.grid, symbol))
 
 
 def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) -> float:
@@ -129,6 +151,12 @@ def picard_solve(
 
     Gamma(u)(t) = S(t) u0 - (1/2) int_0^t S(t-tau) phi(D)(u(tau)^2) dtau,
     with composite trapezoidal quadrature on n_nodes+1 uniform tau nodes.
+    On a uniform grid the trapezoid J_k at node k obeys the recursion
+
+        J_k = S(dtau) J_{k-1} + dtau/2 (S(dtau) nl_{k-1} + nl_k),  J_0 = 0,
+
+    with S(dtau) = exp(-dtau*phi), so an iteration costs O(n_nodes * n):
+    one batched u^2 over every node, then one pass of the recursion.
     Successive iterates are compared in the sup-in-time H^{alpha/2} norm of
     the I-weighted difference (the metric of the contraction argument);
     stops when the distance drops below tol.
@@ -140,32 +168,23 @@ def picard_solve(
     symbol = phi_symbol(xi, alpha)
     times = np.linspace(0.0, delta, n_nodes + 1)
     dtau = times[1] - times[0]
-    # free-flow phases: phase[k] multiplies u0 to give S(t_k) u0
-    free = np.exp(-np.outer(times, symbol))
-    iterate = free * u0.coeffs[None, :]
+    shift = np.exp(-dtau * symbol)  # S(dtau)
+    # free flow S(t_k) u0 at every node
+    free = np.exp(-np.outer(times, symbol)) * u0.coeffs[None, :]
+    iterate = free
+    i_symbol = weight.symbol(xi)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        # phi(D)(u^2) at every node
-        nl = np.empty_like(iterate)
-        for k in range(len(times)):
-            state = SpectralField(grid, iterate[k])
-            nl[k] = symbol * nonlinear_term(state).coeffs
-        new = free * u0.coeffs[None, :]
-        # cumulative trapezoid in tau of S(t_k - tau_m) nl[m], m <= k
+        nl = symbol * _square(iterate, grid)  # phi(D)(u^2) at every node
+        new = free.copy()
+        integral = np.zeros_like(nl[0])
         for k in range(1, len(times)):
-            phases = np.exp(-np.outer(times[k] - times[: k + 1], symbol))
-            integrand = phases * nl[: k + 1]
-            integral = dtau * (
-                np.sum(integrand[1:-1], axis=0)
-                + 0.5 * (integrand[0] + integrand[-1])
-            )
-            new[k] = new[k] - 0.5 * integral
-        dist = max(
-            hs_norm(apply_I(SpectralField(grid, new[k] - iterate[k]), weight),
-                    alpha / 2.0)
-            for k in range(len(times))
-        )
+            integral = shift * integral + 0.5 * dtau * (shift * nl[k - 1] + nl[k])
+            new[k] -= 0.5 * integral
+        weighted = (new - iterate) * i_symbol
+        dist = max(hs_norm(SpectralField(grid, row), alpha / 2.0)
+                   for row in weighted)
         distances.append(dist)
         iterate = new
         if dist < tol:
@@ -213,17 +232,22 @@ def simulate(
         states = [semigroup(state, t, params.alpha) for t in sample_times]
         reports = [norm_report(s, weight, params.alpha) for s in states]
         return Trajectory(np.asarray(sample_times), states, params, reports)
+    grid, dt = params.grid, params.dt
+    symbol = phi_symbol(grid.wavenumbers, params.alpha)
+    if n_steps > 0:
+        _warn_if_unstable(dt, symbol)
     times = [0.0]
     states = [state]
     reports = [norm_report(state, weight, params.alpha)]
+    coeffs = state.coeffs
     for step in range(1, n_steps + 1):
-        state = step_rk4(state, params.dt, params.alpha)
-        coeffs = state.coeffs
-        if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) > BLOWUP_CAP:
-            raise BlowupDetected(step * params.dt)
+        coeffs = _rk4(coeffs, dt, grid, symbol)
+        if not np.max(np.abs(coeffs)) <= BLOWUP_CAP:  # also catches NaN
+            raise BlowupDetected(step * dt)
         if step % sample_every == 0 or step == n_steps:
-            t = step * params.dt
+            t = step * dt
             if t > times[-1]:
+                state = SpectralField(grid, coeffs)
                 times.append(t)
                 states.append(state)
                 reports.append(norm_report(state, weight, params.alpha))

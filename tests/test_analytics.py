@@ -21,9 +21,11 @@ from gevrey_bbm.errors import (
     InsufficientData,
     InvalidInput,
     NoFit,
+    OverflowRisk,
     SpectrumTooThin,
 )
 from gevrey_bbm.evolution import gaussian_data, sech2_data, simulate
+from gevrey_bbm.identities import series_symmetrized_values
 from gevrey_bbm.multipliers import GevreyWeight, ModelParams
 from gevrey_bbm.norms import h1_invariant
 from gevrey_bbm.spectral import Grid, SpectralField, zero_field
@@ -60,6 +62,29 @@ class TestTrilinearDefectRate:
     def test_negative_sigma_rejected(self, random_field):
         with pytest.raises(InvalidInput):
             trilinear_defect_rate(random_field, -0.1, 2.0)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
+    def test_closed_form_matches_the_series(self, sigma):
+        # every alias-free triad at n = 256, against the termwise series
+        band, scale = 84, 2.0 * np.pi / 64.0
+        j = np.arange(-band, band + 1)
+        j1, j2 = np.meshgrid(j, j, indexing="ij")
+        j3 = -j1 - j2
+        keep = np.abs(j3) <= band
+        x1, x2, x3 = (scale * a[keep] for a in (j1, j2, j3))
+        series = series_symmetrized_values(x1, x2, x3, sigma)
+        closed = analytics._symmetrized_weight(x1, x2, x3, sigma)
+        assert np.max(np.abs(closed - series)) <= 1e-13 * np.max(np.abs(series))
+
+    def test_overflow_raises_instead_of_passing_inf_on(self):
+        x = np.array([400.0, 1.0])
+        with pytest.raises(OverflowRisk):
+            analytics._symmetrized_weight(x, -0.5 * x, -0.5 * x, 1.0)
+
+    def test_overflowing_triad_route_raises(self, random_field):
+        # the physical route overflows quietly here; the triad route must not
+        with np.errstate(all="ignore"), pytest.raises(OverflowRisk):
+            trilinear_defect_rate(random_field, 400.0, 2.0)
 
 
 class TestMeasureDefect:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from gevrey_bbm import evolution
 from gevrey_bbm.errors import BlowupDetected, InvalidInput
 from gevrey_bbm.evolution import (
     INITIAL_DATA,
@@ -14,7 +17,7 @@ from gevrey_bbm.evolution import (
     simulate,
     step_rk4,
 )
-from gevrey_bbm.multipliers import GevreyWeight, ModelParams, apply_I
+from gevrey_bbm.multipliers import GevreyWeight, ModelParams, apply_I, phi_symbol
 from gevrey_bbm.norms import h1_invariant, hs_norm, l2_norm
 from gevrey_bbm.spectral import (
     Grid,
@@ -45,6 +48,15 @@ class TestNonlinearTerm:
         high = np.abs(grid.mode_numbers) > grid.dealias_cutoff
         assert np.all(out.coeffs[high] == 0)
 
+    def test_batched_square_matches_rows_bitwise(self, grid128, rng):
+        coeffs = (rng.standard_normal((5, 65))
+                  + 1j * rng.standard_normal((5, 65)))
+        coeffs[:, 0] = coeffs[:, 0].real
+        batched = evolution._square(coeffs, grid128)
+        for row, expected in zip(coeffs, batched):
+            single = nonlinear_term(SpectralField(grid128, row)).coeffs
+            np.testing.assert_array_equal(single, expected)
+
 
 class TestRhs:
     def test_zero(self, grid64):
@@ -73,6 +85,15 @@ class TestStepRk4:
     def test_negative_dt_rejected(self, random_field):
         with pytest.raises(InvalidInput):
             step_rk4(random_field, -0.1, 2.0)
+
+    def test_warns_when_dt_exceeds_the_stability_margin(self, grid64):
+        # max|phi| is just below 1/2 at alpha = 2, so dt = 2.5 gives ~1.25
+        u0 = gaussian_data(grid64, 0.01, 4.0)
+        with pytest.warns(UserWarning, match=r"dt\*max\|phi\|"):
+            step_rk4(u0, 2.5, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step_rk4(u0, 1.0, 2.0)
 
     def test_fourth_order_convergence(self):
         grid = Grid(64)
@@ -151,6 +172,32 @@ class TestPicardSolve:
         assert diag.contraction_factor <= 0.5
         assert traj.times[-1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("n_nodes", [8, 64])
+    def test_recursion_matches_the_direct_trapezoid(self, n_nodes):
+        grid = Grid(64)
+        u0 = gaussian_data(grid, 0.1, 4.0)
+        traj, diag = picard_solve(u0, 2.0, 2.0, GevreyWeight(0.1),
+                                  n_nodes=n_nodes)
+        # the same number of iterations of the O(nodes^2) quadrature
+        symbol = phi_symbol(grid.wavenumbers, 2.0)
+        times = np.linspace(0.0, 2.0, n_nodes + 1)
+        dtau = times[1] - times[0]
+        free = np.exp(-np.outer(times, symbol)) * u0.coeffs
+        iterate = free
+        for _ in diag.iterate_distances:
+            nl = np.array([symbol * nonlinear_term(SpectralField(grid, c)).coeffs
+                           for c in iterate])
+            new = free.copy()
+            for k in range(1, n_nodes + 1):
+                weights = np.full(k + 1, dtau)
+                weights[[0, -1]] *= 0.5
+                phases = np.exp(-np.outer(times[k] - times[:k + 1], symbol))
+                new[k] -= 0.5 * np.sum(weights[:, None] * phases * nl[:k + 1],
+                                       axis=0)
+            iterate = new
+        got = np.array([s.coeffs for s in traj.states])
+        assert np.max(np.abs(got - iterate)) <= 1e-13 * np.max(np.abs(iterate))
+
     def test_rejects_nonpositive_window(self, grid64):
         with pytest.raises(InvalidInput):
             picard_solve(zero_field(grid64), 0.0, 2.0, GevreyWeight(0.0))
@@ -181,6 +228,38 @@ class TestSimulate:
         traj = simulate(u0, params, weight, sample_every=20)
         norms = [hs_norm(apply_I(s, weight), 1.0) for s in traj.states]
         assert max(norms) <= 2.0 * norms[0]
+
+    def test_samples_equal_a_step_rk4_loop_bitwise(self, grid64):
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        params = ModelParams(2.0, grid64, 0.05, 1.0)
+        traj = simulate(u0, params, GevreyWeight(0.1), sample_every=3)
+        state, expected = u0, [u0.coeffs]
+        for step in range(1, 21):
+            state = step_rk4(state, 0.05, 2.0)
+            if step % 3 == 0 or step == 20:
+                expected.append(state.coeffs)
+        assert len(traj.states) == len(expected)
+        for got, want in zip(traj.states, expected):
+            np.testing.assert_array_equal(got.coeffs, want)
+
+    def test_unstable_dt_warns_once_per_run(self, grid64):
+        u0 = gaussian_data(grid64, 0.01, 4.0)
+        params = ModelParams(2.0, grid64, 2.5, 50.0)  # 20 steps
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate(u0, params, GevreyWeight(0.0))
+        assert len(caught) == 1
+        assert "dt*max|phi|" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2e12])
+    def test_blowup_reports_its_time(self, grid64, bad):
+        coeffs = gaussian_data(grid64, 0.5, 4.0).coeffs.copy()
+        coeffs[3] = bad
+        params = ModelParams(2.0, grid64, 1e-2, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(BlowupDetected) as info:
+            simulate(SpectralField(grid64, coeffs), params, GevreyWeight(0.0))
+        assert info.value.time == 1e-2
 
     def test_blowup_detection(self, grid64):
         coeffs = np.full(33, 1e13, dtype=complex)
