@@ -66,7 +66,7 @@ class TestTrilinearDefectRate:
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_closed_form_matches_the_series(self, sigma):
         # every alias-free triad at n = 256, against the termwise series
-        band, scale = 84, 2.0 * np.pi / 64.0
+        band, scale = 85, 2.0 * np.pi / 64.0
         j = np.arange(-band, band + 1)
         j1, j2 = np.meshgrid(j, j, indexing="ij")
         j3 = -j1 - j2
