@@ -22,7 +22,7 @@ from .errors import (
     OverflowRisk,
     SpectrumTooThin,
 )
-from .evolution import Trajectory, gaussian_data, sech2_data, simulate
+from .evolution import Trajectory, _march, _sample_steps, gaussian_data, sech2_data
 from .identities import fractional_bound_exponents
 from .multipliers import GevreyWeight, ModelParams, apply_I, apply_phi
 from .norms import energy, hs_norm
@@ -32,6 +32,7 @@ from .spectral import (
     dealias,
     forward_transform,
     inverse_transform,
+    zero_nyquist,
 )
 
 DEFAULT_NOISE_FLOOR = 1e-14
@@ -144,28 +145,39 @@ class ConservationReport:
     energy_series: list[tuple[float, float]]
 
 
-def measure_defects(u0: SpectralField, sigmas, delta: float,
-                    params: ModelParams, c_cal: float = 1.0,
+def measure_defects(u0: SpectralField, windows, params: ModelParams,
+                    c_cal: float = 1.0,
                     n_samples: int = 40) -> list[ConservationReport]:
-    """Simulate once on [0, delta] and report the I-weighted energy defect
-    at each sigma, read off the same states (sigma does not enter the flow).
+    """I-weighted energy defect of u0's flow over each (sigma, delta) window.
+
+    sigma does not enter the flow and every window starts from u0 with the
+    same dt, so one RK4 run to the longest window serves them all.  A window
+    of n_steps = round(delta/dt) steps is sampled every n_steps // n_samples
+    steps and at its last step; the run keeps only the states at the union
+    of these sample steps.  params supplies alpha, the grid and dt.
 
     defect is sup_t E(t) - E(0); defect_abs is sup_t |E(t) - E(0)| (the
     magnitude used for scaling fits, since the signed defect can vanish when
     the energy only decreases).  The bound check uses the calibrated c_cal:
     defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
     """
-    if not 0 < delta < math.inf:
-        raise InvalidInput(f"delta must be positive and finite, got {delta}")
-    alpha = params.alpha
-    run = ModelParams(alpha, params.grid, params.dt, delta)
-    n_steps = max(int(round(delta / params.dt)), 1)
-    sample_every = max(n_steps // n_samples, 1)
-    traj = simulate(u0, run, GevreyWeight(0.0), sample_every=sample_every)
+    alpha, dt = params.alpha, params.dt
+    windows = list(windows)
+    if not windows:
+        return []
+    window_steps = []
+    for _, delta in windows:
+        if not 0 < delta < math.inf:
+            raise InvalidInput(f"delta must be positive and finite, got {delta}")
+        n_steps = int(round(delta / dt))
+        if n_steps == 0:
+            raise InvalidInput(f"delta = {delta} rounds to zero steps of dt = {dt}")
+        window_steps.append(_sample_steps(n_steps, max(n_steps // n_samples, 1)))
+    kept = _march(zero_nyquist(u0), params, set().union(*window_steps))
     _, beta, _ = fractional_bound_exponents(alpha)
     reports = []
-    for sigma in sigmas:
-        energies = np.array([energy(state, sigma, alpha) for state in traj.states])
+    for (sigma, delta), steps in zip(windows, window_steps):
+        energies = np.array([energy(kept[step], sigma, alpha) for step in steps])
         e0 = energies[0]
         defect_abs = float(np.max(np.abs(energies - e0)))
         u0_norm = hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0)
@@ -179,7 +191,8 @@ def measure_defects(u0: SpectralField, sigmas, delta: float,
             predicted_bound=bound,
             bound_satisfied=bool(defect_abs <= bound * (1.0 + 1e-9)) if sigma > 0
             else bool(defect_abs <= 1e-8 * max(e0, 1.0)),
-            energy_series=[(float(t), float(e)) for t, e in zip(traj.times, energies)],
+            energy_series=[(float(step * dt), float(e))
+                           for step, e in zip(steps, energies)],
         ))
     return reports
 
@@ -187,8 +200,8 @@ def measure_defects(u0: SpectralField, sigmas, delta: float,
 def measure_defect(u0: SpectralField, sigma: float, delta: float,
                    params: ModelParams, c_cal: float = 1.0,
                    n_samples: int = 40) -> ConservationReport:
-    """measure_defects at a single sigma."""
-    return measure_defects(u0, [sigma], delta, params, c_cal, n_samples)[0]
+    """measure_defects on the one window (sigma, delta)."""
+    return measure_defects(u0, [(sigma, delta)], params, c_cal, n_samples)[0]
 
 
 def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
@@ -204,8 +217,8 @@ def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
     sigma_list = sorted(float(s) for s in sigma_list)
     if len(sigma_list) < 2 or min(sigma_list) <= 0:
         raise InvalidInput("sigma_list must contain >= 2 positive values")
-    base, *reports = measure_defects(u0, [0.0] + sigma_list, delta, params,
-                                     c_cal=c_cal)
+    base, *reports = measure_defects(u0, [(s, delta) for s in [0.0] + sigma_list],
+                                     params, c_cal=c_cal)
     if floor is None:
         floor = 10.0 * base.defect_abs + 1e-14
     usable = [(s, r.defect_abs) for s, r in zip(sigma_list, reports)
@@ -488,6 +501,8 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
 
     C2 is the maximum of defect_abs / (delta * sigma^beta * ||I u0||^3)
     over a small suite of initial data and sigma values, doubled for margin.
+    Each sigma has its own window delta = 1 / (8 C1 ||I u0||); the windows
+    of one initial datum are read off a single measure_defects run.
     """
     grid = Grid(n_points, domain_length)
     weight = GevreyWeight(sigma_ref)
@@ -497,13 +512,13 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
     suite = [gaussian_data(grid, 0.5, 4.0), gaussian_data(grid, 1.0, 2.0),
              sech2_data(grid, 0.5, 3.0)]
     for u0 in suite:
-        for sigma in (0.05, 0.1, 0.3):
-            w = GevreyWeight(sigma)
-            u0_norm = hs_norm(apply_I(u0, w), alpha / 2.0)
-            delta = 1.0 / (8.0 * c1 * u0_norm)
-            params = ModelParams(alpha, grid, dt, delta)
-            report = measure_defect(u0, sigma, delta, params)
-            ratio = report.defect_abs / (delta * sigma**beta * u0_norm**3)
+        norms = [(sigma, hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0))
+                 for sigma in (0.05, 0.1, 0.3)]
+        windows = [(sigma, 1.0 / (8.0 * c1 * u0_norm)) for sigma, u0_norm in norms]
+        params = ModelParams(alpha, grid, dt, max(delta for _, delta in windows))
+        reports = measure_defects(u0, windows, params)
+        for (sigma, u0_norm), report in zip(norms, reports):
+            ratio = report.defect_abs / (report.delta * sigma**beta * u0_norm**3)
             worst = max(worst, ratio)
     return Calibration(c1=float(c1), c2=float(2.0 * worst), alpha=alpha,
                        sigma_ref=sigma_ref, n_points=n_points,

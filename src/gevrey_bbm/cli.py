@@ -293,7 +293,8 @@ def cmd_sweep(config: dict[str, str]) -> int:
         else:
             delta = evolution.lifespan(u0, _weight(config), alpha, cal.c1)
         params = ModelParams(alpha, grid, float(config["dt"]), delta)
-        for report in analytics.measure_defects(u0, sigmas, delta, params,
+        windows = [(sigma, delta) for sigma in sigmas]
+        for report in analytics.measure_defects(u0, windows, params,
                                                 c_cal=cal.c2):
             results[f"alpha={alpha!r},sigma={report.sigma!r}"] = {
                 "alpha": alpha,

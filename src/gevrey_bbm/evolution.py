@@ -14,9 +14,11 @@ Both run on one private kernel over raw half-spectrum arrays (the last
 axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
 rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
 and ``_rk4`` one step.  ``nonlinear_term``, ``rhs`` and ``step_rk4`` are
-thin ``SpectralField`` wrappers over it; ``simulate`` computes phi once and
-builds a ``SpectralField`` only at sample points; ``picard_solve`` squares
-every time node in one batched ``_square`` call.
+thin ``SpectralField`` wrappers over it.  ``_march`` is the one stepping
+loop: it computes phi once and keeps a ``SpectralField`` only at a given
+set of steps.  ``simulate`` runs it on every ``sample_every``-th step and
+``analytics.measure_defects`` on the union of its windows' sample steps.
+``picard_solve`` squares every time node in one batched ``_square`` call.
 """
 
 from __future__ import annotations
@@ -89,13 +91,13 @@ def _rk4(coeffs: np.ndarray, dt: float, grid: Grid, symbol: np.ndarray) -> np.nd
     return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _warn_if_unstable(dt: float, symbol: np.ndarray) -> None:
-    """Warn when dt*max|phi| >= 1.  Called directly from a public function,
-    so stacklevel 3 names that function's caller."""
+def _warn_if_unstable(dt: float, symbol: np.ndarray, stacklevel: int = 3) -> None:
+    """Warn when dt*max|phi| >= 1.  The default stacklevel names the caller
+    of the public function that calls this one directly."""
     margin = dt * float(np.max(np.abs(symbol)))
     if margin >= 1.0:
         warnings.warn(f"dt*max|phi| = {margin:.3g} >= 1; accuracy may degrade",
-                      stacklevel=3)
+                      stacklevel=stacklevel)
 
 
 def nonlinear_term(field: SpectralField) -> SpectralField:
@@ -207,6 +209,36 @@ def picard_solve(
     return traj, diagnostics
 
 
+def _sample_steps(n_steps: int, every: int) -> list[int]:
+    """Steps 0, every, 2*every, ... up to n_steps, plus n_steps itself."""
+    return sorted(set(range(0, n_steps + 1, every)) | {n_steps})
+
+
+def _march(u0: SpectralField, params: ModelParams, steps) -> dict[int, SpectralField]:
+    """RK4 from u0 to the largest of steps, keeping u0 (step 0) and the
+    state at each of steps.
+
+    Only the requested states are stored, so memory follows len(steps), not
+    the number of steps taken.  Raises BlowupDetected as soon as a
+    coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1.
+    """
+    grid, dt = params.grid, params.dt
+    symbol = phi_symbol(grid.wavenumbers, params.alpha)
+    wanted = set(steps)
+    last = max(wanted)
+    if last > 0:
+        _warn_if_unstable(dt, symbol, stacklevel=4)
+    kept = {0: u0}
+    coeffs = u0.coeffs
+    for step in range(1, last + 1):
+        coeffs = _rk4(coeffs, dt, grid, symbol)
+        if not np.max(np.abs(coeffs)) <= BLOWUP_CAP:  # also catches NaN
+            raise BlowupDetected(step * dt)
+        if step in wanted:
+            kept[step] = SpectralField(grid, coeffs)
+    return kept
+
+
 def simulate(
     u0: SpectralField,
     params: ModelParams,
@@ -214,43 +246,23 @@ def simulate(
     sample_every: int = 1,
     linear: bool = False,
 ) -> Trajectory:
-    """RK4 driver recording states and NormReports every sample_every steps.
+    """RK4 driver recording states and NormReports every sample_every steps
+    and at the last step.
 
     With linear=True the quadratic term is dropped and each sample is the
     exact free flow semigroup(t) u0 (a reference for estimator oracles).
     """
     if sample_every < 1:
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
-    n_steps = int(round(params.t_end / params.dt))
+    steps = _sample_steps(int(round(params.t_end / params.dt)), sample_every)
+    times = [step * params.dt for step in steps]
     state = zero_nyquist(u0)
     if linear:
-        sample_times = [0.0] + [
-            step * params.dt for step in range(1, n_steps + 1)
-            if step % sample_every == 0 or step == n_steps
-        ]
-        sample_times = sorted(set(sample_times))
-        states = [semigroup(state, t, params.alpha) for t in sample_times]
-        reports = [norm_report(s, weight, params.alpha) for s in states]
-        return Trajectory(np.asarray(sample_times), states, params, reports)
-    grid, dt = params.grid, params.dt
-    symbol = phi_symbol(grid.wavenumbers, params.alpha)
-    if n_steps > 0:
-        _warn_if_unstable(dt, symbol)
-    times = [0.0]
-    states = [state]
-    reports = [norm_report(state, weight, params.alpha)]
-    coeffs = state.coeffs
-    for step in range(1, n_steps + 1):
-        coeffs = _rk4(coeffs, dt, grid, symbol)
-        if not np.max(np.abs(coeffs)) <= BLOWUP_CAP:  # also catches NaN
-            raise BlowupDetected(step * dt)
-        if step % sample_every == 0 or step == n_steps:
-            t = step * dt
-            if t > times[-1]:
-                state = SpectralField(grid, coeffs)
-                times.append(t)
-                states.append(state)
-                reports.append(norm_report(state, weight, params.alpha))
+        states = [semigroup(state, t, params.alpha) for t in times]
+    else:
+        kept = _march(state, params, steps)
+        states = [kept[step] for step in steps]
+    reports = [norm_report(s, weight, params.alpha) for s in states]
     return Trajectory(np.asarray(times), states, params, reports)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gevrey_bbm import analytics
+from gevrey_bbm import analytics, evolution
 from gevrey_bbm.analytics import (
     Calibration,
     calibrate_bilinear_constant,
@@ -116,7 +116,8 @@ class TestMeasureDefect:
 
     def test_delta_validated(self, grid64):
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
-        for delta in (0.0, np.inf, np.nan):
+        # 4e-3 is under half a step: it would take no step at all
+        for delta in (0.0, np.inf, np.nan, 4e-3):
             with pytest.raises(InvalidInput):
                 measure_defect(zero_field(grid64), 0.1, delta, params)
 
@@ -126,12 +127,52 @@ class TestMeasureDefect:
         u0 = gaussian_data(grid64, 0.5, 4.0)
         params = ModelParams(2.0, grid64, 1e-2, 0.5)
         sigmas = [0.0, 0.05, 0.2]
-        reports = measure_defects(u0, sigmas, 0.5, params, n_samples=10)
+        reports = measure_defects(u0, [(sigma, 0.5) for sigma in sigmas], params,
+                                  n_samples=10)
         for sigma, report in zip(sigmas, reports):
             traj = simulate(u0, params, GevreyWeight(sigma), sample_every=5)
             assert report.sigma == sigma
             assert report.energy_series == [
                 (float(t), r.energy) for t, r in zip(traj.times, traj.reports)]
+
+
+    # 93, 127 and 205 steps of dt = 1e-2, sampled every 2, 3 and 5 steps
+    WINDOWS = [(0.05, 0.93), (0.2, 1.27), (0.1, 2.05), (0.0, 1.27)]
+
+    def test_windows_match_one_window_calls(self, grid64):
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        params = ModelParams(2.0, grid64, 1e-2, 1.0)
+        reports = measure_defects(u0, self.WINDOWS, params, c_cal=0.01)
+        assert reports == [measure_defect(u0, sigma, delta, params, c_cal=0.01)
+                           for sigma, delta in self.WINDOWS]
+
+    def test_one_run_keeps_only_the_union_of_sample_steps(self, grid64, monkeypatch):
+        runs, steps = [], []
+
+        def counting_march(u0, params, wanted):
+            runs.append(evolution._march(u0, params, wanted))
+            return runs[-1]
+
+        def counting_rk4(*args):
+            steps.append(None)
+            return rk4(*args)
+
+        rk4 = evolution._rk4
+        monkeypatch.setattr(analytics, "_march", counting_march)
+        monkeypatch.setattr(evolution, "_rk4", counting_rk4)
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        measure_defects(u0, self.WINDOWS, ModelParams(2.0, grid64, 1e-2, 1.0))
+        union = set()
+        for n_steps in (93, 127, 205):
+            union |= set(range(0, n_steps + 1, n_steps // 40)) | {n_steps}
+        assert len(runs) == 1
+        assert len(steps) == 205
+        assert sorted(runs[0]) == sorted(union)
+
+    def test_no_window_takes_no_step(self, grid64, monkeypatch):
+        monkeypatch.setattr(analytics, "_march", None)
+        assert measure_defects(zero_field(grid64), [],
+                               ModelParams(2.0, grid64, 1e-2, 1.0)) == []
 
 
 class TestScalingFit:
@@ -156,11 +197,11 @@ class TestScalingFit:
     def test_simulates_once(self, grid64, monkeypatch):
         calls = []
 
-        def counting_simulate(*args, **kwargs):
+        def counting_march(*args):
             calls.append(args)
-            return simulate(*args, **kwargs)
+            return evolution._march(*args)
 
-        monkeypatch.setattr(analytics, "simulate", counting_simulate)
+        monkeypatch.setattr(analytics, "_march", counting_march)
         u0 = gaussian_data(grid64, 0.5, 4.0)
         params = ModelParams(2.0, grid64, 1e-2, 0.5)
         _, reports = defect_scaling_fit(u0, np.geomspace(0.01, 0.3, 6), 0.5,
@@ -291,6 +332,30 @@ class TestScheduleSigma:
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
             schedule_sigma(-1.0, 1.0, 1.0, 1.0)
+
+
+class TestRunCalibration:
+    def test_reproduces_the_shipped_file(self):
+        assert analytics.run_calibration() == default_calibration()
+
+    def test_steps_each_initial_datum_once(self, monkeypatch):
+        runs, steps = [], []
+
+        def counting_march(*args):
+            runs.append(args)
+            return evolution._march(*args)
+
+        def counting_rk4(*args):
+            steps.append(None)
+            return rk4(*args)
+
+        rk4 = evolution._rk4
+        monkeypatch.setattr(analytics, "_march", counting_march)
+        monkeypatch.setattr(evolution, "_rk4", counting_rk4)
+        analytics.run_calibration()
+        # one run per initial datum, each to its longest sigma window
+        assert len(runs) == 3
+        assert len(steps) == 3377
 
 
 class TestCalibrationFile:

@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from gevrey_bbm import analytics
+from gevrey_bbm import analytics, evolution
 from gevrey_bbm.cli import CSV_HEADER, apply_overrides, load_config, main
-from gevrey_bbm.evolution import simulate
 
 
 def run(tmp_path, command, **overrides):
@@ -66,9 +65,11 @@ class TestConfigHandling:
         ["conservation", "--amplitude", "0"],
         ["sweep", "--amplitude", "0"],
         ["conservation", "--delta", "inf"],
+        ["conservation", "--dt", "1e-3", "--delta", "4e-4"],
     ])
     def test_infinite_window_exits_2(self, argv, capsys):
-        # zero data has an infinite lifespan; no window can be simulated
+        # zero data has an infinite lifespan, and a window under half a step
+        # takes no step: neither can be simulated
         assert main(argv + ["--n_points", "64", "--sigma_grid", "0.1"]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -163,11 +164,11 @@ class TestSweep:
     def test_simulates_once_per_alpha(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting_simulate(*args, **kwargs):
+        def counting_march(*args):
             calls.append(args)
-            return simulate(*args, **kwargs)
+            return evolution._march(*args)
 
-        monkeypatch.setattr(analytics, "simulate", counting_simulate)
+        monkeypatch.setattr(analytics, "_march", counting_march)
         code, payload = run(tmp_path, "sweep", n_points=64, dt=5e-3,
                             delta=0.5, alpha_grid="2.0")
         assert code == 0
