@@ -19,11 +19,10 @@ from .errors import (
     InsufficientData,
     InvalidInput,
     NoFit,
-    OverflowRisk,
     SpectrumTooThin,
 )
 from .evolution import Trajectory, _march, _sample_steps, gaussian_data, sech2_data
-from .identities import fractional_bound_exponents
+from .identities import fractional_bound_exponents, symmetrized_weight
 from .multipliers import GevreyWeight, ModelParams, apply_I, apply_phi
 from .norms import energy, hs_norm
 from .spectral import (
@@ -60,24 +59,6 @@ def _defect_rate_physical(field: SpectralField, sigma: float) -> float:
     return float(-2.0 * grid.dx * np.sum(u * ux * i2u))
 
 
-def _symmetrized_weight(x1, x2, x3, sigma: float) -> np.ndarray:
-    """Closed form of the symmetrized weight series on the hyperplane.
-
-    sum_{k>=1} (2 sigma)^{2k} / (2k)! * (x1^{2k+1} + x2^{2k+1} + x3^{2k+1})
-    = sum_i x_i (cosh(2 sigma x_i) - 1) = 2 sum_i x_i sinh(sigma x_i)^2.
-    Raises OverflowRisk rather than return inf or NaN.
-    """
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            return 2.0 * (x1 * np.sinh(sigma * x1) ** 2
-                          + x2 * np.sinh(sigma * x2) ** 2
-                          + x3 * np.sinh(sigma * x3) ** 2)
-        except FloatingPointError:
-            raise OverflowRisk(
-                "sinh(sigma*xi)^2 overflows: sigma*|xi| too large"
-            ) from None
-
-
 def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
     """(i L / 6) * sum over grid triads of the symmetrized weight series."""
     grid = field.grid
@@ -95,7 +76,7 @@ def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
     valid = np.abs(j3) <= band
     j1, j2, j3 = j1[valid], j2[valid], j3[valid]
     scale = 2.0 * np.pi / L
-    series = _symmetrized_weight(scale * j1, scale * j2, scale * j3, sigma)
+    series = symmetrized_weight(scale * j1, scale * j2, scale * j3, sigma)
     total = np.sum(series * a[j1 % n] * a[j2 % n] * a[j3 % n])
     return float(np.real(1j * L / 6.0 * total))
 

@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"identity violation: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
     except (errors.InsufficientData, errors.SpectrumTooThin,
-            errors.NoFit, errors.SeriesDivergence) as exc:
+            errors.NoFit) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except errors.CrossCheckFailure as exc:

@@ -40,10 +40,6 @@ class IdentityViolation(GevreyBBMError):
         super().__init__(message)
 
 
-class SeriesDivergence(GevreyBBMError):
-    """Direct series summation showed no decay within the term budget."""
-
-
 class CrossCheckFailure(GevreyBBMError):
     """Two independent evaluation routes disagreed beyond tolerance."""
 

@@ -3,23 +3,23 @@
 The odd power sums xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1) factor through
 xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
 factorization exactly (big-integer arithmetic plus a symbolic expansion,
-never floating point) and evaluates the weighted series built from it,
-together with the Psi majorant and its empirical constant.
+never floating point).  The weighted series built from the power sums,
+sum_k (2 sigma)^{2k}/(2k)! * (power sum), has the closed form
+2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight); check_fab_bound
+measures its empirical constant against the sigma^{3/2} envelope.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
-from .errors import IdentityViolation, InvalidInput, SeriesDivergence
-
-SERIES_K_MAX = 200
-SERIES_TAIL_REL = 1e-12
+from .errors import IdentityViolation, InvalidInput, OverflowRisk
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class Triad:
             raise InvalidInput(
                 f"triad {self.xi1, self.xi2, self.xi3} is not on the hyperplane"
             )
-
-    def as_floats(self) -> tuple[float, float, float]:
-        return float(self.xi1), float(self.xi2), float(self.xi3)
 
 
 @dataclass(frozen=True)
@@ -133,91 +130,29 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
                           all_equal=True, max_defect=Fraction(0))
 
 
-def series_symmetrized(t: Triad, sigma: float, k_cut: int = 20) -> float:
-    """sum_{k>=1} (2 sigma)^{2k} / (2k)! * (xi1^{2k+1}+xi2^{2k+1}+xi3^{2k+1}).
-
-    k_cut is raised automatically until the factorial tail is below
-    SERIES_TAIL_REL relative to the partial sum (or absolutely negligible);
-    raises SeriesDivergence if no decay is reached by k = 200, signalling
-    that sigma*|xi| is too large for direct summation.
-    """
-    if sigma < 0:
-        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return 0.0
-    x1, x2, x3 = t.as_floats()
-    total = 0.0
-    last_term = math.inf
-    coeff = 1.0  # (2 sigma)^{2k} / (2k)!, built up iteratively
-    for k in range(1, SERIES_K_MAX + 1):
-        p = 2 * k + 1
-        coeff *= (2.0 * sigma) ** 2 / ((2 * k - 1) * (2 * k))
+@contextmanager
+def _overflow_guard(what: str):
+    """Turn a float overflow (or inf - inf) in the block into OverflowRisk."""
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            term = coeff * (x1**p + x2**p + x3**p)
-        except OverflowError:
-            raise SeriesDivergence(
-                f"series term overflowed at k={k}: sigma*|xi| too large"
-            ) from None
-        total += term
-        decayed = abs(term) <= last_term
-        last_term = abs(term)
-        # geometric tail: once terms decay, the rest is < 2x the next term
-        if k >= k_cut and decayed and (
-            abs(term) <= SERIES_TAIL_REL * max(abs(total), 1e-300)
-            or abs(term) < 1e-300
-        ):
-            return total
-    raise SeriesDivergence(
-        f"series terms did not decay below tolerance by k={SERIES_K_MAX}"
-    )
-
-
-def series_symmetrized_values(x1, x2, x3, sigma: float,
-                              k_max: int = SERIES_K_MAX) -> np.ndarray:
-    """Vectorized series_symmetrized over arrays of hyperplane triads."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    x3 = np.asarray(x3, dtype=np.float64)
-    total = np.zeros(np.broadcast(x1, x2, x3).shape)
-    coeff = 1.0
-    with np.errstate(over="raise"):
-        try:
-            for k in range(1, k_max + 1):
-                p = 2 * k + 1
-                coeff *= (2.0 * sigma) ** 2 / ((2 * k - 1) * (2 * k))
-                term = coeff * (x1**p + x2**p + x3**p)
-                total += term
-                if np.max(np.abs(term)) <= SERIES_TAIL_REL * max(
-                        np.max(np.abs(total)), 1e-300):
-                    return total
+            yield
         except FloatingPointError:
-            raise SeriesDivergence(
-                f"series term overflowed at k={k}: sigma*|xi| too large"
+            raise OverflowRisk(
+                f"{what} overflows: sigma*|xi| too large"
             ) from None
-    raise SeriesDivergence(
-        f"vectorized series did not converge by k={k_max}"
-    )
 
 
-def psi(t: Triad) -> float:
-    """Psi(xi1,xi2,xi3) = sum_k 2^{2k}/(2k+1)! |xi1 xi2 xi3|^{1/6} (xi1^{2k}+xi2^{2k}+xi3^{2k}).
+def symmetrized_weight(x1, x2, x3, sigma: float) -> np.ndarray:
+    """Closed form of the symmetrized weight series at triads (x1, x2, x3).
 
-    Factorially convergent for every triad.
+    sum_{k>=1} (2 sigma)^{2k} / (2k)! * (x1^{2k+1} + x2^{2k+1} + x3^{2k+1})
+    = sum_i x_i (cosh(2 sigma x_i) - 1) = 2 sum_i x_i sinh(sigma x_i)^2.
+    Raises OverflowRisk rather than return inf or NaN.
     """
-    x1, x2, x3 = t.as_floats()
-    prefactor = abs(x1 * x2 * x3) ** (1.0 / 6.0)
-    if prefactor == 0.0:
-        return 0.0
-    total = 0.0
-    coeff = 1.0  # 4^k / (2k+1)!, built up iteratively
-    for k in range(SERIES_K_MAX + 1):
-        if k > 0:
-            coeff *= 4.0 / ((2 * k) * (2 * k + 1))
-        term = coeff * (x1 ** (2 * k) + x2 ** (2 * k) + x3 ** (2 * k))
-        total += term
-        if k > 0 and term <= SERIES_TAIL_REL * total:
-            break
-    return prefactor * total
+    with _overflow_guard("sinh(sigma*xi)^2"):
+        return 2.0 * (x1 * np.sinh(sigma * x1) ** 2
+                      + x2 * np.sinh(sigma * x2) ** 2
+                      + x3 * np.sinh(sigma * x3) ** 2)
 
 
 @dataclass(frozen=True)
@@ -235,9 +170,10 @@ def check_fab_bound(samples: int, sigma: float, coordinate_range: float = 20.0,
                     seed: int = 20240823) -> FabBoundCalibration:
     """Measure max |series| / (sigma^{3/2} |xi1 xi2 xi3|^{5/6} e^{sigma*sum|xi|}).
 
-    Samples xi1, xi2 uniform on [-R, R] with xi3 = -xi1-xi2 (seeded);
-    degenerate triads with a zero coordinate are 0/0 on both sides and are
-    excluded from the ratio statistics.
+    The series is the symmetrized weight, in closed form.  Samples xi1, xi2
+    uniform on [-R, R] with xi3 = -xi1-xi2 (seeded); degenerate triads with
+    a zero coordinate are 0/0 on both sides and are excluded from the ratio
+    statistics.  Raises OverflowRisk if the series or the envelope overflows.
     """
     if not sigma > 0:
         raise InvalidInput(f"sigma must be positive, got {sigma}")
@@ -249,12 +185,13 @@ def check_fab_bound(samples: int, sigma: float, coordinate_range: float = 20.0,
     x3 = -x1 - x2
     product = np.abs(x1 * x2 * x3)
     usable = product > 0
-    series = series_symmetrized_values(x1[usable], x2[usable], x3[usable], sigma)
-    envelope = (
-        sigma**1.5
-        * product[usable] ** (5.0 / 6.0)
-        * np.exp(sigma * (np.abs(x1) + np.abs(x2) + np.abs(x3))[usable])
-    )
+    series = symmetrized_weight(x1[usable], x2[usable], x3[usable], sigma)
+    with _overflow_guard("exp(sigma*sum|xi|)"):
+        envelope = (
+            sigma**1.5
+            * product[usable] ** (5.0 / 6.0)
+            * np.exp(sigma * (np.abs(x1) + np.abs(x2) + np.abs(x3))[usable])
+        )
     ratios = np.abs(series) / envelope
     max_ratio = float(np.max(ratios)) if ratios.size else 0.0
     if not math.isfinite(max_ratio):

@@ -114,18 +114,3 @@ def apply_I(field: SpectralField, weight: GevreyWeight) -> SpectralField:
     in xi, so the half-spectrum determines the result)."""
     return field.with_coeffs(field.coeffs * weight.symbol(field.grid.wavenumbers))
 
-
-def apply_D_beta(field: SpectralField, beta: float) -> SpectralField:
-    """Fractional derivative |D|^beta: multiply coefficient j by |xi_j|^beta."""
-    if beta < 0:
-        raise InvalidInput(f"beta must be >= 0, got {beta}")
-    if beta == 0:
-        return field.with_coeffs(field.coeffs.copy())
-    return field.with_coeffs(
-        field.coeffs * field.grid.wavenumbers ** beta
-    )
-
-
-def apply_exp_weight(field: SpectralField, sigma: float) -> SpectralField:
-    """exp(sigma*|D|), i.e. apply_I with the exp symbol at s = 0."""
-    return apply_I(field, GevreyWeight(sigma, s=0.0, kind=SymbolKind.EXP))

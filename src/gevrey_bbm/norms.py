@@ -67,7 +67,10 @@ def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:
         else:
             w = np.exp(2.0 * weight.sigma * xi) * (1.0 + xi) ** (2.0 * weight.s)
         return _weighted_sqrt_sum(field, w)
-    return _log_weighted_sqrt_sum(field, 2.0 * weight.log_symbol(xi))
+    log_w = 2.0 * weight.log_symbol(xi)
+    if weight.kind is SymbolKind.COSH:  # the exp symbol carries (1+xi)^s itself
+        log_w += 2.0 * weight.s * np.log1p(xi)
+    return _log_weighted_sqrt_sum(field, log_w)
 
 
 def energy(field: SpectralField, sigma: float, alpha: float) -> float:

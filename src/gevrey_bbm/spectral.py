@@ -146,14 +146,5 @@ def zero_nyquist(field: SpectralField) -> SpectralField:
     return field.with_coeffs(coeffs)
 
 
-def modulus_field(field: SpectralField) -> SpectralField:
-    """Field whose coefficient at each j is |coeff(j)|.
-
-    Real coefficients describe a real field that is even in x.  Stored
-    modes keep their multiplicity, so the L^2 norm is unchanged (Parseval).
-    """
-    return field.with_coeffs(np.abs(field.coeffs).astype(np.complex128))
-
-
 def zero_field(grid: Grid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.n_points // 2 + 1, dtype=np.complex128))

@@ -115,6 +115,21 @@ class TestVerifyIdentities:
         assert identity["special_cases"]["k=2"] == "−5·ξ₁ξ₂ξ₃·e₂"
         assert payload["series_bound"]["0.1"]["max_ratio"] > 0
 
+    def test_large_sigma_has_a_finite_ratio(self, tmp_path):
+        # sigma*|xi| up to 200: far past direct summation, fine in closed form
+        code, payload = run(tmp_path, "verify-identities", k_max=1,
+                            coordinate_range=2, symbolic_k_max=0, fab_sigmas=5)
+        assert code == 0
+        assert math.isfinite(payload["series_bound"]["5.0"]["max_ratio"])
+
+    def test_overflowing_sigma_exits_3(self, tmp_path, capsys):
+        code, payload = run(tmp_path, "verify-identities", k_max=1,
+                            coordinate_range=2, symbolic_k_max=0, fab_sigmas=20)
+        err = capsys.readouterr().err
+        assert code == 3 and payload is None
+        assert "simulation failure" in err and "overflow" in err
+        assert "Traceback" not in err
+
 
 class TestConservation:
     def test_sigma_zero_below_floor(self, tmp_path):

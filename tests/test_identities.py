@@ -1,20 +1,17 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gevrey_bbm import identities
-from gevrey_bbm.errors import InvalidInput, SeriesDivergence
+from gevrey_bbm.errors import InvalidInput
 from gevrey_bbm.identities import (
     Triad,
     check_fab_bound,
     factored_form,
     fractional_bound_exponents,
     power_sum,
-    psi,
-    series_symmetrized,
-    series_symmetrized_values,
+    symmetrized_weight,
     verify_factor_identity,
 )
 
@@ -33,8 +30,8 @@ class TestTriad:
 
     def test_accepts_rationals(self):
         t = Triad(Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2))
-        assert t.as_floats() == (pytest.approx(1 / 3), pytest.approx(1 / 6),
-                                 pytest.approx(-0.5))
+        assert (t.xi1, t.xi2, t.xi3) == (Fraction(1, 3), Fraction(1, 6),
+                                         Fraction(-1, 2))
 
 
 class TestPowerSum:
@@ -101,68 +98,24 @@ class TestVerifyFactorIdentity:
 
 
 class TestSeriesSymmetrized:
+    """The symmetrized weight series, through its closed form."""
+
     def test_sigma_zero_is_empty_series(self):
-        assert series_symmetrized(T112, 0.0) == 0.0
+        assert symmetrized_weight(1.0, 1.0, -2.0, 0.0) == 0.0
 
     def test_degenerate_triad_vanishes(self):
-        t = Triad(Fraction(3), Fraction(-3), Fraction(0))
-        assert series_symmetrized(t, 0.7) == pytest.approx(0.0, abs=1e-15)
+        assert symmetrized_weight(3.0, -3.0, 0.0, 0.7) == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_small_sigma_leading_coefficient(self):
         # series = (2 sigma)^2/2! * (power sum at k=1) + O(sigma^4),
-        # so value/sigma^2 -> 2 * (-6) = -12
-        r1 = series_symmetrized(T112, 1e-3) / 1e-6
-        r2 = series_symmetrized(T112, 1e-4) / 1e-8
-        assert r1 == pytest.approx(-12.0, rel=1e-3)
-        assert r2 == pytest.approx(-12.0, rel=1e-5)
+        # so value/sigma^2 -> 2 * power_sum(T112, 1) = -12
+        leading = 2 * float(power_sum(T112, 1))
+        r1 = symmetrized_weight(1.0, 1.0, -2.0, 1e-3) / 1e-6
+        r2 = symmetrized_weight(1.0, 1.0, -2.0, 1e-4) / 1e-8
+        assert r1 == pytest.approx(leading, rel=1e-3)
+        assert r2 == pytest.approx(leading, rel=1e-5)
         assert r1 / r2 == pytest.approx(1.0, abs=1e-4)
-
-    def test_scalar_and_vectorized_agree(self):
-        triads = [(1.0, 1.0, -2.0), (0.5, 2.5, -3.0), (4.0, -1.5, -2.5)]
-        for sigma in (0.05, 0.3, 1.0):
-            vec = series_symmetrized_values(
-                np.array([t[0] for t in triads]),
-                np.array([t[1] for t in triads]),
-                np.array([t[2] for t in triads]), sigma)
-            for value, (a, b, c) in zip(vec, triads):
-                t = Triad(Fraction(a), Fraction(b), Fraction(c))
-                assert value == pytest.approx(series_symmetrized(t, sigma),
-                                              rel=1e-12, abs=1e-300)
-
-    def test_divergence_guard(self):
-        t = Triad(Fraction(500), Fraction(500), Fraction(-1000))
-        with pytest.raises(SeriesDivergence):
-            series_symmetrized(t, 1.0)
-
-
-class TestPsi:
-    def test_degenerate_vanishes(self):
-        assert psi(Triad(Fraction(2), Fraction(-2), Fraction(0))) == 0.0
-
-    def test_against_long_summation(self):
-        # independent fixed 500-term accumulation in exact rational
-        # arithmetic, no early termination
-        total = sum(
-            Fraction(4**k, math.factorial(2 * k + 1))
-            * (1 + 1 + Fraction(2) ** (2 * k))
-            for k in range(500)
-        )
-        expected = 2.0 ** (1.0 / 6.0) * float(total)
-        assert psi(T112) == pytest.approx(expected, rel=1e-12)
-        assert psi(T112) > 0
-
-    def test_exponential_envelope(self):
-        rng = np.random.default_rng(20240823)
-        worst = 0.0
-        for _ in range(10_000):
-            a, b = rng.uniform(-20, 20, 2)
-            # build the third coordinate in exact arithmetic: float(-a - b)
-            # rounds and would land off the hyperplane
-            t = Triad(Fraction(a), Fraction(b), -Fraction(a) - Fraction(b))
-            bound = math.exp(abs(a) + abs(b) + abs(a + b))
-            worst = max(worst, psi(t) / bound)
-        assert math.isfinite(worst)
-        assert worst < 10.0
 
 
 class TestFabBound:

@@ -7,8 +7,6 @@ from gevrey_bbm.multipliers import (
     GevreyWeight,
     ModelParams,
     SymbolKind,
-    apply_D_beta,
-    apply_exp_weight,
     apply_I,
     phi_symbol,
     semigroup,
@@ -106,43 +104,6 @@ class TestGevreyWeight:
             u = random_band_limited_field(grid128, rng)
             ratio = l2_norm(apply_I(u, cosh_weight)) / gevrey_norm(u, exp_weight)
             assert 0.5 - 1e-12 <= ratio <= 1.0 + 1e-12
-
-
-class TestApplyDBeta:
-    def test_beta_zero_identity(self, random_field):
-        out = apply_D_beta(random_field, 0.0)
-        np.testing.assert_array_equal(out.coeffs, random_field.coeffs)
-
-    def test_single_mode(self, grid64):
-        coeffs = np.zeros(33, dtype=complex)
-        coeffs[2] = 1.0  # stands for the pair j = +-2
-        xi0 = abs(grid64.wavenumbers[2])
-        out = apply_D_beta(SpectralField(grid64, coeffs), 1.0)
-        assert out.coeffs[2] == pytest.approx(xi0)
-
-    def test_exponent_additivity(self, random_field):
-        direct = apply_D_beta(random_field, 5.0 / 6.0)
-        composed = apply_D_beta(apply_D_beta(random_field, 0.5), 1.0 / 3.0)
-        assert np.max(np.abs(direct.coeffs - composed.coeffs)) < 1e-12 * max(
-            np.max(np.abs(direct.coeffs)), 1.0)
-
-    def test_rejects_negative(self, random_field):
-        with pytest.raises(InvalidInput):
-            apply_D_beta(random_field, -1.0)
-
-
-class TestApplyExpWeight:
-    def test_sigma_zero_identity(self, random_field):
-        out = apply_exp_weight(random_field, 0.0)
-        np.testing.assert_array_equal(out.coeffs, random_field.coeffs)
-
-    def test_zero_field(self, grid64):
-        assert np.all(apply_exp_weight(zero_field(grid64), 0.3).coeffs == 0)
-
-    def test_matches_apply_I_exp_symbol(self, random_field):
-        direct = apply_exp_weight(random_field, 0.2)
-        via_I = apply_I(random_field, GevreyWeight(0.2, s=0.0, kind=SymbolKind.EXP))
-        np.testing.assert_array_equal(direct.coeffs, via_I.coeffs)
 
 
 class TestModelParams:

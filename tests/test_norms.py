@@ -3,6 +3,7 @@ import pytest
 
 from gevrey_bbm.multipliers import GevreyWeight, SymbolKind
 from gevrey_bbm.norms import (
+    LOG_DOMAIN_CROSSOVER,
     energy,
     gevrey_norm,
     h1_invariant,
@@ -80,6 +81,21 @@ class TestGevreyNorm:
                                 * np.exp(-1.2 * sigma * xi_all) ** 2)
                          / grid.domain_length)
         assert gevrey_norm(field, weight) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["cosh", "exp"])
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_continuous_across_the_log_domain_crossover(self, kind, s):
+        # sigma*xi_max just below and just above the crossover: linear path
+        # on one side, log path on the other
+        grid = Grid(256, 64.0)
+        xi = grid.wavenumbers
+        field = SpectralField(grid, np.exp(-30.0 * xi))
+        sigma = LOG_DOMAIN_CROSSOVER / np.max(xi)
+        below, above = (
+            gevrey_norm(field, GevreyWeight(sigma * f, s, SymbolKind(kind)))
+            for f in (1.0 - 1e-9, 1.0 + 1e-9)
+        )
+        assert above / below == pytest.approx(1.0, abs=1e-7)
 
 
 class TestEnergy:

@@ -11,7 +11,6 @@ from gevrey_bbm.spectral import (
     dealias,
     forward_transform,
     inverse_transform,
-    modulus_field,
     zero_field,
     zero_nyquist,
 )
@@ -152,21 +151,6 @@ class TestDealias:
         field = SpectralField(grid, np.ones(25, dtype=complex))
         kept = dealias(field).coeffs != 0
         assert np.sum(grid.multiplicity[kept]) == 2 * (48 // 3) + 1
-
-
-class TestModulusField:
-    def test_zero(self, grid64):
-        assert np.all(modulus_field(zero_field(grid64)).coeffs == 0)
-
-    def test_imaginary_pair(self, grid64):
-        coeffs = np.zeros(33, dtype=complex)
-        coeffs[1] = 1j  # with its mirror -1j at j = -1
-        out = modulus_field(SpectralField(grid64, coeffs))
-        assert out.coeffs[1] == 1.0
-
-    def test_preserves_l2(self, random_field):
-        assert l2_norm(modulus_field(random_field)) == pytest.approx(
-            l2_norm(random_field), rel=1e-13)
 
 
 def test_zero_nyquist_clears_unpaired_mode(grid64):
