@@ -406,8 +406,8 @@ def schedule_sigma(T: float, sigma0: float, C1: float, C2: float,
     assignment above the increment at k = n is exactly 2 N^2, so the
     inequality holds with margin at every window.
     """
-    if min(T, sigma0, C1, C2, u0_norm) <= 0:
-        raise InvalidInput("all schedule inputs must be positive")
+    if not all(0 < x < math.inf for x in (T, sigma0, C1, C2, u0_norm)):
+        raise InvalidInput("all schedule inputs must be positive and finite")
     _, beta, _ = fractional_bound_exponents(alpha)
     delta = 1.0 / (8.0 * C1 * u0_norm)
     n = int(math.floor(T / delta))

@@ -111,8 +111,9 @@ def _grid(config) -> Grid:
 
 
 def _weight(config) -> GevreyWeight:
-    kind = SymbolKind.COSH if config["kind"] == "cosh" else SymbolKind.EXP
-    return GevreyWeight(float(config["sigma"]), float(config["s"]), kind)
+    # SymbolKind raises ValueError (exit 2) for anything but cosh and exp
+    return GevreyWeight(float(config["sigma"]), float(config["s"]),
+                        SymbolKind(config["kind"]))
 
 
 def _initial_data(config, grid: Grid):

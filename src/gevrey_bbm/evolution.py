@@ -15,10 +15,20 @@ axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
 rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
 and ``_rk4`` one step.  ``nonlinear_term``, ``rhs`` and ``step_rk4`` are
 thin ``SpectralField`` wrappers over it.  ``_march`` is the one stepping
-loop: it computes phi once and keeps a ``SpectralField`` only at a given
+loop: it computes -phi once and keeps a ``SpectralField`` only at a given
 set of steps.  ``simulate`` runs it on every ``sample_every``-th step and
 ``analytics.measure_defects`` on the union of its windows' sample steps.
 ``picard_solve`` squares every time node in one batched ``_square`` call.
+
+The kernel allocates nothing it does not return.  A ``_workspace`` holds
+the four RK4 stages, the stage input and the real samples; the FFTs write
+into it through ``out=`` and every scaling, the square and the stage
+combinations are in-place ufuncs.  ``_march`` makes one workspace per run;
+``step_rk4``, ``nonlinear_term``, ``rhs`` and ``picard_solve`` get fresh
+buffers per call.  The ufuncs take their operands in the order of the
+plain expressions, so every state is bit for bit what the allocating
+formula gives.  The new state of a step is the one fresh array, so no kept
+state shares memory with the workspace.
 """
 
 from __future__ import annotations
@@ -64,31 +74,63 @@ class PicardDiagnostics:
     converged: bool
 
 
-def _square(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Dealiased u^2 of half-spectra along the last axis (any leading shape).
+def _workspace(shape: tuple[int, ...], grid: Grid) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for RK4 on half-spectra of the given shape: the four
+    stages k1..k4, the stage input and the real samples of u."""
+    stages = tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
+    return stages + (np.empty(shape[:-1] + (grid.n_points,)),)
+
+
+def _square(coeffs: np.ndarray, grid: Grid, samples: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased u^2 of half-spectra along the last axis (any leading shape),
+    written into out; samples is the real scratch array.  Either may be None
+    for a fresh array.
 
     The same arithmetic as forward_transform(inverse_transform(u)**2)
     followed by dealias (which clears the Nyquist mode too), on raw arrays.
     """
     n, length = grid.n_points, grid.domain_length
-    samples = np.fft.irfft(coeffs, n, axis=-1) * (n / length)
-    square = np.fft.rfft(samples * samples, axis=-1) * (length / n)
+    samples = np.fft.irfft(coeffs, n, axis=-1, out=samples)
+    np.multiply(samples, n / length, out=samples)
+    np.multiply(samples, samples, out=samples)
+    square = np.fft.rfft(samples, axis=-1, out=out)
+    np.multiply(square, length / n, out=square)
     square[..., grid.dealias_cutoff + 1:] = 0.0
     return square
 
 
-def _rhs(coeffs: np.ndarray, grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """-phi(D)(u + u^2/2) on a raw half-spectrum; symbol is phi."""
-    return -symbol * (coeffs + 0.5 * _square(coeffs, grid))
+def _rhs(coeffs: np.ndarray, grid: Grid, minus_phi: np.ndarray,
+         samples: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """-phi(D)(u + u^2/2) on a raw half-spectrum, written into out."""
+    value = _square(coeffs, grid, samples, out)
+    np.multiply(0.5, value, out=value)  # 0.5 * u^2
+    np.add(coeffs, value, out=value)  # u + 0.5 * u^2
+    np.multiply(minus_phi, value, out=value)  # -phi * (u + 0.5 * u^2)
+    return value
 
 
-def _rk4(coeffs: np.ndarray, dt: float, grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """One classical RK4 step on a raw half-spectrum; symbol is phi."""
-    k1 = _rhs(coeffs, grid, symbol)
-    k2 = _rhs(coeffs + 0.5 * dt * k1, grid, symbol)
-    k3 = _rhs(coeffs + 0.5 * dt * k2, grid, symbol)
-    k4 = _rhs(coeffs + dt * k3, grid, symbol)
-    return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(coeffs: np.ndarray, dt: float, grid: Grid, minus_phi: np.ndarray,
+         work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """One classical RK4 step on raw half-spectra, using the scratch arrays
+    of work (a fresh _workspace when None).  Returns a new array."""
+    if work is None:
+        work = _workspace(coeffs.shape, grid)
+    k1, k2, k3, k4, stage, samples = work
+    _rhs(coeffs, grid, minus_phi, samples, k1)
+    for scale, k_in, k_out in ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3),
+                               (dt, k3, k4)):
+        np.multiply(scale, k_in, out=stage)
+        np.add(coeffs, stage, out=stage)
+        _rhs(stage, grid, minus_phi, samples, k_out)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k2)  # k1 + 2*k2
+    np.multiply(2.0, k3, out=k3)
+    np.add(k2, k3, out=k3)  # k1 + 2*k2 + 2*k3
+    np.add(k3, k4, out=k4)  # k1 + 2*k2 + 2*k3 + k4
+    np.multiply(dt / 6.0, k4, out=k4)
+    return np.add(coeffs, k4)
 
 
 def _warn_if_unstable(dt: float, symbol: np.ndarray, stacklevel: int = 3) -> None:
@@ -109,7 +151,7 @@ def nonlinear_term(field: SpectralField) -> SpectralField:
 def rhs(field: SpectralField, alpha: float) -> SpectralField:
     """-phi(D)(u + u^2/2), the full spectral right-hand side."""
     symbol = phi_symbol(field.grid.wavenumbers, alpha)
-    return field.with_coeffs(_rhs(field.coeffs, field.grid, symbol))
+    return field.with_coeffs(_rhs(field.coeffs, field.grid, -symbol))
 
 
 def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
@@ -121,7 +163,7 @@ def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
         return field
     symbol = phi_symbol(field.grid.wavenumbers, alpha)
     _warn_if_unstable(dt, symbol)
-    return field.with_coeffs(_rk4(field.coeffs, dt, field.grid, symbol))
+    return field.with_coeffs(_rk4(field.coeffs, dt, field.grid, -symbol))
 
 
 def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) -> float:
@@ -223,16 +265,18 @@ def _march(u0: SpectralField, params: ModelParams, steps) -> dict[int, SpectralF
     coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1.
     """
     grid, dt = params.grid, params.dt
-    symbol = phi_symbol(grid.wavenumbers, params.alpha)
+    minus_phi = -phi_symbol(grid.wavenumbers, params.alpha)
     wanted = set(steps)
     last = max(wanted)
     if last > 0:
-        _warn_if_unstable(dt, symbol, stacklevel=4)
+        _warn_if_unstable(dt, minus_phi, stacklevel=4)
     kept = {0: u0}
     coeffs = u0.coeffs
+    work = _workspace(coeffs.shape, grid)
+    modulus = work[-1][:coeffs.size]  # the samples are free between steps
     for step in range(1, last + 1):
-        coeffs = _rk4(coeffs, dt, grid, symbol)
-        if not np.max(np.abs(coeffs)) <= BLOWUP_CAP:  # also catches NaN
+        coeffs = _rk4(coeffs, dt, grid, minus_phi, work)
+        if not np.abs(coeffs, out=modulus).max() <= BLOWUP_CAP:  # and NaN
             raise BlowupDetected(step * dt)
         if step in wanted:
             kept[step] = SpectralField(grid, coeffs)

@@ -16,6 +16,7 @@ routines for that regime.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,8 @@ class ModelParams:
             raise InvalidInput(f"alpha must be > 1, got {self.alpha}")
         if not self.dt > 0:
             raise InvalidInput(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise InvalidInput(f"t_end must be >= 0, got {self.t_end}")
+        if not 0 <= self.t_end < math.inf:
+            raise InvalidInput(f"t_end must be finite and >= 0, got {self.t_end}")
 
 
 def apply_phi(field: SpectralField, alpha: float) -> SpectralField:

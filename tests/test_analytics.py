@@ -176,6 +176,27 @@ class TestMeasureDefect:
         assert len(steps) == 205
         assert sorted(runs[0]) == sorted(union)
 
+    def test_kept_states_are_distinct_arrays_of_the_step_loop(self, grid64,
+                                                              monkeypatch):
+        runs = []
+
+        def keeping_march(*args):
+            runs.append(evolution._march(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(analytics, "_march", keeping_march)
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        measure_defects(u0, self.WINDOWS[:3], ModelParams(2.0, grid64, 1e-2, 1.0))
+        (kept,) = runs
+        arrays = [kept[step].coeffs for step in sorted(kept)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        state = u0
+        for step in range(1, max(kept) + 1):
+            state = evolution.step_rk4(state, 1e-2, 2.0)
+            if step in kept:
+                assert kept[step].coeffs.tobytes() == state.coeffs.tobytes()
+
     def test_no_window_takes_no_step(self, grid64, monkeypatch):
         monkeypatch.setattr(analytics, "_march", None)
         assert measure_defects(zero_field(grid64), [],
@@ -339,6 +360,16 @@ class TestScheduleSigma:
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
             schedule_sigma(-1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("position", range(5))
+    def test_non_finite_inputs_rejected(self, bad, position):
+        # an infinite horizon used to overflow in floor(T / delta)
+        args = [1.0, 1.0, 1.0, 1.0, 1.0]
+        args[position] = bad
+        T, sigma0, C1, C2, u0_norm = args
+        with pytest.raises(InvalidInput):
+            schedule_sigma(T, sigma0, C1, C2, u0_norm=u0_norm)
 
 
 class TestRunCalibration:

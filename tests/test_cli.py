@@ -32,6 +32,11 @@ class TestConfigHandling:
         assert main(["simulate", "--data", "square-wave"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_kind_exits_2(self, capsys):
+        argv = ["simulate", "--n_points", "64", "--t_end", "0", "--kind", "foo"]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_config_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nn_points = 64\nt_end = 0.5\n")
@@ -66,10 +71,15 @@ class TestConfigHandling:
         ["sweep", "--amplitude", "0"],
         ["conservation", "--delta", "inf"],
         ["conservation", "--dt", "1e-3", "--delta", "4e-4"],
+        ["radius", "--t_end", "inf"],
+        ["simulate", "--t_end", "inf"],
+        ["radius", "--t_end", "nan"],
+        ["simulate", "--t_end", "nan"],
     ])
     def test_infinite_window_exits_2(self, argv, capsys):
-        # zero data has an infinite lifespan, and a window under half a step
-        # takes no step: neither can be simulated
+        # zero data has an infinite lifespan, a non-finite horizon has no
+        # step count, and a window under half a step takes no step: none
+        # can be simulated
         assert main(argv + ["--n_points", "64", "--sigma_grid", "0.1"]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -164,6 +174,12 @@ class TestSchedule:
             assert payload["n_steps"] == n
             assert payload["sigma_assigned"] == pytest.approx(expected)
             assert payload["all_checks_ok"] is True
+
+    @pytest.mark.parametrize("flag", ["--T", "--sigma0", "--u0_norm", "--C1"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_input_exits_2(self, flag, value, capsys):
+        assert main(["schedule", flag, value]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -114,3 +114,6 @@ class TestModelParams:
             ModelParams(2.0, grid64, 0.0, 1.0)
         with pytest.raises(InvalidInput):
             ModelParams(2.0, grid64, 1e-3, -1.0)
+        for t_end in (np.inf, np.nan):
+            with pytest.raises(InvalidInput):
+                ModelParams(2.0, grid64, 1e-3, t_end)

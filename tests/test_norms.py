@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevrey_bbm.multipliers import GevreyWeight, SymbolKind
 from gevrey_bbm.norms import (
@@ -96,6 +98,31 @@ class TestGevreyNorm:
             for f in (1.0 - 1e-9, 1.0 + 1e-9)
         )
         assert above / below == pytest.approx(1.0, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([8, 64, 256]),
+           length=st.sampled_from([16.0, 64.0]),
+           decay=st.floats(0.5, 3.0), kind=st.sampled_from(list(SymbolKind)),
+           s=st.floats(0.0, 2.0))
+    def test_paths_agree_on_random_decaying_spectra(self, data, n, length,
+                                                    decay, kind, s):
+        # |coeff(j)| = m_j exp(-decay * sigma_c * xi_j) with random m_j and
+        # phases, where sigma_c puts sigma*xi_max at the crossover
+        grid = Grid(n, length)
+        xi = grid.wavenumbers
+        size = n // 2 + 1
+        mags = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=size,
+                                           max_size=size)))
+        phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi),
+                                             min_size=size, max_size=size)))
+        phases[0] = 0.0
+        sigma = LOG_DOMAIN_CROSSOVER / np.max(xi)
+        field = SpectralField(grid, mags * np.exp(1j * phases - decay * sigma * xi))
+        below, above = (sigma * (1.0 - 1e-12), sigma * (1.0 + 1e-12))
+        assert below * np.max(xi) <= LOG_DOMAIN_CROSSOVER < above * np.max(xi)
+        linear, log = (gevrey_norm(field, GevreyWeight(x, s, kind))
+                       for x in (below, above))
+        assert log / linear == pytest.approx(1.0, abs=1e-7)
 
 
 class TestEnergy:
