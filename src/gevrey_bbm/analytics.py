@@ -38,6 +38,11 @@ DEFAULT_NOISE_FLOOR = 1e-14
 FIT_T_MIN = 1.0
 FIT_R2_MIN = 0.98
 POINTWISE_SLACK = 0.99
+DEFECT_SAMPLES = 40  # energy samples per defect window
+RANDOM_FIELD_DECAY = 0.5  # e^(-decay |xi|) envelope of the random fields
+CALIBRATION_SAMPLES = 200  # random pairs behind C1
+CALIBRATION_DT = 2e-3  # RK4 step of the defect suite behind C2
+MAX_SCHEDULE_WINDOWS = 10**7  # schedule_sigma keeps a check per window
 
 
 # --- energy defect rate: two independent routes ----------------------------
@@ -123,19 +128,18 @@ class ConservationReport:
     defect_abs: float
     predicted_bound: float
     bound_satisfied: bool
-    energy_series: list[tuple[float, float]]
 
 
 def measure_defects(u0: SpectralField, windows, params: ModelParams,
-                    c_cal: float = 1.0,
-                    n_samples: int = 40) -> list[ConservationReport]:
+                    c_cal: float = 1.0) -> list[ConservationReport]:
     """I-weighted energy defect of u0's flow over each (sigma, delta) window.
 
     sigma does not enter the flow and every window starts from u0 with the
     same dt, so one RK4 run to the longest window serves them all.  A window
-    of n_steps = round(delta/dt) steps is sampled every n_steps // n_samples
-    steps and at its last step; the run keeps only the states at the union
-    of these sample steps.  params supplies alpha, the grid and dt.
+    of n_steps = round(delta/dt) steps is sampled every
+    n_steps // DEFECT_SAMPLES steps and at its last step; the run keeps only
+    the states at the union of these sample steps.  params supplies alpha,
+    the grid and dt.
 
     defect is sup_t E(t) - E(0); defect_abs is sup_t |E(t) - E(0)| (the
     magnitude used for scaling fits, since the signed defect can vanish when
@@ -153,7 +157,8 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
         n_steps = int(round(delta / dt))
         if n_steps == 0:
             raise InvalidInput(f"delta = {delta} rounds to zero steps of dt = {dt}")
-        window_steps.append(_sample_steps(n_steps, max(n_steps // n_samples, 1)))
+        window_steps.append(_sample_steps(n_steps,
+                                          max(n_steps // DEFECT_SAMPLES, 1)))
     kept = _march(zero_nyquist(u0), params, set().union(*window_steps))
     _, beta, _ = fractional_bound_exponents(alpha)
     reports = []
@@ -172,22 +177,12 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
             predicted_bound=bound,
             bound_satisfied=bool(defect_abs <= bound * (1.0 + 1e-9)) if sigma > 0
             else bool(defect_abs <= 1e-8 * max(e0, 1.0)),
-            energy_series=[(float(step * dt), float(e))
-                           for step, e in zip(steps, energies)],
         ))
     return reports
 
 
-def measure_defect(u0: SpectralField, sigma: float, delta: float,
-                   params: ModelParams, c_cal: float = 1.0,
-                   n_samples: int = 40) -> ConservationReport:
-    """measure_defects on the one window (sigma, delta)."""
-    return measure_defects(u0, [(sigma, delta)], params, c_cal, n_samples)[0]
-
-
 def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
-                       params: ModelParams, c_cal: float = 1.0,
-                       floor: float | None = None
+                       params: ModelParams, c_cal: float = 1.0
                        ) -> tuple[float, list[ConservationReport]]:
     """Log-log slope of the defect magnitude against sigma.
 
@@ -200,8 +195,7 @@ def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
         raise InvalidInput("sigma_list must contain >= 2 positive values")
     base, *reports = measure_defects(u0, [(s, delta) for s in [0.0] + sigma_list],
                                      params, c_cal=c_cal)
-    if floor is None:
-        floor = 10.0 * base.defect_abs + 1e-14
+    floor = 10.0 * base.defect_abs + 1e-14
     usable = [(s, r.defect_abs) for s, r in zip(sigma_list, reports)
               if r.defect_abs > floor]
     if len(usable) < 4:
@@ -221,35 +215,32 @@ def loglog_slope(x, y) -> float:
 # --- bilinear constant calibration ------------------------------------------
 
 
-def random_band_limited_field(grid: Grid, rng: np.random.Generator,
-                              decay: float = 0.5, amplitude: float = 1.0
-                              ) -> SpectralField:
+def random_band_limited_field(grid: Grid,
+                              rng: np.random.Generator) -> SpectralField:
     """Random real field with modes confined to the alias-free band."""
     n = grid.n_points
     band = _active_band(grid)
     # draw every mode +-j in FFT order, symmetrize, then keep j = 0..n/2
     modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     xi = 2.0 * np.pi * modes / grid.domain_length
-    mags = rng.uniform(0.1, 1.0, n) * np.exp(-decay * np.abs(xi))
+    mags = rng.uniform(0.1, 1.0, n) * np.exp(-RANDOM_FIELD_DECAY * np.abs(xi))
     phases = rng.uniform(0.0, 2.0 * np.pi, n)
     coeffs = mags * np.exp(1j * phases)
     coeffs[np.abs(modes) > band] = 0.0
     # hermitian-symmetrize and rescale
     mirror = np.conj(coeffs[(-np.arange(n)) % n])
-    coeffs = 0.5 * (coeffs + mirror) * amplitude * grid.domain_length
+    coeffs = 0.5 * (coeffs + mirror) * grid.domain_length
     return SpectralField(grid, coeffs[: n // 2 + 1])
 
 
 def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
-                                alpha: float, grid: Grid | None = None,
+                                alpha: float, grid: Grid,
                                 seed: int = 20240823) -> float:
     """Max of ||phi(D) I(uv)||_{H^{a/2}} / (||Iu||_{H^{a/2}} ||Iv||_{H^{a/2}})
     over seeded random band-limited pairs; this is the constant feeding the
     lifespan formula."""
     if samples < 100:
         raise InvalidInput(f"samples must be >= 100, got {samples}")
-    if grid is None:
-        grid = Grid(128)
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
     best = 0.0
@@ -304,14 +295,16 @@ def default_band(field: SpectralField, noise_floor: float) -> tuple[float, float
     """Band policy: modes with |coeff| in [10*noise_floor, 1e-2 * max|coeff|].
 
     Excludes both the round-off plateau and the low-frequency modes where
-    the decay is not yet asymptotic.
+    the decay is not yet asymptotic.  Raises SpectrumTooThin when fewer than
+    2 modes fall inside, since one mode makes no band.
     """
     xi = field.grid.wavenumbers
     mags = np.abs(field.coeffs)
     peak = float(np.max(mags))
     mask = (xi > 0) & (mags >= 10.0 * noise_floor) & (mags <= 1e-2 * peak)
-    if not np.any(mask):
-        raise SpectrumTooThin("no modes inside the band-policy window")
+    count = int(np.count_nonzero(mask))
+    if count < 2:
+        raise SpectrumTooThin(f"only {count} modes inside the band-policy window")
     return float(np.min(xi[mask])), float(np.max(xi[mask]))
 
 
@@ -323,18 +316,17 @@ class RadiusFit:
     mu_fit: float
     c_fit: float
     band: tuple[float, float]
-    noise_floor: float
     c_check: float
     pointwise_ok: bool
 
 
-def track_radius(traj: Trajectory, band_policy=default_band,
-                 noise_floor: float = DEFAULT_NOISE_FLOOR,
+def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
                  reference_mu: float = 2.0 / 3.0) -> RadiusFit:
     """Estimate the analytic radius along a trajectory and fit its decay.
 
-    Only samples with r^2 >= 0.98 enter the (c, mu) fit, restricted to
-    t >= 1 (the transient below that makes a power law meaningless).  The
+    Each sample is fit over its default_band.  Only samples with r^2 >= 0.98
+    enter the (c, mu) fit, restricted to t >= 1 (the transient below that
+    makes a power law meaningless).  The
     pointwise lower-bound check sigma_est(t) >= c_check * t^-reference_mu
     calibrates c_check from the earliest valid sample (with a 1% slack for
     estimator noise).  mu_fit is reported, never asserted: the theory is a
@@ -346,7 +338,7 @@ def track_radius(traj: Trajectory, band_policy=default_band,
     bands: list[tuple[float, float]] = []
     for t, state in zip(traj.times, traj.states):
         try:
-            lo, hi = band_policy(state, noise_floor)
+            lo, hi = default_band(state, noise_floor)
             sigma_est, r2 = estimate_radius(state, lo, hi, noise_floor)
         except SpectrumTooThin:
             continue
@@ -371,7 +363,6 @@ def track_radius(traj: Trajectory, band_policy=default_band,
         mu_fit=mu_fit,
         c_fit=c_fit,
         band=bands[-1] if bands else (0.0, 0.0),
-        noise_floor=noise_floor,
         c_check=float(c_check),
         pointwise_ok=bool(pointwise_ok),
     )
@@ -404,12 +395,18 @@ def schedule_sigma(T: float, sigma0: float, C1: float, C2: float,
 
     since sup^2 <= N^2 + increment must stay below (2N)^2.  With the sigma
     assignment above the increment at k = n is exactly 2 N^2, so the
-    inequality holds with margin at every window.
+    inequality holds with margin at every window.  More than
+    MAX_SCHEDULE_WINDOWS windows raises InvalidInput.
     """
     if not all(0 < x < math.inf for x in (T, sigma0, C1, C2, u0_norm)):
         raise InvalidInput("all schedule inputs must be positive and finite")
     _, beta, _ = fractional_bound_exponents(alpha)
     delta = 1.0 / (8.0 * C1 * u0_norm)
+    # floor(T / delta) > MAX exactly when T / delta >= MAX + 1 (inf included);
+    # delta is 0 when 8 * C1 * u0_norm overflows
+    if delta == 0.0 or T / delta >= MAX_SCHEDULE_WINDOWS + 1:
+        raise InvalidInput(f"T / delta windows exceed the limit of "
+                           f"{MAX_SCHEDULE_WINDOWS}")
     n = int(math.floor(T / delta))
     sigma = min(sigma0, (2.0 * C1 / (C2 * (n + 1))) ** (1.0 / beta))
     checks = []
@@ -476,9 +473,9 @@ def default_calibration() -> Calibration:
 
 def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
                     n_points: int = 128, domain_length: float = 64.0,
-                    seed: int = 20240823, samples: int = 200,
-                    dt: float = 2e-3) -> Calibration:
-    """Measure C1 (bilinear) and C2 (defect suite) on the reference grid.
+                    seed: int = 20240823) -> Calibration:
+    """Measure C1 (bilinear, CALIBRATION_SAMPLES pairs) and C2 (defect suite,
+    RK4 at CALIBRATION_DT) on the reference grid.
 
     C2 is the maximum of defect_abs / (delta * sigma^beta * ||I u0||^3)
     over a small suite of initial data and sigma values, doubled for margin.
@@ -487,7 +484,8 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
     """
     grid = Grid(n_points, domain_length)
     weight = GevreyWeight(sigma_ref)
-    c1 = calibrate_bilinear_constant(samples, weight, alpha, grid, seed=seed)
+    c1 = calibrate_bilinear_constant(CALIBRATION_SAMPLES, weight, alpha, grid,
+                                     seed=seed)
     _, beta, _ = fractional_bound_exponents(alpha)
     worst = 0.0
     suite = [gaussian_data(grid, 0.5, 4.0), gaussian_data(grid, 1.0, 2.0),
@@ -496,7 +494,8 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
         norms = [(sigma, hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0))
                  for sigma in (0.05, 0.1, 0.3)]
         windows = [(sigma, 1.0 / (8.0 * c1 * u0_norm)) for sigma, u0_norm in norms]
-        params = ModelParams(alpha, grid, dt, max(delta for _, delta in windows))
+        params = ModelParams(alpha, grid, CALIBRATION_DT,
+                             max(delta for _, delta in windows))
         reports = measure_defects(u0, windows, params)
         for (sigma, u0_norm), report in zip(norms, reports):
             ratio = report.defect_abs / (report.delta * sigma**beta * u0_norm**3)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -128,11 +129,28 @@ def _initial_data(config, grid: Grid):
 
 def _calibration(config) -> analytics.Calibration:
     cal = analytics.default_calibration()
-    c1 = float(config["C1"]) if config["C1"] else cal.c1
-    c2 = float(config["C2"]) if config["C2"] else cal.c2
-    return analytics.Calibration(c1=c1, c2=c2, alpha=cal.alpha,
-                                 sigma_ref=cal.sigma_ref, n_points=cal.n_points,
-                                 domain_length=cal.domain_length, seed=cal.seed)
+    return dataclasses.replace(
+        cal, c1=float(config["C1"]) if config["C1"] else cal.c1,
+        c2=float(config["C2"]) if config["C2"] else cal.c2)
+
+
+def _trajectory(config) -> evolution.Trajectory:
+    """The run behind simulate and radius."""
+    grid = _grid(config)
+    weight = _weight(config)
+    params = ModelParams(float(config["alpha"]), grid,
+                         float(config["dt"]), float(config["t_end"]))
+    u0 = _initial_data(config, grid)
+    return evolution.simulate(u0, params, weight,
+                              sample_every=int(config["sample_every"]),
+                              linear=_bool(config["linear"]))
+
+
+def _window(config, u0, alpha: float, c1: float) -> float:
+    """The defect window: --delta when given, else the lifespan of u0."""
+    if config["delta"]:
+        return float(config["delta"])
+    return evolution.lifespan(u0, _weight(config), alpha, c1)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -148,21 +166,14 @@ CSV_HEADER = ["t", "l2", "h1", "energy", "h1_invariant", "sigma_est"]
 
 
 def cmd_simulate(config: dict[str, str]) -> int:
-    grid = _grid(config)
-    weight = _weight(config)
-    params = ModelParams(float(config["alpha"]), grid,
-                         float(config["dt"]), float(config["t_end"]))
-    u0 = _initial_data(config, grid)
-    traj = evolution.simulate(u0, params, weight,
-                              sample_every=int(config["sample_every"]),
-                              linear=_bool(config["linear"]))
+    traj = _trajectory(config)
     rows = []
     for t, state, report in zip(traj.times, traj.states, traj.reports):
         try:
             lo, hi = analytics.default_band(state, float(config["noise_floor"]))
             sigma_est, _ = analytics.estimate_radius(
                 state, lo, hi, float(config["noise_floor"]))
-        except (errors.SpectrumTooThin, errors.InvalidInput):
+        except errors.SpectrumTooThin:
             sigma_est = math.nan
         rows.append([repr(float(t)), repr(report.l2), repr(report.h1),
                      repr(report.energy), repr(report.h1_invariant),
@@ -186,7 +197,7 @@ def cmd_verify_identities(config: dict[str, str]) -> int:
     k_max = int(config["k_max"])
     coordinate_range = int(config["coordinate_range"])
     report = identities.verify_factor_identity(
-        k_max, coordinate_range, symbolic_k_max=int(config["symbolic_k_max"]))
+        k_max, coordinate_range, int(config["symbolic_k_max"]))
     fab = {}
     for sigma in _floats(config["fab_sigmas"]):
         cal = identities.check_fab_bound(int(config["fab_samples"]), sigma,
@@ -216,14 +227,11 @@ def cmd_conservation(config: dict[str, str]) -> int:
     alpha = float(config["alpha"])
     u0 = _initial_data(config, grid)
     params = ModelParams(alpha, grid, float(config["dt"]), float(config["t_end"]))
-    if config["delta"]:
-        delta = float(config["delta"])
-    else:
-        delta = evolution.lifespan(u0, _weight(config), alpha, cal.c1)
+    delta = _window(config, u0, alpha, cal.c1)
     sigmas = _floats(config["sigma_grid"])
     if len(sigmas) == 1:
-        reports = [analytics.measure_defect(u0, sigmas[0], delta, params,
-                                            c_cal=cal.c2)]
+        reports = analytics.measure_defects(u0, [(sigmas[0], delta)], params,
+                                            c_cal=cal.c2)
         slope = None
     else:
         slope, reports = analytics.defect_scaling_fit(u0, sigmas, delta, params,
@@ -244,15 +252,8 @@ def cmd_conservation(config: dict[str, str]) -> int:
 
 
 def cmd_radius(config: dict[str, str]) -> int:
-    grid = _grid(config)
-    weight = _weight(config)
-    params = ModelParams(float(config["alpha"]), grid,
-                         float(config["dt"]), float(config["t_end"]))
-    u0 = _initial_data(config, grid)
-    traj = evolution.simulate(u0, params, weight,
-                              sample_every=int(config["sample_every"]),
-                              linear=_bool(config["linear"]))
-    fit = analytics.track_radius(traj, noise_floor=float(config["noise_floor"]))
+    fit = analytics.track_radius(_trajectory(config),
+                                 noise_floor=float(config["noise_floor"]))
     write_json(config["output_json"], {
         "config": config,
         "mu_fit": fit.mu_fit,
@@ -289,10 +290,7 @@ def cmd_sweep(config: dict[str, str]) -> int:
     sigmas = _floats(config["sigma_grid"])
     results = {}
     for alpha in _floats(config["alpha_grid"]):
-        if config["delta"]:
-            delta = float(config["delta"])
-        else:
-            delta = evolution.lifespan(u0, _weight(config), alpha, cal.c1)
+        delta = _window(config, u0, alpha, cal.c1)
         params = ModelParams(alpha, grid, float(config["dt"]), delta)
         windows = [(sigma, delta) for sigma in sigmas]
         for report in analytics.measure_defects(u0, windows, params,

@@ -13,10 +13,10 @@ Two solvers are provided:
 Both run on one private kernel over raw half-spectrum arrays (the last
 axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
 rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
-and ``_rk4`` one step.  ``nonlinear_term``, ``rhs`` and ``step_rk4`` are
-thin ``SpectralField`` wrappers over it.  ``_march`` is the one stepping
-loop: it computes -phi once and keeps a ``SpectralField`` only at a given
-set of steps.  ``simulate`` runs it on every ``sample_every``-th step and
+and ``_rk4`` one step.  ``rhs`` and ``step_rk4`` are thin ``SpectralField``
+wrappers over it.  ``_march`` is the one stepping loop: it computes -phi
+once and keeps a ``SpectralField`` only at a given set of steps.
+``simulate`` runs it on every ``sample_every``-th step and
 ``analytics.measure_defects`` on the union of its windows' sample steps.
 ``picard_solve`` squares every time node in one batched ``_square`` call.
 
@@ -24,11 +24,11 @@ The kernel allocates nothing it does not return.  A ``_workspace`` holds
 the four RK4 stages, the stage input and the real samples; the FFTs write
 into it through ``out=`` and every scaling, the square and the stage
 combinations are in-place ufuncs.  ``_march`` makes one workspace per run;
-``step_rk4``, ``nonlinear_term``, ``rhs`` and ``picard_solve`` get fresh
-buffers per call.  The ufuncs take their operands in the order of the
-plain expressions, so every state is bit for bit what the allocating
-formula gives.  The new state of a step is the one fresh array, so no kept
-state shares memory with the workspace.
+``step_rk4``, ``rhs`` and ``picard_solve`` get fresh buffers per call.  The
+ufuncs take their operands in the order of the plain expressions, so every
+state is bit for bit what the allocating formula gives.  The new state of
+a step is the one fresh array, so no kept state shares memory with the
+workspace.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .norms import NormReport, hs_norm, norm_report
 from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
 
 BLOWUP_CAP = 1e12
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,6 @@ def _warn_if_unstable(dt: float, symbol: np.ndarray, stacklevel: int = 3) -> Non
                       stacklevel=stacklevel)
 
 
-def nonlinear_term(field: SpectralField) -> SpectralField:
-    """u^2 computed pseudospectrally and dealiased (which clears the
-    Nyquist mode too)."""
-    return field.with_coeffs(_square(field.coeffs, field.grid))
-
-
 def rhs(field: SpectralField, alpha: float) -> SpectralField:
     """-phi(D)(u + u^2/2), the full spectral right-hand side."""
     symbol = phi_symbol(field.grid.wavenumbers, alpha)
@@ -187,8 +183,6 @@ def picard_solve(
     delta: float,
     alpha: float,
     weight: GevreyWeight,
-    tol: float = 1e-10,
-    max_iter: int = 50,
     n_nodes: int = 64,
 ) -> tuple[Trajectory, PicardDiagnostics]:
     """Iterate the Duhamel map to a fixed point on [0, delta].
@@ -203,7 +197,8 @@ def picard_solve(
     one batched u^2 over every node, then one pass of the recursion.
     Successive iterates are compared in the sup-in-time H^{alpha/2} norm of
     the I-weighted difference (the metric of the contraction argument);
-    stops when the distance drops below tol.
+    stops when the distance drops below PICARD_TOL, and raises NoConvergence
+    after PICARD_MAX_ITER iterations.
     """
     if not delta > 0:
         raise InvalidInput(f"delta must be positive, got {delta}")
@@ -219,7 +214,7 @@ def picard_solve(
     i_symbol = weight.symbol(xi)
     distances: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         nl = symbol * _square(iterate, grid)  # phi(D)(u^2) at every node
         new = free.copy()
         integral = np.zeros_like(nl[0])
@@ -231,19 +226,20 @@ def picard_solve(
                    for row in weighted)
         distances.append(dist)
         iterate = new
-        if dist < tol:
+        if dist < PICARD_TOL:
             converged = True
             break
     ratios = [
         distances[i + 1] / distances[i]
         for i in range(len(distances) - 1)
-        if distances[i] > 100.0 * tol
+        if distances[i] > 100.0 * PICARD_TOL
     ]
     factor = max(ratios) if ratios else 0.0
     diagnostics = PicardDiagnostics(distances, factor, converged)
     if not converged:
         raise NoConvergence(
-            f"Picard iteration did not reach tol={tol} in {max_iter} iterations",
+            f"Picard iteration did not reach tol={PICARD_TOL} in "
+            f"{PICARD_MAX_ITER} iterations",
             diagnostics=diagnostics,
         )
     states = [SpectralField(grid, iterate[k]) for k in range(len(times))]
@@ -313,10 +309,10 @@ def simulate(
 # --- initial-data library -------------------------------------------------
 
 
-def gaussian_data(grid: Grid, amplitude: float = 1.0, width: float = 4.0,
-                  center: float | None = None) -> SpectralField:
-    """a * exp(-(x-x0)^2 / w^2), centered in the box by default."""
-    x0 = grid.domain_length / 2.0 if center is None else center
+def gaussian_data(grid: Grid, amplitude: float = 1.0,
+                  width: float = 4.0) -> SpectralField:
+    """a * exp(-(x-x0)^2 / w^2), centered in the box (x0 = L/2)."""
+    x0 = grid.domain_length / 2.0
     samples = amplitude * np.exp(-((grid.points - x0) ** 2) / width**2)
     return zero_nyquist(forward_transform(samples, grid))
 
@@ -327,10 +323,11 @@ def cosine_data(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> SpectralFi
     return zero_nyquist(forward_transform(samples, grid))
 
 
-def sech2_data(grid: Grid, amplitude: float = 1.0, width: float = 4.0,
-               center: float | None = None) -> SpectralField:
-    """a * sech((x-x0)/w)^2, a solitary-wave-like profile."""
-    x0 = grid.domain_length / 2.0 if center is None else center
+def sech2_data(grid: Grid, amplitude: float = 1.0,
+               width: float = 4.0) -> SpectralField:
+    """a * sech((x-x0)/w)^2, a solitary-wave-like profile centered in the
+    box (x0 = L/2)."""
+    x0 = grid.domain_length / 2.0
     samples = amplitude / np.cosh((grid.points - x0) / width) ** 2
     return zero_nyquist(forward_transform(samples, grid))
 

@@ -3,7 +3,9 @@
 The odd power sums xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1) factor through
 xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
 factorization exactly (big-integer arithmetic plus a symbolic expansion,
-never floating point).  The weighted series built from the power sums,
+never floating point).  Integer triads stay plain int, so the exhaustive
+check and the defect it reports are int; a Triad turns only non-integer
+input into Fraction.  The weighted series built from the power sums,
 sum_k (2 sigma)^{2k}/(2k)! * (power sum), has the closed form
 2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight); check_fab_bound
 measures its empirical constant against the sigma^{3/2} envelope.
@@ -20,6 +22,8 @@ import numpy as np
 import sympy
 
 from .errors import IdentityViolation, InvalidInput, OverflowRisk
+
+FAB_COORDINATE_RANGE = 20.0  # check_fab_bound samples xi1, xi2 on [-R, R]
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class IdentityReport:
     k_max: int
     triads_tested: int
     all_equal: bool
-    max_defect: Fraction
+    max_defect: int
 
 
 def power_sum(t: Triad, k: int) -> int | Fraction:
@@ -88,13 +92,13 @@ def _symbolic_defect(k: int) -> list:
 
 
 def verify_factor_identity(k_max: int, coordinate_range: int,
-                           symbolic_k_max: int | None = None) -> IdentityReport:
+                           symbolic_k_max: int) -> IdentityReport:
     """Exhaustively check power_sum == factored_form on integer triads.
 
     Covers all integer triads with |xi_i| <= coordinate_range on the
     hyperplane for k = 1..k_max, in exact arithmetic, and additionally
     checks the two-variable symbolic expansion for k = 1..symbolic_k_max
-    (default min(k_max, 6); 0 skips it).  Raises IdentityViolation.
+    (0 skips it).  Raises IdentityViolation.
     """
     if k_max < 1:
         raise InvalidInput(f"k_max must be >= 1, got {k_max}")
@@ -117,8 +121,6 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
                         f"mismatch at triad {(a, b, c)}, k={k}: {left} != {right}",
                         counterexample=(triad, k, left, right),
                     )
-    if symbolic_k_max is None:
-        symbolic_k_max = min(k_max, 6)
     for k in range(1, symbolic_k_max + 1):
         residual = _symbolic_defect(k)
         if residual:
@@ -127,7 +129,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
                 counterexample=(k, residual),
             )
     return IdentityReport(k_max=k_max, triads_tested=tested,
-                          all_equal=True, max_defect=Fraction(0))
+                          all_equal=True, max_defect=0)
 
 
 @contextmanager
@@ -166,22 +168,23 @@ class FabBoundCalibration:
     seed: int
 
 
-def check_fab_bound(samples: int, sigma: float, coordinate_range: float = 20.0,
+def check_fab_bound(samples: int, sigma: float,
                     seed: int = 20240823) -> FabBoundCalibration:
     """Measure max |series| / (sigma^{3/2} |xi1 xi2 xi3|^{5/6} e^{sigma*sum|xi|}).
 
     The series is the symmetrized weight, in closed form.  Samples xi1, xi2
-    uniform on [-R, R] with xi3 = -xi1-xi2 (seeded); degenerate triads with
-    a zero coordinate are 0/0 on both sides and are excluded from the ratio
-    statistics.  Raises OverflowRisk if the series or the envelope overflows.
+    uniform on [-R, R] (R = FAB_COORDINATE_RANGE) with xi3 = -xi1-xi2
+    (seeded); degenerate triads with a zero coordinate are 0/0 on both sides
+    and are excluded from the ratio statistics.  Raises OverflowRisk if the
+    series or the envelope overflows.
     """
     if not sigma > 0:
         raise InvalidInput(f"sigma must be positive, got {sigma}")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-coordinate_range, coordinate_range, samples)
-    x2 = rng.uniform(-coordinate_range, coordinate_range, samples)
+    x1 = rng.uniform(-FAB_COORDINATE_RANGE, FAB_COORDINATE_RANGE, samples)
+    x2 = rng.uniform(-FAB_COORDINATE_RANGE, FAB_COORDINATE_RANGE, samples)
     x3 = -x1 - x2
     product = np.abs(x1 * x2 * x3)
     usable = product > 0

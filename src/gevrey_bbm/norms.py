@@ -8,6 +8,11 @@ equivalence constants apply unchanged.
 Gevrey-weighted sums switch to log-magnitude accumulation once
 sigma*xi_max exceeds LOG_DOMAIN_CROSSOVER; both paths agree to 1e-10 on
 overlap cases (tested), so the crossover is invisible to callers.
+
+``norm_report`` bundles the diagnostics a run reports at each sample.  The
+Gevrey norm is not among them; ``gevrey_norm`` is called where it is wanted.
+The flow's quadratic invariant is energy(field, 0, alpha), which is
+integral(u^2 + u_x^2) dx at alpha = 2.
 """
 
 from __future__ import annotations
@@ -93,30 +98,23 @@ def energy(field: SpectralField, sigma: float, alpha: float) -> float:
     return value * value
 
 
-def h1_invariant(field: SpectralField) -> float:
-    """The alpha = 2 invariant integral(u^2 + u_x^2) dx."""
-    return energy(field, 0.0, 2.0)
-
-
 @dataclass(frozen=True)
 class NormReport:
-    """All scalar diagnostics of one field at one (sigma, s, alpha);
-    h1_invariant is the flow's quadratic invariant energy(field, 0, alpha)."""
+    """The scalar diagnostics of one field that a run reports: L^2, H^1, the
+    I-weighted energy at the weight's sigma, and h1_invariant, the flow's
+    quadratic invariant energy(field, 0, alpha)."""
 
     l2: float
     h1: float
-    h_alpha_half: float
-    gevrey: float
     energy: float
     h1_invariant: float
 
 
 def norm_report(field: SpectralField, weight: GevreyWeight, alpha: float) -> NormReport:
+    """NormReport of field; only weight.sigma enters (through the energy)."""
     return NormReport(
         l2=l2_norm(field),
         h1=hs_norm(field, 1.0),
-        h_alpha_half=hs_norm(field, alpha / 2.0),
-        gevrey=gevrey_norm(field, weight),
         energy=energy(field, weight.sigma, alpha),
         h1_invariant=energy(field, 0.0, alpha),
     )

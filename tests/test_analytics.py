@@ -12,7 +12,6 @@ from gevrey_bbm.analytics import (
     defect_scaling_fit,
     estimate_radius,
     loglog_slope,
-    measure_defect,
     measure_defects,
     random_band_limited_field,
     schedule_sigma,
@@ -29,7 +28,7 @@ from gevrey_bbm.errors import (
 from gevrey_bbm.evolution import gaussian_data, sech2_data, simulate
 from gevrey_bbm.identities import symmetrized_weight
 from gevrey_bbm.multipliers import GevreyWeight, ModelParams
-from gevrey_bbm.norms import h1_invariant
+from gevrey_bbm.norms import energy
 from gevrey_bbm.spectral import Grid, SpectralField, zero_field
 
 
@@ -99,8 +98,8 @@ class TestMeasureDefect:
         grid = Grid(128)
         u0 = gaussian_data(grid, 0.5, 4.0)
         params = ModelParams(2.0, grid, 2e-3, 1.0)
-        report = measure_defect(u0, 0.0, 1.0, params)
-        assert report.defect_abs < 1e-8 * h1_invariant(u0)
+        (report,) = measure_defects(u0, [(0.0, 1.0)], params)
+        assert report.defect_abs < 1e-8 * energy(u0, 0.0, 2.0)
         assert report.bound_satisfied
 
     def test_gaussian_within_calibrated_bound(self):
@@ -108,7 +107,7 @@ class TestMeasureDefect:
         cal = default_calibration()
         u0 = gaussian_data(grid, 0.5, 4.0)
         params = ModelParams(2.0, grid, 2e-3, 1.0)
-        report = measure_defect(u0, 0.1, 2.0, params, c_cal=cal.c2)
+        (report,) = measure_defects(u0, [(0.1, 2.0)], params, c_cal=cal.c2)
         assert report.defect_abs > 0
         assert report.bound_satisfied
 
@@ -117,8 +116,8 @@ class TestMeasureDefect:
         grid = Grid(128)
         u0 = gaussian_data(grid, 0.5, 4.0)
         params = ModelParams(2.0, grid, 2e-3, 1.0)
-        small = measure_defect(u0, 0.02, 1.0, params).defect_abs
-        large = measure_defect(u0, 0.04, 1.0, params).defect_abs
+        small = measure_defects(u0, [(0.02, 1.0)], params)[0].defect_abs
+        large = measure_defects(u0, [(0.04, 1.0)], params)[0].defect_abs
         assert 3.5 <= large / small <= 4.5
 
     def test_delta_validated(self, grid64):
@@ -126,21 +125,24 @@ class TestMeasureDefect:
         # 4e-3 is under half a step: it would take no step at all
         for delta in (0.0, np.inf, np.nan, 4e-3):
             with pytest.raises(InvalidInput):
-                measure_defect(zero_field(grid64), 0.1, delta, params)
+                measure_defects(zero_field(grid64), [(0.1, delta)], params)
 
     def test_one_trajectory_serves_every_sigma(self, grid64):
-        # sigma does not enter the flow: the energies read off the shared
-        # trajectory equal those of a run that carries the weight itself
+        # sigma does not enter the flow: the defects read off the shared
+        # trajectory equal those of a run that carries the weight itself.
+        # 200 steps of dt = 1e-2 are sampled every 200 // 40 = 5 steps.
         u0 = gaussian_data(grid64, 0.5, 4.0)
-        params = ModelParams(2.0, grid64, 1e-2, 0.5)
+        params = ModelParams(2.0, grid64, 1e-2, 2.0)
         sigmas = [0.0, 0.05, 0.2]
-        reports = measure_defects(u0, [(sigma, 0.5) for sigma in sigmas], params,
-                                  n_samples=10)
+        reports = measure_defects(u0, [(sigma, 2.0) for sigma in sigmas], params)
         for sigma, report in zip(sigmas, reports):
             traj = simulate(u0, params, GevreyWeight(sigma), sample_every=5)
+            energies = np.array([r.energy for r in traj.reports])
+            assert len(energies) == 41
             assert report.sigma == sigma
-            assert report.energy_series == [
-                (float(t), r.energy) for t, r in zip(traj.times, traj.reports)]
+            assert report.defect == float(np.max(energies - energies[0]))
+            assert report.defect_abs == float(
+                np.max(np.abs(energies - energies[0])))
 
 
     # 93, 127 and 205 steps of dt = 1e-2, sampled every 2, 3 and 5 steps
@@ -150,8 +152,8 @@ class TestMeasureDefect:
         u0 = gaussian_data(grid64, 0.5, 4.0)
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
         reports = measure_defects(u0, self.WINDOWS, params, c_cal=0.01)
-        assert reports == [measure_defect(u0, sigma, delta, params, c_cal=0.01)
-                           for sigma, delta in self.WINDOWS]
+        assert reports == [measure_defects(u0, [window], params, c_cal=0.01)[0]
+                           for window in self.WINDOWS]
 
     def test_one_run_keeps_only_the_union_of_sample_steps(self, grid64, monkeypatch):
         runs, steps = [], []
@@ -209,13 +211,12 @@ class TestScalingFit:
         assert loglog_slope(sigmas, 7.3 * sigmas**2) == pytest.approx(
             2.0, abs=0.01)
 
-    def test_insufficient_points_raises(self):
-        grid = Grid(128)
-        u0 = gaussian_data(grid, 0.5, 4.0)
-        params = ModelParams(2.0, grid, 2e-3, 1.0)
+    def test_insufficient_points_raises(self, grid64):
+        # zero data has a zero defect at every sigma: all sit at the floor
+        params = ModelParams(2.0, grid64, 1e-2, 1.0)
         with pytest.raises(InsufficientData):
-            defect_scaling_fit(u0, [0.01, 0.02, 0.04, 0.08], 0.5, params,
-                               floor=1e6)
+            defect_scaling_fit(zero_field(grid64), [0.01, 0.02, 0.04, 0.08],
+                               0.5, params)
 
     def test_sigma_list_validated(self, grid64):
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
@@ -299,6 +300,19 @@ class TestEstimateRadius:
         with pytest.raises(SpectrumTooThin):
             default_band(zero_field(grid128), 1e-14)
 
+    def test_default_band_rejects_a_single_mode(self, grid64):
+        # one mode inside [10 * noise_floor, 1e-2 * peak] makes lo == hi,
+        # which is no band to fit over
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[1] = 1.0
+        coeffs[5] = 1e-3
+        with pytest.raises(SpectrumTooThin):
+            default_band(SpectralField(grid64, coeffs), 1e-14)
+        coeffs = coeffs.copy()  # SpectralField froze the first array
+        coeffs[6] = 1e-4
+        assert default_band(SpectralField(grid64, coeffs), 1e-14) == (
+            grid64.wavenumbers[5], grid64.wavenumbers[6])
+
 
 class TestTrackRadius:
     def test_linear_flow_keeps_radius_constant(self):
@@ -360,6 +374,16 @@ class TestScheduleSigma:
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
             schedule_sigma(-1.0, 1.0, 1.0, 1.0)
+
+    def test_too_many_windows_rejected(self):
+        # delta = 1/8, so T = (MAX + 1) / 8 spans one window over the limit
+        limit = analytics.MAX_SCHEDULE_WINDOWS
+        with pytest.raises(InvalidInput):
+            schedule_sigma((limit + 1) / 8.0, 1.0, 1.0, 1.0)
+        with pytest.raises(InvalidInput):
+            schedule_sigma(1e300, 1.0, 1.0, 1.0)
+        with pytest.raises(InvalidInput):  # 8 * C1 * u0_norm overflows
+            schedule_sigma(1.0, 1.0, 1e308, 1.0, u0_norm=1e10)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("position", range(5))

@@ -1,9 +1,15 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import gevrey_bbm
 from gevrey_bbm import analytics, evolution
 from gevrey_bbm.cli import CSV_HEADER, apply_overrides, load_config, main
 
@@ -121,6 +127,7 @@ class TestVerifyIdentities:
         assert code == 0
         identity = payload["identity"]
         assert identity["all_equal"] is True
+        assert identity["max_defect"] == "0"
         assert identity["special_cases"]["k=1"] == "3·ξ₁ξ₂ξ₃"
         assert identity["special_cases"]["k=2"] == "−5·ξ₁ξ₂ξ₃·e₂"
         assert payload["series_bound"]["0.1"]["max_ratio"] > 0
@@ -162,6 +169,17 @@ class TestRadius:
         assert abs(payload["mu_fit"]) < 0.02
         assert payload["pointwise_ok"] is True
 
+    def test_single_mode_band_exits_5(self, tmp_path, capsys):
+        # one mode inside default_band's window is no band: every sample is
+        # skipped, which is insufficient data (5), not a config error (2)
+        config = dict(data="cosine", amplitude=1e-3, n_points=64, t_end=2,
+                      dt=0.01, sample_every=1)
+        code, payload = run(tmp_path, "radius", **config)
+        assert code == 5 and payload is None
+        assert "insufficient data" in capsys.readouterr().err
+        code, payload = run(tmp_path, "simulate", **config)
+        assert code == 0 and payload["samples"] == 201
+
 
 class TestSchedule:
     def test_staircase_matches_formula(self, tmp_path):
@@ -174,6 +192,23 @@ class TestSchedule:
             assert payload["n_steps"] == n
             assert payload["sigma_assigned"] == pytest.approx(expected)
             assert payload["all_checks_ok"] is True
+
+    def test_huge_horizon_exits_2_at_once(self):
+        # 8e300 windows are refused before any check tuple is built; the run
+        # is a child capped at 1.5 GB and 60 s, so that a regression fails
+        # instead of taking the host's memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+        package_root = str(pathlib.Path(gevrey_bbm.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "gevrey_bbm.cli", "schedule", "--T", "1e300"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=cap_memory)
+        assert done.returncode == 2
+        assert "config error" in done.stderr and done.stdout == ""
 
     @pytest.mark.parametrize("flag", ["--T", "--sigma0", "--u0_norm", "--C1"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -74,8 +74,9 @@ class TestFactoredForm:
 
 class TestVerifyFactorIdentity:
     def test_small_exhaustive(self):
-        report = verify_factor_identity(1, 3)
+        report = verify_factor_identity(1, 3, 1)
         assert report.all_equal and report.max_defect == 0
+        assert type(report.max_defect) is int
         assert report.triads_tested > 0
 
     def test_symbolic_expansion_to_k3(self):
@@ -92,9 +93,9 @@ class TestVerifyFactorIdentity:
 
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
-            verify_factor_identity(0, 3)
+            verify_factor_identity(0, 3, 1)
         with pytest.raises(InvalidInput):
-            verify_factor_identity(1, 0)
+            verify_factor_identity(1, 0, 1)
 
 
 class TestSeriesSymmetrized:

@@ -8,12 +8,17 @@ from gevrey_bbm.norms import (
     LOG_DOMAIN_CROSSOVER,
     energy,
     gevrey_norm,
-    h1_invariant,
     hs_norm,
     l2_norm,
     norm_report,
 )
-from gevrey_bbm.spectral import Grid, SpectralField, forward_transform, zero_field
+from gevrey_bbm.spectral import (
+    Grid,
+    SpectralField,
+    forward_transform,
+    inverse_transform,
+    zero_field,
+)
 
 
 def single_mode(grid, j, amplitude=1.0):
@@ -137,13 +142,21 @@ class TestEnergy:
         assert energy(field, 0.0, 2.0) == pytest.approx(expected, rel=1e-13)
 
     def test_sigma_zero_alpha_two_is_h1_invariant(self, random_field):
-        assert energy(random_field, 0.0, 2.0) == pytest.approx(
-            h1_invariant(random_field), rel=1e-14)
+        # int (u^2 + u_x^2) dx by quadrature, exact for a band-limited field
+        grid = random_field.grid
+        u = inverse_transform(random_field)
+        ux = inverse_transform(random_field.with_coeffs(
+            1j * grid.wavenumbers * random_field.coeffs))
+        expected = grid.dx * np.sum(u**2 + ux**2)
+        assert energy(random_field, 0.0, 2.0) == pytest.approx(expected,
+                                                               rel=1e-12)
 
 
 class TestH1Invariant:
+    """The alpha = 2 invariant int (u^2 + u_x^2) dx is energy(f, 0, 2)."""
+
     def test_zero_field(self, grid64):
-        assert h1_invariant(zero_field(grid64)) == 0.0
+        assert energy(zero_field(grid64), 0.0, 2.0) == 0.0
 
     def test_cosine_closed_form(self, grid64):
         xi1 = 2 * np.pi / 64.0
@@ -151,15 +164,12 @@ class TestH1Invariant:
         field = forward_transform(samples, grid64)
         # int cos^2 = L/2, int (xi1 sin)^2 = xi1^2 L/2
         expected = 64.0 / 2.0 + xi1**2 * 64.0 / 2.0
-        assert h1_invariant(field) == pytest.approx(expected, rel=1e-12)
+        assert energy(field, 0.0, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_norm_report_is_consistent(random_field):
-    weight = GevreyWeight(0.1)
-    report = norm_report(random_field, weight, 2.0)
+    report = norm_report(random_field, GevreyWeight(0.1), 2.0)
     assert report.l2 == l2_norm(random_field)
     assert report.h1 == hs_norm(random_field, 1.0)
-    assert report.h_alpha_half == hs_norm(random_field, 1.0)
-    assert report.gevrey == gevrey_norm(random_field, weight)
     assert report.energy == energy(random_field, 0.1, 2.0)
-    assert report.h1_invariant == h1_invariant(random_field)
+    assert report.h1_invariant == energy(random_field, 0.0, 2.0)
