@@ -103,6 +103,14 @@ def _floats(raw: str) -> list[float]:
     return [float(x) for x in raw.split(",") if x.strip()]
 
 
+def _grid_values(config, key: str) -> list[float]:
+    """The values of a grid key such as sigma_grid; none is a config error."""
+    values = _floats(config[key])
+    if not values:
+        raise errors.InvalidInput(f"{key} has no values")
+    return values
+
+
 def _bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
@@ -228,7 +236,7 @@ def cmd_conservation(config: dict[str, str]) -> int:
     u0 = _initial_data(config, grid)
     params = ModelParams(alpha, grid, float(config["dt"]), float(config["t_end"]))
     delta = _window(config, u0, alpha, cal.c1)
-    sigmas = _floats(config["sigma_grid"])
+    sigmas = _grid_values(config, "sigma_grid")
     if len(sigmas) == 1:
         reports = analytics.measure_defects(u0, [(sigmas[0], delta)], params,
                                             c_cal=cal.c2)
@@ -287,9 +295,9 @@ def cmd_sweep(config: dict[str, str]) -> int:
     grid = _grid(config)
     cal = _calibration(config)
     u0 = _initial_data(config, grid)
-    sigmas = _floats(config["sigma_grid"])
+    sigmas = _grid_values(config, "sigma_grid")
     results = {}
-    for alpha in _floats(config["alpha_grid"]):
+    for alpha in _grid_values(config, "alpha_grid"):
         delta = _window(config, u0, alpha, cal.c1)
         params = ModelParams(alpha, grid, float(config["dt"]), delta)
         windows = [(sigma, delta) for sigma in sigmas]

@@ -16,8 +16,9 @@ rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
 and ``_rk4`` one step.  ``rhs`` and ``step_rk4`` are thin ``SpectralField``
 wrappers over it.  ``_march`` is the one stepping loop: it computes -phi
 once and keeps a ``SpectralField`` only at a given set of steps.
-``simulate`` runs it on every ``sample_every``-th step and
-``analytics.measure_defects`` on the union of its windows' sample steps.
+``simulate`` runs it on every ``sample_every``-th step (at most
+MAX_SAMPLES of them) and ``analytics.measure_defects`` on the union of its
+windows' sample steps.
 ``picard_solve`` squares every time node in one batched ``_square`` call.
 
 The kernel allocates nothing it does not return.  A ``_workspace`` holds
@@ -47,6 +48,7 @@ from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
 BLOWUP_CAP = 1e12
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
+MAX_SAMPLES = 10**6  # _sample_steps builds the sample set before stepping
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,13 @@ def picard_solve(
 
 
 def _sample_steps(n_steps: int, every: int) -> list[int]:
-    """Steps 0, every, 2*every, ... up to n_steps, plus n_steps itself."""
+    """Steps 0, every, 2*every, ... up to n_steps, plus n_steps itself.
+
+    More than MAX_SAMPLES of them raises InvalidInput before any is built.
+    """
+    count = n_steps // every + 1 + (n_steps % every > 0)
+    if count > MAX_SAMPLES:
+        raise InvalidInput(f"{count} samples exceed the cap of {MAX_SAMPLES}")
     return sorted(set(range(0, n_steps + 1, every)) | {n_steps})
 
 

@@ -104,6 +104,8 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
         raise InvalidInput(f"k_max must be >= 1, got {k_max}")
     if coordinate_range < 1:
         raise InvalidInput(f"coordinate_range must be >= 1, got {coordinate_range}")
+    if symbolic_k_max < 0:
+        raise InvalidInput(f"symbolic_k_max must be >= 0, got {symbolic_k_max}")
     tested = 0
     r = coordinate_range
     for a in range(-r, r + 1):

@@ -6,8 +6,11 @@ so that every norm approximates its continuum counterpart and the analytic
 equivalence constants apply unchanged.
 
 Gevrey-weighted sums switch to log-magnitude accumulation once
-sigma*xi_max exceeds LOG_DOMAIN_CROSSOVER; both paths agree to 1e-10 on
-overlap cases (tested), so the crossover is invisible to callers.
+sigma*xi_max exceeds LOG_DOMAIN_CROSSOVER.  ``_log_weighted_sum`` returns
+the log of the weighted sum as peak + log(sum(exp(terms - peak))), so no
+weight overflows; ``gevrey_norm`` takes exp of half of it and ``energy``
+exp of it.  Both paths agree to 1e-10 on overlap cases (tested), so the
+crossover is invisible to callers.
 
 ``norm_report`` bundles the diagnostics a run reports at each sample.  The
 Gevrey norm is not among them; ``gevrey_norm`` is called where it is wanted.
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidInput
 from .multipliers import GevreyWeight, SymbolKind
@@ -36,16 +38,19 @@ def _weighted_sqrt_sum(field: SpectralField, weights) -> float:
     return float(np.sqrt(field.grid.parseval_weight * total))
 
 
-def _log_weighted_sqrt_sum(field: SpectralField, log_weights: np.ndarray) -> float:
-    """Same quantity accumulated in log space (immune to exp overflow)."""
+def _log_weighted_sum(field: SpectralField, log_weights: np.ndarray) -> float:
+    """log(parseval_weight * sum(multiplicity * exp(log_weights) * |coeffs|^2)),
+    summed after shifting by the largest term (immune to exp overflow);
+    -inf for a field with no nonzero mode."""
     mags = np.abs(field.coeffs)
     mask = mags > 0.0
     if not np.any(mask):
-        return 0.0
+        return -np.inf
     log_weights = log_weights + np.log(field.grid.multiplicity)
     terms = log_weights[mask] + 2.0 * np.log(mags[mask])
-    log_total = logsumexp(terms) + np.log(field.grid.parseval_weight)
-    return float(np.exp(0.5 * log_total))
+    peak = np.max(terms)
+    log_sum = peak + np.log(np.sum(np.exp(terms - peak)))
+    return float(log_sum + np.log(field.grid.parseval_weight))
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -75,7 +80,7 @@ def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:
     log_w = 2.0 * weight.log_symbol(xi)
     if weight.kind is SymbolKind.COSH:  # the exp symbol carries (1+xi)^s itself
         log_w += 2.0 * weight.s * np.log1p(xi)
-    return _log_weighted_sqrt_sum(field, log_w)
+    return float(np.exp(0.5 * _log_weighted_sum(field, log_w)))
 
 
 def energy(field: SpectralField, sigma: float, alpha: float) -> float:
@@ -94,8 +99,7 @@ def energy(field: SpectralField, sigma: float, alpha: float) -> float:
         return float(field.grid.parseval_weight * total)
     cosh_weight = GevreyWeight(sigma, kind=SymbolKind.COSH)
     log_w = np.log1p(xi**alpha) + 2.0 * cosh_weight.log_symbol(xi)
-    value = _log_weighted_sqrt_sum(field, log_w)
-    return value * value
+    return float(np.exp(_log_weighted_sum(field, log_w)))
 
 
 @dataclass(frozen=True)

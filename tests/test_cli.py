@@ -14,6 +14,20 @@ from gevrey_bbm import analytics, evolution
 from gevrey_bbm.cli import CSV_HEADER, apply_overrides, load_config, main
 
 
+def run_child(*args):
+    """Run python with args in a child that imports this package, capped at
+    1.5 GB and 60 s, so that a runaway fails instead of taking the host's
+    memory."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+    package_root = str(pathlib.Path(gevrey_bbm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60, env=env, preexec_fn=cap_memory)
+
+
 def run(tmp_path, command, **overrides):
     """Invoke the CLI in-process, returning (exit_code, parsed_json)."""
     out = tmp_path / "out.json"
@@ -111,6 +125,14 @@ class TestSimulate:
             rows = list(csv.reader(handle))
         assert len(rows) == 2  # header + t = 0
 
+    def test_too_many_samples_exits_2_at_once(self):
+        # 10^12 steps at sample_every 100 are 10^10 samples: refused before
+        # the sample set is built or a step is taken
+        done = run_child("-m", "gevrey_bbm.cli", "simulate", "--n_points",
+                         "64", "--t_end", "1e9")
+        assert done.returncode == 2
+        assert "config error" in done.stderr and done.stdout == ""
+
     def test_blowup_exits_3(self, tmp_path, capsys):
         code, payload = run(tmp_path, "simulate", n_points=64, dt=0.01,
                             t_end=0.1, amplitude=1e13)
@@ -131,6 +153,12 @@ class TestVerifyIdentities:
         assert identity["special_cases"]["k=1"] == "3·ξ₁ξ₂ξ₃"
         assert identity["special_cases"]["k=2"] == "−5·ξ₁ξ₂ξ₃·e₂"
         assert payload["series_bound"]["0.1"]["max_ratio"] > 0
+
+    def test_negative_symbolic_k_max_exits_2(self, tmp_path, capsys):
+        code, payload = run(tmp_path, "verify-identities", k_max=1,
+                            coordinate_range=2, symbolic_k_max=-3)
+        assert code == 2 and payload is None
+        assert "config error" in capsys.readouterr().err
 
     def test_large_sigma_has_a_finite_ratio(self, tmp_path):
         # sigma*|xi| up to 200: far past direct summation, fine in closed form
@@ -194,19 +222,8 @@ class TestSchedule:
             assert payload["all_checks_ok"] is True
 
     def test_huge_horizon_exits_2_at_once(self):
-        # 8e300 windows are refused before any check tuple is built; the run
-        # is a child capped at 1.5 GB and 60 s, so that a regression fails
-        # instead of taking the host's memory
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
-
-        package_root = str(pathlib.Path(gevrey_bbm.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "gevrey_bbm.cli", "schedule", "--T", "1e300"],
-            capture_output=True, text=True, timeout=60, env=env,
-            preexec_fn=cap_memory)
+        # 8e300 windows are refused before any check tuple is built
+        done = run_child("-m", "gevrey_bbm.cli", "schedule", "--T", "1e300")
         assert done.returncode == 2
         assert "config error" in done.stderr and done.stdout == ""
 
@@ -226,6 +243,13 @@ class TestSweep:
         results = payload["results"]
         assert len(results) == 4
         assert all(r["bound_satisfied"] for r in results.values())
+
+    @pytest.mark.parametrize("key", ["alpha_grid", "sigma_grid"])
+    def test_empty_grid_exits_2(self, key, tmp_path, capsys):
+        code, payload = run(tmp_path, "sweep", n_points=64, delta=0.1,
+                            **{key: ",,"})
+        assert code == 2 and payload is None
+        assert "config error" in capsys.readouterr().err
 
     def test_simulates_once_per_alpha(self, tmp_path, monkeypatch):
         calls = []
@@ -252,3 +276,11 @@ class TestSweep:
         (result,) = sweep["results"].values()
         (report,) = conservation["reports"]
         assert result["defect_abs"] == report["defect_abs"]
+
+
+def test_the_package_loads_no_scipy():
+    # the runtime dependencies are numpy and sympy only
+    done = run_child("-c", "import sys, gevrey_bbm.cli; print(sorted("
+                     "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -238,6 +238,18 @@ class TestPicardSolve:
 
 
 class TestSimulate:
+    def test_sample_cap_counts_the_samples_it_would_keep(self, monkeypatch):
+        # a cap one below the number of samples raises, a cap equal to it
+        # does not
+        for n_steps in range(13):
+            for every in (1, 2, 5, 13):
+                expected = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
+                monkeypatch.setattr(evolution, "MAX_SAMPLES", len(expected) - 1)
+                with pytest.raises(InvalidInput):
+                    evolution._sample_steps(n_steps, every)
+                monkeypatch.setattr(evolution, "MAX_SAMPLES", len(expected))
+                assert evolution._sample_steps(n_steps, every) == expected
+
     def test_zero_horizon_single_state(self, grid64):
         u0 = gaussian_data(grid64, 0.5, 4.0)
         params = ModelParams(2.0, grid64, 1e-2, 0.0)

@@ -96,6 +96,8 @@ class TestVerifyFactorIdentity:
             verify_factor_identity(0, 3, 1)
         with pytest.raises(InvalidInput):
             verify_factor_identity(1, 0, 1)
+        with pytest.raises(InvalidInput):
+            verify_factor_identity(1, 2, symbolic_k_max=-3)
 
 
 class TestSeriesSymmetrized:

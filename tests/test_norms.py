@@ -33,6 +33,25 @@ def full_wavenumbers(grid):
     return 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
 
 
+def gevrey_at(s, kind):
+    """gevrey_norm(field, sigma) for the given s and symbol kind."""
+    return lambda field, sigma: gevrey_norm(
+        field, GevreyWeight(sigma, s, SymbolKind(kind)))
+
+
+def energy_at(alpha):
+    """energy(field, sigma) at the given alpha."""
+    return lambda field, sigma: energy(field, sigma, alpha)
+
+
+CROSSOVER_NORMS = (
+    [pytest.param(gevrey_at(s, kind), id=f"{s}-{kind}")
+     for s in (0.0, 1.0) for kind in ("cosh", "exp")]
+    + [pytest.param(energy_at(alpha), id=f"energy-{alpha}")
+       for alpha in (1.5, 2.0, 3.0)]
+)
+
+
 class TestSobolevNorms:
     def test_zero_field(self, grid64):
         assert hs_norm(zero_field(grid64), 1.0) == 0.0
@@ -89,20 +108,35 @@ class TestGevreyNorm:
                          / grid.domain_length)
         assert gevrey_norm(field, weight) == pytest.approx(direct, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["cosh", "exp"])
-    @pytest.mark.parametrize("s", [0.0, 1.0])
-    def test_continuous_across_the_log_domain_crossover(self, kind, s):
+    @pytest.mark.parametrize("norm", CROSSOVER_NORMS)
+    def test_continuous_across_the_log_domain_crossover(self, norm):
         # sigma*xi_max just below and just above the crossover: linear path
         # on one side, log path on the other
         grid = Grid(256, 64.0)
         xi = grid.wavenumbers
         field = SpectralField(grid, np.exp(-30.0 * xi))
         sigma = LOG_DOMAIN_CROSSOVER / np.max(xi)
-        below, above = (
-            gevrey_norm(field, GevreyWeight(sigma * f, s, SymbolKind(kind)))
-            for f in (1.0 - 1e-9, 1.0 + 1e-9)
-        )
+        below, above = (norm(field, sigma * f) for f in (1.0 - 1e-9, 1.0 + 1e-9))
         assert above / below == pytest.approx(1.0, abs=1e-7)
+
+    def test_single_mode_past_exp_overflow(self):
+        # the weight exp(2*sigma*xi0) = e^1000 overflows a double; the norm
+        # a*e^500*sqrt(2/L) does not
+        grid = Grid(256, 64.0)
+        xi0 = grid.wavenumbers[10]
+        sigma = 500.0 / xi0
+        field = single_mode(grid, 10, 0.25)
+        expected = 0.25 * np.exp(500.0) * np.sqrt(2.0 / 64.0)
+        norm = gevrey_norm(field, GevreyWeight(sigma, 0.0, SymbolKind.EXP))
+        assert norm == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_field_on_the_log_path(self):
+        grid = Grid(256, 64.0)
+        assert 50.0 * np.max(grid.wavenumbers) > LOG_DOMAIN_CROSSOVER
+        field = zero_field(grid)
+        for kind in SymbolKind:
+            assert gevrey_norm(field, GevreyWeight(50.0, 1.0, kind)) == 0.0
+        assert energy(field, 50.0, 2.0) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.sampled_from([8, 64, 256]),
