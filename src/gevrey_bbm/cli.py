@@ -99,13 +99,9 @@ def apply_overrides(config: dict[str, str], extra: list[str]) -> dict[str, str]:
     return config
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(x) for x in raw.split(",") if x.strip()]
-
-
 def _grid_values(config, key: str) -> list[float]:
     """The values of a grid key such as sigma_grid; none is a config error."""
-    values = _floats(config[key])
+    values = [float(x) for x in config[key].split(",") if x.strip()]
     if not values:
         raise errors.InvalidInput(f"{key} has no values")
     return values
@@ -204,10 +200,11 @@ def cmd_simulate(config: dict[str, str]) -> int:
 def cmd_verify_identities(config: dict[str, str]) -> int:
     k_max = int(config["k_max"])
     coordinate_range = int(config["coordinate_range"])
+    sigmas = _grid_values(config, "fab_sigmas")
     report = identities.verify_factor_identity(
         k_max, coordinate_range, int(config["symbolic_k_max"]))
     fab = {}
-    for sigma in _floats(config["fab_sigmas"]):
+    for sigma in sigmas:
         cal = identities.check_fab_bound(int(config["fab_samples"]), sigma,
                                          seed=int(config["seed"]))
         fab[repr(sigma)] = {"max_ratio": cal.max_ratio, "usable": cal.usable}

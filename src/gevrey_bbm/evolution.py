@@ -249,6 +249,14 @@ def picard_solve(
     return traj, diagnostics
 
 
+def _step_count(span: float, dt: float) -> int:
+    """round(span / dt); a quotient that overflows to inf is InvalidInput."""
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise InvalidInput(f"{span} / {dt} is not a finite number of steps")
+    return int(round(steps))
+
+
 def _sample_steps(n_steps: int, every: int) -> list[int]:
     """Steps 0, every, 2*every, ... up to n_steps, plus n_steps itself.
 
@@ -302,7 +310,7 @@ def simulate(
     """
     if sample_every < 1:
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
-    steps = _sample_steps(int(round(params.t_end / params.dt)), sample_every)
+    steps = _sample_steps(_step_count(params.t_end, params.dt), sample_every)
     times = [step * params.dt for step in steps]
     state = zero_nyquist(u0)
     if linear:

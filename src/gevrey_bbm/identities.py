@@ -2,11 +2,11 @@
 
 The odd power sums xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1) factor through
 xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
-factorization exactly (big-integer arithmetic plus a symbolic expansion,
-never floating point).  Integer triads stay plain int, so the exhaustive
-check and the defect it reports are int; a Triad turns only non-integer
-input into Fraction.  The weighted series built from the power sums,
-sum_k (2 sigma)^{2k}/(2k)! * (power sum), has the closed form
+factorization exactly (on integer triads and by big-integer coefficient
+expansion, never floating point).  Integer triads stay plain int, so the
+exhaustive check and the defect it reports are int; a Triad turns only
+non-integer input into Fraction.  The weighted series built from the power
+sums, sum_k (2 sigma)^{2k}/(2k)! * (power sum), has the closed form
 2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight); check_fab_bound
 measures its empirical constant against the sigma^{3/2} envelope.
 """
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .errors import IdentityViolation, InvalidInput, OverflowRisk
 
@@ -72,23 +71,24 @@ def factored_form(t: Triad, k: int) -> int | Fraction:
     return x1 * x2 * x3 * total
 
 
-def _symbolic_defect(k: int) -> list:
-    """Coefficient list of (power sum - factored form) after xi3 = -xi1-xi2.
+def _times(poly: list[int], *linear: list[int]) -> list[int]:
+    """poly times each linear form [a, b] = a*xi2 + b*xi1: a convolution."""
+    for a, b in linear:
+        poly = [a * u + b * v for u, v in zip(poly + [0], [0] + poly)]
+    return poly
 
-    Empty iff the identity holds as a polynomial identity in two variables.
-    """
-    x1, x2 = sympy.symbols("x1 x2")
-    x3 = -x1 - x2
-    p = 2 * k + 1
-    left = x1**p + x2**p + x3**p
-    right = x1 * x2 * x3 * sum(
-        x1**i * (-x2) ** (2 * k - 2 - i)
-        + x1**i * (-x3) ** (2 * k - 2 - i)
-        + x2**i * (-x3) ** (2 * k - 2 - i)
-        for i in range(2 * k - 1)
-    )
-    diff = sympy.Poly(sympy.expand(left - right), x1, x2)
-    return diff.coeffs() if not diff.is_zero else []
+
+def _symbolic_defect(k: int) -> list[int]:
+    """Nonzero coefficients of (power sum - factored form) after xi3 = -xi1-xi2,
+    empty iff the identity holds.  Both sides are homogeneous of degree 2k+1
+    in (xi1, xi2): 2k+2 ints each, by ascending power of xi1."""
+    x1, x2, x3 = [0, 1], [1, 0], [-1, -1]
+    p, m = 2 * k + 1, 2 * k - 2
+    left = [sum(c) for c in zip(*(_times([1], *[x] * p) for x in (x1, x2, x3)))]
+    terms = [_times([1], *[s] * i, *[[-c for c in t]] * (m - i))
+             for i in range(m + 1) for s, t in ((x1, x2), (x1, x3), (x2, x3))]
+    right = _times([sum(c) for c in zip(*terms)], x1, x2, x3)
+    return [x - y for x, y in zip(left, right) if x != y]
 
 
 def verify_factor_identity(k_max: int, coordinate_range: int,
@@ -97,7 +97,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
 
     Covers all integer triads with |xi_i| <= coordinate_range on the
     hyperplane for k = 1..k_max, in exact arithmetic, and additionally
-    checks the two-variable symbolic expansion for k = 1..symbolic_k_max
+    checks the two-variable coefficient expansion for k = 1..symbolic_k_max
     (0 skips it).  Raises IdentityViolation.
     """
     if k_max < 1:
@@ -127,7 +127,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
         residual = _symbolic_defect(k)
         if residual:
             raise IdentityViolation(
-                f"symbolic expansion differs at k={k}: residual coeffs {residual}",
+                f"coefficient expansion differs at k={k}: residual coeffs {residual}",
                 counterexample=(k, residual),
             )
     return IdentityReport(k_max=k_max, triads_tested=tested,

@@ -19,6 +19,7 @@ from gevrey_bbm.analytics import (
     trilinear_defect_rate,
 )
 from gevrey_bbm.errors import (
+    CrossCheckFailure,
     InsufficientData,
     InvalidInput,
     NoFit,
@@ -52,6 +53,28 @@ class TestTrilinearDefectRate:
         for _ in range(5):
             field = random_band_limited_field(grid, rng)
             trilinear_defect_rate(field, 0.1, 2.0)  # raises on disagreement
+
+    def test_even_data_have_rate_zero(self):
+        # dE/dt vanishes exactly on even data: the physical route returns
+        # its round-off alone, which the absolute floor must absorb
+        for data in (gaussian_data, sech2_data):
+            for n in (64, 128, 256):
+                for amplitude, width in ((0.5, 4.0), (1.0, 2.0)):
+                    field = data(Grid(n), amplitude, width)
+                    for sigma in (0.05, 0.1, 0.3):
+                        rate = trilinear_defect_rate(field, sigma, 2.0)
+                        assert abs(rate) < 1e-14
+
+    def test_the_relative_test_binds_on_random_fields(self, rng, monkeypatch):
+        # a disagreement of twice rtol is no round-off: the floor must not
+        # absorb it
+        triads = analytics._defect_rate_triads
+        monkeypatch.setattr(analytics, "_defect_rate_triads",
+                            lambda field, sigma: triads(field, sigma) * (1 + 2e-6))
+        for _ in range(5):
+            field = random_band_limited_field(Grid(128), rng)
+            with pytest.raises(CrossCheckFailure):
+                trilinear_defect_rate(field, 0.1, 2.0, rtol=1e-6)
 
     def test_alpha_independent(self, rng):
         grid = Grid(64)

@@ -95,11 +95,14 @@ class TestConfigHandling:
         ["simulate", "--t_end", "inf"],
         ["radius", "--t_end", "nan"],
         ["simulate", "--t_end", "nan"],
+        ["simulate", "--t_end", "1e300", "--dt", "1e-10"],
+        ["radius", "--t_end", "1e300", "--dt", "1e-10"],
+        ["conservation", "--delta", "1e300", "--dt", "1e-10"],
     ])
     def test_infinite_window_exits_2(self, argv, capsys):
-        # zero data has an infinite lifespan, a non-finite horizon has no
-        # step count, and a window under half a step takes no step: none
-        # can be simulated
+        # zero data has an infinite lifespan, a non-finite horizon or one
+        # whose quotient by dt overflows has no step count, and a window
+        # under half a step takes no step: none can be simulated
         assert main(argv + ["--n_points", "64", "--sigma_grid", "0.1"]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -244,9 +247,10 @@ class TestSweep:
         assert len(results) == 4
         assert all(r["bound_satisfied"] for r in results.values())
 
-    @pytest.mark.parametrize("key", ["alpha_grid", "sigma_grid"])
+    @pytest.mark.parametrize("key", ["alpha_grid", "sigma_grid", "fab_sigmas"])
     def test_empty_grid_exits_2(self, key, tmp_path, capsys):
-        code, payload = run(tmp_path, "sweep", n_points=64, delta=0.1,
+        command = "verify-identities" if key == "fab_sigmas" else "sweep"
+        code, payload = run(tmp_path, command, n_points=64, delta=0.1,
                             **{key: ",,"})
         assert code == 2 and payload is None
         assert "config error" in capsys.readouterr().err
@@ -279,8 +283,8 @@ class TestSweep:
 
 
 def test_the_package_loads_no_scipy():
-    # the runtime dependencies are numpy and sympy only
-    done = run_child("-c", "import sys, gevrey_bbm.cli; print(sorted("
-                     "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # the runtime dependencies are numpy only: no scipy and no sympy
+    done = run_child("-c", "import sys, gevrey_bbm.cli; print(sorted(m for m in "
+                     "sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

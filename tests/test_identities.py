@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gevrey_bbm import identities
-from gevrey_bbm.errors import InvalidInput
+from gevrey_bbm.errors import IdentityViolation, InvalidInput
 from gevrey_bbm.identities import (
     Triad,
     check_fab_bound,
@@ -82,6 +82,20 @@ class TestVerifyFactorIdentity:
     def test_symbolic_expansion_to_k3(self):
         report = verify_factor_identity(3, 2, symbolic_k_max=3)
         assert report.all_equal
+
+    def test_the_expansion_finds_a_planted_error(self, monkeypatch):
+        # with xi3 = xi1 + xi2 in place of -xi1 - xi2, the k = 1 sides are
+        # xi1^3 + xi2^3 + (xi1 + xi2)^3 and 3 xi1 xi2 (xi1 + xi2): they
+        # differ by 2 xi1^3 + 2 xi2^3, coefficients [2, 0, 0, 2]
+        times = identities._times
+
+        def off_the_hyperplane(poly, *linear):
+            return times(poly, *([1, 1] if f == [-1, -1] else f for f in linear))
+
+        monkeypatch.setattr(identities, "_times", off_the_hyperplane)
+        with pytest.raises(IdentityViolation) as caught:
+            verify_factor_identity(1, 1, symbolic_k_max=1)
+        assert caught.value.counterexample == (1, [2, 2])
 
     def test_symbolic_k_max_zero_skips_the_symbolic_check(self, monkeypatch):
         def refuse(k):
