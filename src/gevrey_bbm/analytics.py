@@ -19,6 +19,7 @@ from .errors import (
     InsufficientData,
     InvalidInput,
     NoFit,
+    OverflowRisk,
     SpectrumTooThin,
 )
 from .evolution import (
@@ -157,6 +158,7 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
     magnitude used for scaling fits, since the signed defect can vanish when
     the energy only decreases).  The bound check uses the calibrated c_cal:
     defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
+    An energy or a bound that overflows raises OverflowRisk.
     """
     alpha, dt = params.alpha, params.dt
     windows = list(windows)
@@ -180,6 +182,9 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
         defect_abs = float(np.max(np.abs(energies - e0)))
         u0_norm = hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0)
         bound = c_cal * delta * sigma**beta * u0_norm**3
+        if not (np.all(np.isfinite(energies)) and math.isfinite(bound)):
+            raise OverflowRisk(f"sigma = {sigma}: the energy or its bound "
+                               "overflows double precision")
         reports.append(ConservationReport(
             sigma=sigma,
             delta=delta,

@@ -25,7 +25,7 @@ import math
 import sys
 
 from . import analytics, errors, evolution, identities
-from .multipliers import GevreyWeight, ModelParams, SymbolKind
+from .multipliers import GevreyWeight, ModelParams
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -42,15 +42,12 @@ COMMON_DEFAULTS = {
     "dt": "1e-3",
     "t_end": "10.0",
     "sigma": "0.1",
-    "s": "0.0",
-    "kind": "cosh",
     "data": "gaussian",
     "amplitude": "0.5",
     "width": "4.0",
     "sample_every": "100",
     "seed": "20240823",
     "noise_floor": "1e-14",
-    "linear": "false",
     "output_csv": "",
     "output_json": "",
     "sigma_grid": "0.01,0.0207,0.0429,0.0889,0.1842,0.3",
@@ -107,18 +104,12 @@ def _grid_values(config, key: str) -> list[float]:
     return values
 
 
-def _bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 def _grid(config) -> Grid:
     return Grid(int(config["n_points"]), float(config["domain_length"]))
 
 
 def _weight(config) -> GevreyWeight:
-    # SymbolKind raises ValueError (exit 2) for anything but cosh and exp
-    return GevreyWeight(float(config["sigma"]), float(config["s"]),
-                        SymbolKind(config["kind"]))
+    return GevreyWeight(float(config["sigma"]))
 
 
 def _initial_data(config, grid: Grid):
@@ -146,8 +137,7 @@ def _trajectory(config) -> evolution.Trajectory:
                          float(config["dt"]), float(config["t_end"]))
     u0 = _initial_data(config, grid)
     return evolution.simulate(u0, params, weight,
-                              sample_every=int(config["sample_every"]),
-                              linear=_bool(config["linear"]))
+                              sample_every=int(config["sample_every"]))
 
 
 def _window(config, u0, alpha: float, c1: float) -> float:
@@ -231,8 +221,8 @@ def cmd_conservation(config: dict[str, str]) -> int:
     cal = _calibration(config)
     alpha = float(config["alpha"])
     u0 = _initial_data(config, grid)
-    params = ModelParams(alpha, grid, float(config["dt"]), float(config["t_end"]))
     delta = _window(config, u0, alpha, cal.c1)
+    params = ModelParams(alpha, grid, float(config["dt"]), delta)
     sigmas = _grid_values(config, "sigma_grid")
     if len(sigmas) == 1:
         reports = analytics.measure_defects(u0, [(sigmas[0], delta)], params,
@@ -257,8 +247,10 @@ def cmd_conservation(config: dict[str, str]) -> int:
 
 
 def cmd_radius(config: dict[str, str]) -> int:
+    _, _, mu = identities.fractional_bound_exponents(float(config["alpha"]))
     fit = analytics.track_radius(_trajectory(config),
-                                 noise_floor=float(config["noise_floor"]))
+                                 noise_floor=float(config["noise_floor"]),
+                                 reference_mu=mu)
     write_json(config["output_json"], {
         "config": config,
         "mu_fit": fit.mu_fit,

@@ -10,9 +10,11 @@ class InvalidInput(GevreyBBMError):
 
 
 class OverflowRisk(GevreyBBMError):
-    """Linear-scale evaluation of an exponential weight would overflow.
+    """A weighted quantity overflows double precision.
 
-    Callers must switch to the log-domain norm routines instead.
+    Raised before a linear-scale weight evaluation that would overflow (the
+    norms module has log-domain routines for that regime) and when a
+    computed series, energy or bound is not finite.
     """
 
 

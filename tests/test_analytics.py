@@ -26,11 +26,11 @@ from gevrey_bbm.errors import (
     OverflowRisk,
     SpectrumTooThin,
 )
-from gevrey_bbm.evolution import gaussian_data, sech2_data, simulate
+from gevrey_bbm.evolution import Trajectory, gaussian_data, sech2_data, simulate
 from gevrey_bbm.identities import symmetrized_weight
-from gevrey_bbm.multipliers import GevreyWeight, ModelParams
+from gevrey_bbm.multipliers import GevreyWeight, ModelParams, semigroup
 from gevrey_bbm.norms import energy
-from gevrey_bbm.spectral import Grid, SpectralField, zero_field
+from gevrey_bbm.spectral import Grid, SpectralField, zero_field, zero_nyquist
 
 
 class TestTrilinearDefectRate:
@@ -337,6 +337,16 @@ class TestEstimateRadius:
             grid64.wavenumbers[5], grid64.wavenumbers[6])
 
 
+def free_flow(u0: SpectralField, params: ModelParams,
+              sample_every: int = 1) -> Trajectory:
+    """The exact free flow semigroup(t) u0 at the times simulate samples."""
+    steps = evolution._sample_steps(round(params.t_end / params.dt), sample_every)
+    times = [step * params.dt for step in steps]
+    state = zero_nyquist(u0)
+    return Trajectory(np.asarray(times),
+                      [semigroup(state, t, params.alpha) for t in times], params)
+
+
 class TestTrackRadius:
     def test_linear_flow_keeps_radius_constant(self):
         # the free flow is unimodular, so the spectrum never changes shape:
@@ -346,8 +356,7 @@ class TestTrackRadius:
         # is not exactly periodic) far below the fitting band
         u0 = sech2_data(grid, 0.5, 2.0)
         params = ModelParams(2.0, grid, 0.1, 20.0)
-        traj = simulate(u0, params, GevreyWeight(0.0), sample_every=10,
-                        linear=True)
+        traj = free_flow(u0, params, sample_every=10)
         fit = track_radius(traj, noise_floor=1e-11)
         assert abs(fit.mu_fit) < 0.02
         assert fit.pointwise_ok
@@ -357,7 +366,7 @@ class TestTrackRadius:
     def test_needs_enough_samples(self, grid64):
         u0 = sech2_data(grid64, 0.5, 4.0)
         params = ModelParams(2.0, grid64, 0.1, 0.2)
-        traj = simulate(u0, params, GevreyWeight(0.0), linear=True)
+        traj = free_flow(u0, params)
         with pytest.raises(InvalidInput):
             track_radius(traj)
 
@@ -366,8 +375,7 @@ class TestTrackRadius:
         grid = Grid(256)
         u0 = sech2_data(grid, 0.5, 2.0)
         params = ModelParams(2.0, grid, 0.01, 0.5)
-        traj = simulate(u0, params, GevreyWeight(0.0), sample_every=4,
-                        linear=True)
+        traj = free_flow(u0, params, sample_every=4)
         with pytest.raises(NoFit):
             track_radius(traj, noise_floor=1e-11)
 

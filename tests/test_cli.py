@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gevrey_bbm
@@ -52,11 +53,6 @@ class TestConfigHandling:
         assert main(["simulate", "--data", "square-wave"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_kind_exits_2(self, capsys):
-        argv = ["simulate", "--n_points", "64", "--t_end", "0", "--kind", "foo"]
-        assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
-
     def test_config_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nn_points = 64\nt_end = 0.5\n")
@@ -75,7 +71,8 @@ class TestConfigHandling:
         assert payload["horizon_T"] == 0.5
         assert payload["delta"] == 0.125  # from C1 = 1, not the shipped C1
 
-    @pytest.mark.parametrize("flag", ["--n_point", "--jobs"])
+    @pytest.mark.parametrize("flag", ["--n_point", "--jobs", "--kind", "--s",
+                                      "--linear"])
     def test_unknown_override_exits_2(self, flag, capsys):
         assert main(["simulate", flag, "64"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -98,13 +95,18 @@ class TestConfigHandling:
         ["simulate", "--t_end", "1e300", "--dt", "1e-10"],
         ["radius", "--t_end", "1e300", "--dt", "1e-10"],
         ["conservation", "--delta", "1e300", "--dt", "1e-10"],
+        ["conservation", "--delta", "1e300"],
+        ["simulate", "--t_end", "1e12", "--sample_every", "1000000000000"],
     ])
-    def test_infinite_window_exits_2(self, argv, capsys):
+    def test_infinite_window_exits_2(self, argv):
         # zero data has an infinite lifespan, a non-finite horizon or one
-        # whose quotient by dt overflows has no step count, and a window
-        # under half a step takes no step: none can be simulated
-        assert main(argv + ["--n_points", "64", "--sigma_grid", "0.1"]) == 2
-        assert "config error" in capsys.readouterr().err
+        # whose quotient by dt overflows has no step count, a window under
+        # half a step takes no step, and more than MAX_STEPS steps would
+        # never finish: none can be simulated, and none may hang
+        done = run_child("-m", "gevrey_bbm.cli", *argv, "--n_points", "64",
+                         "--sigma_grid", "0.1")
+        assert done.returncode == 2
+        assert "config error" in done.stderr and done.stdout == ""
 
 
 class TestSimulate:
@@ -129,10 +131,10 @@ class TestSimulate:
         assert len(rows) == 2  # header + t = 0
 
     def test_too_many_samples_exits_2_at_once(self):
-        # 10^12 steps at sample_every 100 are 10^10 samples: refused before
+        # 10^8 steps at sample_every 100 are 10^6 + 1 samples: refused before
         # the sample set is built or a step is taken
         done = run_child("-m", "gevrey_bbm.cli", "simulate", "--n_points",
-                         "64", "--t_end", "1e9")
+                         "64", "--t_end", "1e5")
         assert done.returncode == 2
         assert "config error" in done.stderr and done.stdout == ""
 
@@ -190,15 +192,29 @@ class TestConservation:
         assert report["bound_satisfied"] is True
         assert report["defect_abs"] < 1e-8
 
+    @pytest.mark.parametrize("command", ["conservation", "sweep"])
+    def test_overflowing_window_exits_3(self, command, tmp_path, capsys):
+        # sigma * xi_max ~ 402: the energies overflow to inf and the defect
+        # to NaN, which is no report
+        with np.errstate(all="ignore"):
+            code, payload = run(tmp_path, command, n_points=1024, delta=0.05,
+                                sigma_grid=8)
+        err = capsys.readouterr().err
+        assert code == 3 and payload is None
+        assert "simulation failure" in err and "overflow" in err
+
 
 class TestRadius:
-    def test_linear_flow_has_flat_radius(self, tmp_path):
-        code, payload = run(tmp_path, "radius", data="sech2", width=2.0,
-                            linear="true", n_points=256, dt=0.1, t_end=20.0,
-                            sample_every=10, noise_floor=1e-11)
+    def test_check_exponent_follows_alpha(self, tmp_path):
+        # at alpha = 3 the pointwise check runs against t^(-1/2), not the
+        # alpha = 2 exponent 2/3
+        code, payload = run(tmp_path, "radius", alpha=3, n_points=256, dt=0.1,
+                            t_end=24, sample_every=12)
         assert code == 0
-        assert abs(payload["mu_fit"]) < 0.02
-        assert payload["pointwise_ok"] is True
+        t0, s0 = next((t, s) for t, s, r2 in payload["samples"]
+                      if r2 >= analytics.FIT_R2_MIN and t >= analytics.FIT_T_MIN
+                      and s > 0)
+        assert payload["c_check"] == analytics.POINTWISE_SLACK * s0 * t0**0.5
 
     def test_single_mode_band_exits_5(self, tmp_path, capsys):
         # one mode inside default_band's window is no band: every sample is

@@ -320,15 +320,6 @@ class TestSimulate:
         with pytest.raises(InvalidInput):
             simulate(zero_field(grid64), params, GevreyWeight(0.0), sample_every=0)
 
-    def test_linear_flow_uses_exact_semigroup(self, grid64):
-        u0 = gaussian_data(grid64, 0.5, 4.0)
-        params = ModelParams(2.0, grid64, 0.1, 1.0)
-        traj = simulate(u0, params, GevreyWeight(0.0), sample_every=5, linear=True)
-        # unimodular symbol: every sampled state keeps the initial magnitudes
-        for state in traj.states:
-            np.testing.assert_allclose(np.abs(state.coeffs),
-                                       np.abs(traj.states[0].coeffs), atol=1e-12)
-
 
 class TestInitialData:
     def test_registry_names(self):
