@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupDetected, InvalidInput, NoConvergence
+from .errors import BlowupDetected, InvalidInput, NoConvergence, OverflowRisk
 from .multipliers import GevreyWeight, ModelParams, apply_I, phi_symbol
 from .norms import NormReport, hs_norm, norm_report
 from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
@@ -170,14 +170,15 @@ def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
 def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) -> float:
     """Local-existence window 1 / (8 c ||I u0||_{H^{alpha/2}}).
 
-    Returns +inf for zero initial data.  The constant c is never given
-    numerically by the theory; feed the calibrated bilinear constant.
+    Returns +inf for zero initial data and raises OverflowRisk when the
+    weighted norm is not finite.  The constant c is never given numerically
+    by the theory; feed the calibrated bilinear constant.
     """
     if not c > 0:
         raise InvalidInput(f"c must be positive, got {c}")
     norm = hs_norm(apply_I(u0, weight), alpha / 2.0)
     if not math.isfinite(norm):
-        raise InvalidInput("||I u0|| is not finite")
+        raise OverflowRisk("||I u0|| overflows: sigma*|xi| too large")
     if norm == 0.0:
         return math.inf
     return 1.0 / (8.0 * c * norm)

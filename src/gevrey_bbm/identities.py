@@ -3,12 +3,15 @@
 The odd power sums xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1) factor through
 xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
 factorization exactly (on integer triads and by big-integer coefficient
-expansion, never floating point).  Integer triads stay plain int, so the
-exhaustive check and the defect it reports are int; a Triad turns only
-non-integer input into Fraction.  The weighted series built from the power
-sums, sum_k (2 sigma)^{2k}/(2k)! * (power sum), has the closed form
-2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight); check_fab_bound
-measures its empirical constant against the sigma^{3/2} envelope.
+expansion, never floating point).  The exhaustive scan takes one pass per
+triad over k = 1..k_max and carries each side over from k-1; power_sum and
+factored_form are the per-k definitions it is tested against.  Integer
+triads stay plain int, so the exhaustive check and the defect it reports are
+int; a Triad turns only non-integer input into Fraction.  The weighted
+series built from the power sums, sum_k (2 sigma)^{2k}/(2k)! * (power sum),
+has the closed form 2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight);
+check_fab_bound measures its empirical constant against the sigma^{3/2}
+envelope.
 """
 
 from __future__ import annotations
@@ -71,6 +74,32 @@ def factored_form(t: Triad, k: int) -> int | Fraction:
     return x1 * x2 * x3 * total
 
 
+def _carried_sides(t: Triad, k_max: int):
+    """Yield (k, power_sum(t, k), factored_form(t, k)) for k = 1..k_max.
+
+    Each side is carried over from k-1 rather than rebuilt: the powers by
+    x^(2k+1) = x^(2k-1) x^2, and the factored form's complete sums
+    h_m(a, b) = sum_{i+j=m} a^i b^j by h_m = a h_{m-1} + b^m, two steps per k
+    since m = 2k-2.  The factored form is xi1 xi2 xi3 times
+    h_m(xi1, -xi2) + h_m(xi1, -xi3) + h_m(xi2, -xi3).
+    """
+    x1, x2, x3 = t.xi1, t.xi2, t.xi3
+    s1, s2, s3 = x1 * x1, x2 * x2, x3 * x3
+    p1, p2, p3 = x1, x2, x3          # xi^(2k-1)
+    product = x1 * x2 * x3
+    b2 = b3 = h12 = h13 = h23 = 1    # (-xi2)^m, (-xi3)^m and the h_m at m = 0
+    for k in range(1, k_max + 1):
+        if k > 1:
+            for _ in range(2):
+                b2 *= -x2
+                b3 *= -x3
+                h12 = x1 * h12 + b2
+                h13 = x1 * h13 + b3
+                h23 = x2 * h23 + b3
+        p1, p2, p3 = p1 * s1, p2 * s2, p3 * s3
+        yield k, p1 + p2 + p3, product * (h12 + h13 + h23)
+
+
 def _times(poly: list[int], *linear: list[int]) -> list[int]:
     """poly times each linear form [a, b] = a*xi2 + b*xi1: a convolution."""
     for a, b in linear:
@@ -115,9 +144,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
                 continue
             triad = Triad(a, b, c)
             tested += 1
-            for k in range(1, k_max + 1):
-                left = power_sum(triad, k)
-                right = factored_form(triad, k)
+            for k, left, right in _carried_sides(triad, k_max):
                 if left != right:
                     raise IdentityViolation(
                         f"mismatch at triad {(a, b, c)}, k={k}: {left} != {right}",

@@ -83,6 +83,31 @@ class TestTrilinearDefectRate:
         r3 = trilinear_defect_rate(field, 0.1, 3.0)
         assert r2 == pytest.approx(r3, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_the_rate_integrates_to_the_defect(self, alpha):
+        # E_sigma(T) - E_sigma(0) = int_0^T R_sigma(u(t)) dt along the
+        # semi-discrete flow at every alpha, since the dispersive term
+        # cancels in dE/dt; composite Simpson over every step of the run
+        sigma, dt, grid = 0.3, 4e-3, Grid(128, 64.0)
+        params = ModelParams(alpha, grid, dt, 2.0)
+        traj = simulate(gaussian_data(grid, 1.0, 4.0), params,
+                        GevreyWeight(sigma), sample_every=1)
+        band = analytics._active_band(grid)
+
+        def band_energy(state):
+            # the rate sees the state truncated to the active band; so must E
+            coeffs = state.coeffs.copy()
+            coeffs[band + 1:] = 0.0
+            return energy(state.with_coeffs(coeffs), sigma, alpha)
+
+        rates = np.array([trilinear_defect_rate(s, sigma, alpha)
+                          for s in traj.states])
+        assert len(rates) % 2 == 1
+        integral = dt / 3.0 * (rates[0] + rates[-1] + 4.0 * np.sum(rates[1:-1:2])
+                               + 2.0 * np.sum(rates[2:-1:2]))
+        defect = band_energy(traj.states[-1]) - band_energy(traj.states[0])
+        assert abs(defect - integral) < 1e-8 * abs(defect)
+
     def test_negative_sigma_rejected(self, random_field):
         with pytest.raises(InvalidInput):
             trilinear_defect_rate(random_field, -0.1, 2.0)

@@ -203,6 +203,19 @@ class TestConservation:
         assert code == 3 and payload is None
         assert "simulation failure" in err and "overflow" in err
 
+    @pytest.mark.parametrize("sigma", [8, 20])
+    def test_overflowing_lifespan_exits_3(self, sigma, tmp_path, capsys):
+        # at sigma = 8 ||I u0|| overflows to inf, at sigma = 20 the weight
+        # itself refuses sigma * xi_max > 700: the same overflow, one code
+        with np.errstate(all="ignore"):
+            code, payload = run(tmp_path, "conservation", sigma=sigma,
+                                n_points=1024, sigma_grid=0.1)
+        err = capsys.readouterr().err
+        assert code == 3 and payload is None
+        assert "simulation failure" in err and "Traceback" not in err
+        if sigma == 8:
+            assert "overflow" in err
+
 
 class TestRadius:
     def test_check_exponent_follows_alpha(self, tmp_path):

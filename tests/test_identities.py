@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevrey_bbm import identities
 from gevrey_bbm.errors import IdentityViolation, InvalidInput
@@ -97,6 +99,27 @@ class TestVerifyFactorIdentity:
             verify_factor_identity(1, 1, symbolic_k_max=1)
         assert caught.value.counterexample == (1, [2, 2])
 
+    def test_the_scan_stops_at_the_first_planted_error(self, monkeypatch):
+        # the scan runs triad by triad with k inside, so (-2, 1, 1) at k = 3
+        # comes before (-1, -1, 2) at k = 1, and nothing after it is looked at
+        carried = identities._carried_sides
+        planted = {((-1, -1, 2), 1), ((-2, 1, 1), 3)}
+        seen = []
+
+        def corrupted(t, k_max):
+            for k, left, right in carried(t, k_max):
+                seen.append(((t.xi1, t.xi2, t.xi3), k))
+                yield k, left, right + (seen[-1] in planted)
+
+        monkeypatch.setattr(identities, "_carried_sides", corrupted)
+        with pytest.raises(IdentityViolation) as caught:
+            verify_factor_identity(3, 2, symbolic_k_max=0)
+        t = Triad(-2, 1, 1)
+        assert caught.value.counterexample == (
+            t, 3, power_sum(t, 3), factored_form(t, 3) + 1)
+        assert seen[-1] == ((-2, 1, 1), 3)
+        assert ((-1, -1, 2), 1) not in seen
+
     def test_symbolic_k_max_zero_skips_the_symbolic_check(self, monkeypatch):
         def refuse(k):
             raise AssertionError(f"symbolic check called at k={k}")
@@ -112,6 +135,21 @@ class TestVerifyFactorIdentity:
             verify_factor_identity(1, 0, 1)
         with pytest.raises(InvalidInput):
             verify_factor_identity(1, 2, symbolic_k_max=-3)
+
+
+class TestCarriedSides:
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.fractions(-20, 20, max_denominator=60),
+           b=st.fractions(-20, 20, max_denominator=60))
+    def test_matches_the_definitions_on_rational_triads(self, a, b):
+        # the integer scan and the coefficient expansion never reach a
+        # non-integer triad; the carried pass must hold there too
+        t = Triad(a, b, -a - b)
+        sides = list(identities._carried_sides(t, 12))
+        assert [k for k, _, _ in sides] == list(range(1, 13))
+        for k, left, right in sides:
+            assert left == power_sum(t, k) and right == factored_form(t, k)
+            assert left == right
 
 
 class TestSeriesSymmetrized:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevrey_bbm.analytics import random_band_limited_field
 from gevrey_bbm.errors import InvalidInput, OverflowRisk
@@ -95,6 +97,16 @@ class TestGevreyWeight:
             w = GevreyWeight(0.4, s=1.0, kind=kind)
             np.testing.assert_allclose(w.log_symbol(xi), np.log(w.symbol(xi)),
                                        atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.floats(0.0, 10.0), xi=st.floats(-70.0, 70.0))
+    def test_cosh_trap(self, sigma, xi):
+        # e^(sigma|xi|)/2 <= cosh(sigma xi) <= e^(sigma|xi|) on all of
+        # sigma|xi| <= 700, up to one rounding where e^(-sigma|xi|) is below
+        # an ulp and cosh and exp/2 may round apart
+        bound = np.exp(sigma * abs(xi))
+        value = GevreyWeight(sigma).symbol(xi)
+        assert bound / 2.0 * (1.0 - 2.0 * np.finfo(float).eps) <= value <= bound
 
     def test_equivalence_ratio_in_half_one(self, grid128, rng):
         # cosh(sigma*xi) is trapped between exp(sigma|xi|)/2 and exp(sigma|xi|)
