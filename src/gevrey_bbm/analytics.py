@@ -19,8 +19,8 @@ from .errors import (
     InsufficientData,
     InvalidInput,
     NoFit,
-    OverflowRisk,
     SpectrumTooThin,
+    _overflow_guard,
 )
 from .evolution import (
     Trajectory,
@@ -177,19 +177,20 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
     _, beta, _ = fractional_bound_exponents(alpha)
     reports = []
     for (sigma, delta), steps in zip(windows, window_steps):
-        energies = np.array([energy(kept[step], sigma, alpha) for step in steps])
-        e0 = energies[0]
-        defect_abs = float(np.max(np.abs(energies - e0)))
-        u0_norm = hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0)
-        bound = c_cal * delta * sigma**beta * u0_norm**3
-        if not (np.all(np.isfinite(energies)) and math.isfinite(bound)):
-            raise OverflowRisk(f"sigma = {sigma}: the energy or its bound "
-                               "overflows double precision")
+        with _overflow_guard(f"sigma = {sigma}: the energy or its bound"):
+            energies = np.array([energy(kept[step], sigma, alpha)
+                                 for step in steps])
+            e0 = energies[0]
+            defect = float(np.max(energies - e0))
+            defect_abs = float(np.max(np.abs(energies - e0)))
+            u0_norm = hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0)
+            # a numpy product, so that an overflow raises rather than gives inf
+            bound = float(np.float64(c_cal) * delta * sigma**beta * u0_norm**3)
         reports.append(ConservationReport(
             sigma=sigma,
             delta=delta,
             alpha=alpha,
-            defect=float(np.max(energies - e0)),
+            defect=defect,
             defect_abs=defect_abs,
             predicted_bound=bound,
             bound_satisfied=bool(defect_abs <= bound * (1.0 + 1e-9)) if sigma > 0
@@ -291,6 +292,8 @@ def estimate_radius(field: SpectralField, xi_lo: float, xi_hi: float,
     """
     if not 0 <= xi_lo < xi_hi:
         raise InvalidInput(f"need 0 <= xi_lo < xi_hi, got {(xi_lo, xi_hi)}")
+    if not 0 <= noise_floor < math.inf:
+        raise InvalidInput(f"noise_floor must be finite and >= 0, got {noise_floor}")
     xi = field.grid.wavenumbers
     mags = np.abs(field.coeffs)
     mask = (xi >= xi_lo) & (xi <= xi_hi) & (xi > 0) & (mags > noise_floor)
@@ -315,6 +318,8 @@ def default_band(field: SpectralField, noise_floor: float) -> tuple[float, float
     the decay is not yet asymptotic.  Raises SpectrumTooThin when fewer than
     2 modes fall inside, since one mode makes no band.
     """
+    if not 0 <= noise_floor < math.inf:
+        raise InvalidInput(f"noise_floor must be finite and >= 0, got {noise_floor}")
     xi = field.grid.wavenumbers
     mags = np.abs(field.coeffs)
     peak = float(np.max(mags))

@@ -7,8 +7,11 @@ Usage:
 Config files are flat ``key = value`` text with INI-style sections (sections
 are organizational only; keys are globally flat).  Every key can also be
 overridden on the command line by a flag of the same name; keys are
-case-sensitive and one not in COMMON_DEFAULTS is a config error.  Every run
-embeds the full resolved config and seed in its JSON output.
+case-sensitive and one not in COMMON_DEFAULTS is a config error.  Every
+value is read by its key's type before the command runs: a number must be
+finite, and an empty C1, C2 or delta means its default.  So a bad value is a
+config error whatever the command.  Every run embeds the full resolved
+config and seed in its JSON output.
 
 Exit-code map (public contract): 0 ok, 2 config error, 3 simulation failure,
 4 identity violation, 5 insufficient data, 6 cross-check failure.
@@ -96,55 +99,89 @@ def apply_overrides(config: dict[str, str], extra: list[str]) -> dict[str, str]:
     return config
 
 
-def _grid_values(config, key: str) -> list[float]:
-    """The values of a grid key such as sigma_grid; none is a config error."""
-    values = [float(x) for x in config[key].split(",") if x.strip()]
+def _finite(text: str) -> float:
+    """float(text), refusing nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise errors.InvalidInput("not a finite number")
+    return value
+
+
+def _grid_values(text: str) -> list[float]:
+    """The values of a comma-separated grid; none is a config error."""
+    values = [_finite(x) for x in text.split(",") if x.strip()]
     if not values:
-        raise errors.InvalidInput(f"{key} has no values")
+        raise errors.InvalidInput("no values")
     return values
 
 
-def _grid(config) -> Grid:
-    return Grid(int(config["n_points"]), float(config["domain_length"]))
+def _data_name(text: str) -> str:
+    if text not in evolution.INITIAL_DATA:
+        raise errors.InvalidInput("unknown initial data")
+    return text
 
 
-def _weight(config) -> GevreyWeight:
-    return GevreyWeight(float(config["sigma"]))
+def _optional(text: str) -> float | None:
+    """Empty for the default: the calibration's constant, or the lifespan."""
+    return _finite(text) if text else None
 
 
-def _initial_data(config, grid: Grid):
-    name = config["data"]
-    if name not in evolution.INITIAL_DATA:
-        raise errors.InvalidInput(f"unknown initial data {name!r}")
+# How each key's text is read; a key not named here is a finite float.
+_PARSERS = {
+    **dict.fromkeys(["n_points", "sample_every", "seed", "k_max",
+                     "coordinate_range", "symbolic_k_max", "fab_samples"], int),
+    **dict.fromkeys(["sigma_grid", "alpha_grid", "fab_sigmas"], _grid_values),
+    **dict.fromkeys(["C1", "C2", "delta"], _optional),
+    "data": _data_name,
+    **dict.fromkeys(["output_csv", "output_json"], str),
+}
+
+
+def _parse(config: dict[str, str]) -> dict:
+    """Every key of config read by its parser; a bad value is InvalidInput."""
+    values = {}
+    for key, text in config.items():
+        try:
+            values[key] = _PARSERS.get(key, _finite)(text)
+        except (errors.InvalidInput, ValueError) as exc:
+            raise errors.InvalidInput(f"{key} = {text!r}: {exc}") from None
+    return values
+
+
+def _grid(v) -> Grid:
+    return Grid(v["n_points"], v["domain_length"])
+
+
+def _initial_data(v, grid: Grid):
+    name = v["data"]
     factory = evolution.INITIAL_DATA[name]
-    if name == "cosine":
-        return factory(grid, float(config["amplitude"]))
-    return factory(grid, float(config["amplitude"]), float(config["width"]))
+    with errors._overflow_guard("the initial data"):
+        if name == "cosine":
+            return factory(grid, v["amplitude"])
+        return factory(grid, v["amplitude"], v["width"])
 
 
-def _calibration(config) -> analytics.Calibration:
+def _calibration(v) -> analytics.Calibration:
     cal = analytics.default_calibration()
     return dataclasses.replace(
-        cal, c1=float(config["C1"]) if config["C1"] else cal.c1,
-        c2=float(config["C2"]) if config["C2"] else cal.c2)
+        cal, c1=cal.c1 if v["C1"] is None else v["C1"],
+        c2=cal.c2 if v["C2"] is None else v["C2"])
 
 
-def _trajectory(config) -> evolution.Trajectory:
+def _trajectory(v) -> evolution.Trajectory:
     """The run behind simulate and radius."""
-    grid = _grid(config)
-    weight = _weight(config)
-    params = ModelParams(float(config["alpha"]), grid,
-                         float(config["dt"]), float(config["t_end"]))
-    u0 = _initial_data(config, grid)
-    return evolution.simulate(u0, params, weight,
-                              sample_every=int(config["sample_every"]))
+    grid = _grid(v)
+    params = ModelParams(v["alpha"], grid, v["dt"], v["t_end"])
+    u0 = _initial_data(v, grid)
+    return evolution.simulate(u0, params, GevreyWeight(v["sigma"]),
+                              sample_every=v["sample_every"])
 
 
-def _window(config, u0, alpha: float, c1: float) -> float:
+def _window(v, u0, alpha: float, c1: float) -> float:
     """The defect window: --delta when given, else the lifespan of u0."""
-    if config["delta"]:
-        return float(config["delta"])
-    return evolution.lifespan(u0, _weight(config), alpha, c1)
+    if v["delta"] is not None:
+        return v["delta"]
+    return evolution.lifespan(u0, GevreyWeight(v["sigma"]), alpha, c1)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -159,14 +196,14 @@ def write_json(path: str, payload: dict) -> None:
 CSV_HEADER = ["t", "l2", "h1", "energy", "h1_invariant", "sigma_est"]
 
 
-def cmd_simulate(config: dict[str, str]) -> int:
-    traj = _trajectory(config)
+def cmd_simulate(config: dict[str, str], v: dict) -> int:
+    traj = _trajectory(v)
     rows = []
     for t, state, report in zip(traj.times, traj.states, traj.reports):
         try:
-            lo, hi = analytics.default_band(state, float(config["noise_floor"]))
-            sigma_est, _ = analytics.estimate_radius(
-                state, lo, hi, float(config["noise_floor"]))
+            lo, hi = analytics.default_band(state, v["noise_floor"])
+            sigma_est, _ = analytics.estimate_radius(state, lo, hi,
+                                                     v["noise_floor"])
         except errors.SpectrumTooThin:
             sigma_est = math.nan
         rows.append([repr(float(t)), repr(report.l2), repr(report.h1),
@@ -187,22 +224,18 @@ def cmd_simulate(config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def cmd_verify_identities(config: dict[str, str]) -> int:
-    k_max = int(config["k_max"])
-    coordinate_range = int(config["coordinate_range"])
-    sigmas = _grid_values(config, "fab_sigmas")
+def cmd_verify_identities(config: dict[str, str], v: dict) -> int:
     report = identities.verify_factor_identity(
-        k_max, coordinate_range, int(config["symbolic_k_max"]))
+        v["k_max"], v["coordinate_range"], v["symbolic_k_max"])
     fab = {}
-    for sigma in sigmas:
-        cal = identities.check_fab_bound(int(config["fab_samples"]), sigma,
-                                         seed=int(config["seed"]))
+    for sigma in v["fab_sigmas"]:
+        cal = identities.check_fab_bound(v["fab_samples"], sigma, seed=v["seed"])
         fab[repr(sigma)] = {"max_ratio": cal.max_ratio, "usable": cal.usable}
     write_json(config["output_json"], {
         "config": config,
         "identity": {
             "k_max": report.k_max,
-            "coordinate_range": coordinate_range,
+            "coordinate_range": v["coordinate_range"],
             "triads_tested": report.triads_tested,
             "all_equal": report.all_equal,
             "max_defect": str(report.max_defect),
@@ -216,14 +249,14 @@ def cmd_verify_identities(config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def cmd_conservation(config: dict[str, str]) -> int:
-    grid = _grid(config)
-    cal = _calibration(config)
-    alpha = float(config["alpha"])
-    u0 = _initial_data(config, grid)
-    delta = _window(config, u0, alpha, cal.c1)
-    params = ModelParams(alpha, grid, float(config["dt"]), delta)
-    sigmas = _grid_values(config, "sigma_grid")
+def cmd_conservation(config: dict[str, str], v: dict) -> int:
+    grid = _grid(v)
+    cal = _calibration(v)
+    alpha = v["alpha"]
+    u0 = _initial_data(v, grid)
+    delta = _window(v, u0, alpha, cal.c1)
+    params = ModelParams(alpha, grid, v["dt"], delta)
+    sigmas = v["sigma_grid"]
     if len(sigmas) == 1:
         reports = analytics.measure_defects(u0, [(sigmas[0], delta)], params,
                                             c_cal=cal.c2)
@@ -246,10 +279,9 @@ def cmd_conservation(config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def cmd_radius(config: dict[str, str]) -> int:
-    _, _, mu = identities.fractional_bound_exponents(float(config["alpha"]))
-    fit = analytics.track_radius(_trajectory(config),
-                                 noise_floor=float(config["noise_floor"]),
+def cmd_radius(config: dict[str, str], v: dict) -> int:
+    _, _, mu = identities.fractional_bound_exponents(v["alpha"])
+    fit = analytics.track_radius(_trajectory(v), noise_floor=v["noise_floor"],
                                  reference_mu=mu)
     write_json(config["output_json"], {
         "config": config,
@@ -263,11 +295,10 @@ def cmd_radius(config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def cmd_schedule(config: dict[str, str]) -> int:
-    cal = _calibration(config)
-    result = analytics.schedule_sigma(
-        float(config["T"]), float(config["sigma0"]), cal.c1, cal.c2,
-        alpha=float(config["alpha"]), u0_norm=float(config["u0_norm"]))
+def cmd_schedule(config: dict[str, str], v: dict) -> int:
+    cal = _calibration(v)
+    result = analytics.schedule_sigma(v["T"], v["sigma0"], cal.c1, cal.c2,
+                                      alpha=v["alpha"], u0_norm=v["u0_norm"])
     write_json(config["output_json"], {
         "config": config,
         "horizon_T": result.horizon_T,
@@ -280,16 +311,15 @@ def cmd_schedule(config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: dict[str, str]) -> int:
-    grid = _grid(config)
-    cal = _calibration(config)
-    u0 = _initial_data(config, grid)
-    sigmas = _grid_values(config, "sigma_grid")
+def cmd_sweep(config: dict[str, str], v: dict) -> int:
+    grid = _grid(v)
+    cal = _calibration(v)
+    u0 = _initial_data(v, grid)
     results = {}
-    for alpha in _grid_values(config, "alpha_grid"):
-        delta = _window(config, u0, alpha, cal.c1)
-        params = ModelParams(alpha, grid, float(config["dt"]), delta)
-        windows = [(sigma, delta) for sigma in sigmas]
+    for alpha in v["alpha_grid"]:
+        delta = _window(v, u0, alpha, cal.c1)
+        params = ModelParams(alpha, grid, v["dt"], delta)
+        windows = [(sigma, delta) for sigma in v["sigma_grid"]]
         for report in analytics.measure_defects(u0, windows, params,
                                                 c_cal=cal.c2):
             results[f"alpha={alpha!r},sigma={report.sigma!r}"] = {
@@ -325,11 +355,12 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(argv)
     try:
         config = apply_overrides(load_config(args.config), extra)
+        values = _parse(config)
     except (errors.InvalidInput, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](config)
+        return COMMANDS[args.command](config, values)
     except (errors.InvalidInput, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the guard that turns a
+float overflow into OverflowRisk."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class GevreyBBMError(Exception):
@@ -61,3 +66,15 @@ class InsufficientData(GevreyBBMError):
 
 class NoFit(GevreyBBMError):
     """Every trajectory sample was rejected by the fitting policy."""
+
+
+@contextmanager
+def _overflow_guard(what: str):
+    """Turn a float overflow in the block into OverflowRisk: a numpy overflow,
+    division by zero or invalid value (inf - inf), or Python's OverflowError
+    (a float power out of range)."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            yield
+        except (FloatingPointError, OverflowError):
+            raise OverflowRisk(f"{what} overflows double precision") from None

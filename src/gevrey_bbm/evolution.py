@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupDetected, InvalidInput, NoConvergence, OverflowRisk
+from .errors import BlowupDetected, InvalidInput, NoConvergence, _overflow_guard
 from .multipliers import GevreyWeight, ModelParams, apply_I, phi_symbol
 from .norms import NormReport, hs_norm, norm_report
 from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
@@ -171,14 +171,13 @@ def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) ->
     """Local-existence window 1 / (8 c ||I u0||_{H^{alpha/2}}).
 
     Returns +inf for zero initial data and raises OverflowRisk when the
-    weighted norm is not finite.  The constant c is never given numerically
+    weighted norm overflows.  The constant c is never given numerically
     by the theory; feed the calibrated bilinear constant.
     """
     if not c > 0:
         raise InvalidInput(f"c must be positive, got {c}")
-    norm = hs_norm(apply_I(u0, weight), alpha / 2.0)
-    if not math.isfinite(norm):
-        raise OverflowRisk("||I u0|| overflows: sigma*|xi| too large")
+    with _overflow_guard("||I u0||"):
+        norm = hs_norm(apply_I(u0, weight), alpha / 2.0)
     if norm == 0.0:
         return math.inf
     return 1.0 / (8.0 * c * norm)
@@ -310,14 +309,15 @@ def simulate(
     sample_every: int = 1,
 ) -> Trajectory:
     """RK4 driver recording states and NormReports every sample_every steps
-    and at the last step."""
+    and at the last step; a report that overflows raises OverflowRisk."""
     if sample_every < 1:
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
     steps = _sample_steps(_step_count(params.t_end, params.dt), sample_every)
     times = [step * params.dt for step in steps]
     kept = _march(zero_nyquist(u0), params, steps)
     states = [kept[step] for step in steps]
-    reports = [norm_report(s, weight, params.alpha) for s in states]
+    with _overflow_guard("the energy"):
+        reports = [norm_report(s, weight, params.alpha) for s in states]
     return Trajectory(np.asarray(times), states, params, reports)
 
 
@@ -326,7 +326,9 @@ def simulate(
 
 def gaussian_data(grid: Grid, amplitude: float = 1.0,
                   width: float = 4.0) -> SpectralField:
-    """a * exp(-(x-x0)^2 / w^2), centered in the box (x0 = L/2)."""
+    """a * exp(-(x-x0)^2 / w^2), centered in the box (x0 = L/2); w > 0."""
+    if not width > 0:
+        raise InvalidInput(f"width must be positive, got {width}")
     x0 = grid.domain_length / 2.0
     samples = amplitude * np.exp(-((grid.points - x0) ** 2) / width**2)
     return zero_nyquist(forward_transform(samples, grid))
@@ -341,7 +343,9 @@ def cosine_data(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> SpectralFi
 def sech2_data(grid: Grid, amplitude: float = 1.0,
                width: float = 4.0) -> SpectralField:
     """a * sech((x-x0)/w)^2, a solitary-wave-like profile centered in the
-    box (x0 = L/2)."""
+    box (x0 = L/2); w > 0."""
+    if not width > 0:
+        raise InvalidInput(f"width must be positive, got {width}")
     x0 = grid.domain_length / 2.0
     samples = amplitude / np.cosh((grid.points - x0) / width) ** 2
     return zero_nyquist(forward_transform(samples, grid))

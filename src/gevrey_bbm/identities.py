@@ -2,10 +2,11 @@
 
 The odd power sums xi1^(2k+1) + xi2^(2k+1) + xi3^(2k+1) factor through
 xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
-factorization exactly (on integer triads and by big-integer coefficient
-expansion, never floating point).  The exhaustive scan takes one pass per
-triad over k = 1..k_max and carries each side over from k-1; power_sum and
-factored_form are the per-k definitions it is tested against.  Integer
+factorization exactly, never in floating point: by an exhaustive scan of
+integer triads, and for k <= symbolic_k_max by a proof by evaluation at
+2k+2 points.  The scan takes one pass per triad over k = 1..k_max and
+carries each side over from k-1; power_sum and factored_form are the per-k
+definitions it is tested against, and the ones the proof evaluates.  Integer
 triads stay plain int, so the exhaustive check and the defect it reports are
 int; a Triad turns only non-integer input into Fraction.  The weighted
 series built from the power sums, sum_k (2 sigma)^{2k}/(2k)! * (power sum),
@@ -16,14 +17,12 @@ envelope.
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import IdentityViolation, InvalidInput, OverflowRisk
+from .errors import IdentityViolation, InvalidInput, _overflow_guard
 
 FAB_COORDINATE_RANGE = 20.0  # check_fab_bound samples xi1, xi2 on [-R, R]
 
@@ -100,34 +99,24 @@ def _carried_sides(t: Triad, k_max: int):
         yield k, p1 + p2 + p3, product * (h12 + h13 + h23)
 
 
-def _times(poly: list[int], *linear: list[int]) -> list[int]:
-    """poly times each linear form [a, b] = a*xi2 + b*xi1: a convolution."""
-    for a, b in linear:
-        poly = [a * u + b * v for u, v in zip(poly + [0], [0] + poly)]
-    return poly
-
-
-def _symbolic_defect(k: int) -> list[int]:
-    """Nonzero coefficients of (power sum - factored form) after xi3 = -xi1-xi2,
-    empty iff the identity holds.  Both sides are homogeneous of degree 2k+1
-    in (xi1, xi2): 2k+2 ints each, by ascending power of xi1."""
-    x1, x2, x3 = [0, 1], [1, 0], [-1, -1]
-    p, m = 2 * k + 1, 2 * k - 2
-    left = [sum(c) for c in zip(*(_times([1], *[x] * p) for x in (x1, x2, x3)))]
-    terms = [_times([1], *[s] * i, *[[-c for c in t]] * (m - i))
-             for i in range(m + 1) for s, t in ((x1, x2), (x1, x3), (x2, x3))]
-    right = _times([sum(c) for c in zip(*terms)], x1, x2, x3)
-    return [x - y for x, y in zip(left, right) if x != y]
+def _violation(triad: Triad, k: int, left, right) -> IdentityViolation:
+    return IdentityViolation(
+        f"mismatch at triad {(triad.xi1, triad.xi2, triad.xi3)}, k={k}: "
+        f"{left} != {right}",
+        counterexample=(triad, k, left, right),
+    )
 
 
 def verify_factor_identity(k_max: int, coordinate_range: int,
                            symbolic_k_max: int) -> IdentityReport:
-    """Exhaustively check power_sum == factored_form on integer triads.
+    """Exhaustively check power_sum == factored_form on integer triads, and
+    prove it for k = 1..symbolic_k_max (0 skips the proof).
 
-    Covers all integer triads with |xi_i| <= coordinate_range on the
-    hyperplane for k = 1..k_max, in exact arithmetic, and additionally
-    checks the two-variable coefficient expansion for k = 1..symbolic_k_max
-    (0 skips it).  Raises IdentityViolation.
+    The scan covers all integer triads with |xi_i| <= coordinate_range on
+    the hyperplane for k = 1..k_max through the carried pass; the proof
+    evaluates power_sum and factored_form themselves at the 2k+2 triads
+    (t, 1, -t-1), t = 0..2k+1.  Both are exact.  Raises IdentityViolation
+    with the counterexample (triad, k, left, right).
     """
     if k_max < 1:
         raise InvalidInput(f"k_max must be >= 1, got {k_max}")
@@ -146,31 +135,19 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
             tested += 1
             for k, left, right in _carried_sides(triad, k_max):
                 if left != right:
-                    raise IdentityViolation(
-                        f"mismatch at triad {(a, b, c)}, k={k}: {left} != {right}",
-                        counterexample=(triad, k, left, right),
-                    )
+                    raise _violation(triad, k, left, right)
+    # With xi3 = -xi1-xi2, power_sum - factored_form is a homogeneous
+    # polynomial of degree d = 2k+1 in (xi1, xi2), so its value at (t, 1) is
+    # a polynomial in t of degree <= d with the same coefficients.  Zero at
+    # the d+1 points t = 0..2k+1, it is zero: the identity holds at that k.
     for k in range(1, symbolic_k_max + 1):
-        residual = _symbolic_defect(k)
-        if residual:
-            raise IdentityViolation(
-                f"coefficient expansion differs at k={k}: residual coeffs {residual}",
-                counterexample=(k, residual),
-            )
+        for t in range(2 * k + 2):
+            triad = Triad(t, 1, -t - 1)
+            left, right = power_sum(triad, k), factored_form(triad, k)
+            if left != right:
+                raise _violation(triad, k, left, right)
     return IdentityReport(k_max=k_max, triads_tested=tested,
                           all_equal=True, max_defect=0)
-
-
-@contextmanager
-def _overflow_guard(what: str):
-    """Turn a float overflow (or inf - inf) in the block into OverflowRisk."""
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            yield
-        except FloatingPointError:
-            raise OverflowRisk(
-                f"{what} overflows: sigma*|xi| too large"
-            ) from None
 
 
 def symmetrized_weight(x1, x2, x3, sigma: float) -> np.ndarray:
@@ -205,7 +182,8 @@ def check_fab_bound(samples: int, sigma: float,
     uniform on [-R, R] (R = FAB_COORDINATE_RANGE) with xi3 = -xi1-xi2
     (seeded); degenerate triads with a zero coordinate are 0/0 on both sides
     and are excluded from the ratio statistics.  Raises OverflowRisk if the
-    series or the envelope overflows.
+    series, the envelope or their ratio overflows, and InvalidInput when the
+    envelope underflows to 0 (a sigma near the smallest double).
     """
     if not sigma > 0:
         raise InvalidInput(f"sigma must be positive, got {sigma}")
@@ -218,16 +196,16 @@ def check_fab_bound(samples: int, sigma: float,
     product = np.abs(x1 * x2 * x3)
     usable = product > 0
     series = symmetrized_weight(x1[usable], x2[usable], x3[usable], sigma)
-    with _overflow_guard("exp(sigma*sum|xi|)"):
+    with _overflow_guard("exp(sigma*sum|xi|) or the series/envelope ratio"):
         envelope = (
             sigma**1.5
             * product[usable] ** (5.0 / 6.0)
             * np.exp(sigma * (np.abs(x1) + np.abs(x2) + np.abs(x3))[usable])
         )
-    ratios = np.abs(series) / envelope
+        if not np.all(envelope > 0):
+            raise InvalidInput(f"sigma = {sigma}: the envelope underflows to 0")
+        ratios = np.abs(series) / envelope
     max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    if not math.isfinite(max_ratio):
-        raise IdentityViolation("series/envelope ratio is not finite")
     return FabBoundCalibration(sigma=sigma, samples=samples,
                                usable=int(np.sum(usable)),
                                max_ratio=max_ratio, seed=seed)

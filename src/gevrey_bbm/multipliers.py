@@ -74,7 +74,9 @@ def phi_symbol(xi, alpha: float):
     if alpha < 1:
         raise InvalidInput(f"alpha must be >= 1, got {alpha}")
     xi = np.asarray(xi, dtype=np.float64)
-    value = 1j * xi / (1.0 + np.abs(xi) ** alpha)
+    # |xi|^alpha past the double range is inf, and phi there is 0, its limit
+    with np.errstate(over="ignore"):
+        value = 1j * xi / (1.0 + np.abs(xi) ** alpha)
     return complex(value) if value.ndim == 0 else value
 
 

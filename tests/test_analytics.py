@@ -344,6 +344,14 @@ class TestEstimateRadius:
         with pytest.raises(InvalidInput):
             estimate_radius(random_field, 5.0, 1.0)
 
+    @pytest.mark.parametrize("noise_floor", [-1.0, math.nan, math.inf])
+    def test_noise_floor_validated(self, random_field, noise_floor):
+        # below 0 the log-fit would take log|0|; nan and inf select nothing
+        with pytest.raises(InvalidInput):
+            default_band(random_field, noise_floor)
+        with pytest.raises(InvalidInput):
+            estimate_radius(random_field, 1.0, 5.0, noise_floor)
+
     def test_default_band_rejects_zero_field(self, grid128):
         with pytest.raises(SpectrumTooThin):
             default_band(zero_field(grid128), 1e-14)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -7,12 +9,20 @@ import resource
 import subprocess
 import sys
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gevrey_bbm
 from gevrey_bbm import analytics, evolution
-from gevrey_bbm.cli import CSV_HEADER, apply_overrides, load_config, main
+from gevrey_bbm.cli import (
+    COMMANDS,
+    CSV_HEADER,
+    EXIT_CONFIG,
+    apply_overrides,
+    load_config,
+    main,
+)
 
 
 def run_child(*args):
@@ -82,6 +92,35 @@ class TestConfigHandling:
         cfg.write_text("[run]\nn_point = 64\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sigma", "nan"],
+        ["simulate", "--alpha", "inf"],
+        ["conservation", "--delta", "0.1", "--C1", "nan"],
+        ["conservation", "--C2", "nan"],
+        ["conservation", "--sigma_grid", "nan"],
+        ["conservation", "--sigma_grid", "inf"],
+        ["verify-identities", "--fab_sigmas", "0.1,inf"],
+    ])
+    def test_non_finite_value_exits_2(self, argv, capsys):
+        # each of these once ran: a NaN report (not JSON), a non-finite one,
+        # or a false "overflows" exit 3
+        assert main([*argv, "--n_points", "64"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["radius", "--noise_floor", "-1"],
+        ["simulate", "--noise_floor", "-1"],
+        ["simulate", "--width", "0"],
+        ["conservation", "--width", "0"],
+    ])
+    def test_out_of_range_value_exits_2(self, argv, capsys):
+        # a negative noise floor once fitted log|0|; a zero width made a
+        # non-finite state
+        assert main([*argv, "--n_points", "64", "--dt", "0.01", "--t_end",
+                     "0.1", "--sample_every", "1", "--delta", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and argv[1][2:] in err
 
     @pytest.mark.parametrize("argv", [
         ["conservation", "--amplitude", "0"],
@@ -194,11 +233,9 @@ class TestConservation:
 
     @pytest.mark.parametrize("command", ["conservation", "sweep"])
     def test_overflowing_window_exits_3(self, command, tmp_path, capsys):
-        # sigma * xi_max ~ 402: the energies overflow to inf and the defect
-        # to NaN, which is no report
-        with np.errstate(all="ignore"):
-            code, payload = run(tmp_path, command, n_points=1024, delta=0.05,
-                                sigma_grid=8)
+        # sigma * xi_max ~ 402: the energies overflow, which is no report
+        code, payload = run(tmp_path, command, n_points=1024, delta=0.05,
+                            sigma_grid=8)
         err = capsys.readouterr().err
         assert code == 3 and payload is None
         assert "simulation failure" in err and "overflow" in err
@@ -207,9 +244,8 @@ class TestConservation:
     def test_overflowing_lifespan_exits_3(self, sigma, tmp_path, capsys):
         # at sigma = 8 ||I u0|| overflows to inf, at sigma = 20 the weight
         # itself refuses sigma * xi_max > 700: the same overflow, one code
-        with np.errstate(all="ignore"):
-            code, payload = run(tmp_path, "conservation", sigma=sigma,
-                                n_points=1024, sigma_grid=0.1)
+        code, payload = run(tmp_path, "conservation", sigma=sigma,
+                            n_points=1024, sigma_grid=0.1)
         err = capsys.readouterr().err
         assert code == 3 and payload is None
         assert "simulation failure" in err and "Traceback" not in err
@@ -309,6 +345,62 @@ class TestSweep:
         (result,) = sweep["results"].values()
         (report,) = conservation["reports"]
         assert result["defect_abs"] == report["defect_abs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conservation", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "5.5"],
+    ["sweep", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "5.5"],
+    ["simulate", "--width", "1e308"],
+    ["radius", "--width", "1e308"],
+    ["conservation", "--width", "1e308"],
+    ["sweep", "--width", "1e308"],
+    ["conservation", "--sigma", "8", "--n_points", "1024"],
+    ["conservation", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "8"],
+    ["conservation", "--n_points", "64", "--delta", "0.1", "--sigma_grid", "2.5",
+     "--C2", "1e308"],
+    ["simulate", "--n_points", "64", "--t_end", "0.1", "--sigma", "1e308"],
+])
+def test_an_overflow_is_one_line_exit_3(argv):
+    # Python's OverflowError from a float power (||I u0||^3 in the bound,
+    # width^2 in the data), numpy's overflow warnings, a bound whose product
+    # overflows (C2 = 1e308) and a simulate energy that once read NaN at
+    # exit 0 alike: exit 3 with one line, no traceback, no RuntimeWarning
+    done = run_child("-m", "gevrey_bbm.cli", *argv)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("simulation failure: ")
+    assert done.stderr.count("\n") == 1 and "overflows" in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+# Only the value keys are fuzzed.  The size and step keys (n_points, dt,
+# t_end, delta, T, sample_every, k_max, coordinate_range, symbolic_k_max,
+# fab_samples) are left out: a valid value of one can make a run arbitrarily
+# long or large.
+FUZZ_BASE = {"n_points": "64", "dt": "0.01", "t_end": "0.2",
+             "sample_every": "2", "k_max": "3", "coordinate_range": "2",
+             "symbolic_k_max": "2", "fab_samples": "100",
+             "output_json": os.devnull}
+FUZZ_KEYS = ["sigma", "sigma_grid", "alpha", "alpha_grid", "amplitude",
+             "width", "noise_floor", "C1", "C2", "u0_norm", "sigma0",
+             "fab_sigmas", "seed", "data"]
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)),
+       key=st.sampled_from(FUZZ_KEYS),
+       value=st.sampled_from(NON_FINITE + ["-1", "0", "1e308", "1e-308", "x",
+                                           ""]))
+def test_fuzzed_config_exits_cleanly(command, key, value):
+    # the delta is the lifespan, so C1 and sigma shape the run's window
+    argv = [command]
+    for name, text in {**FUZZ_BASE, key: value}.items():
+        argv += [f"--{name}", text]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5, 6)
+    if value in NON_FINITE:
+        assert code == EXIT_CONFIG
 
 
 def test_the_package_loads_no_scipy():

@@ -332,6 +332,12 @@ class TestInitialData:
             samples = inverse_transform(field)
             assert abs(np.argmax(samples) * grid64.dx - 32.0) <= grid64.dx
 
+    @pytest.mark.parametrize("factory", [gaussian_data, sech2_data])
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+    def test_width_validated(self, grid64, factory, width):
+        with pytest.raises(InvalidInput):
+            factory(grid64, 1.0, width)
+
     def test_cosine_is_single_mode(self, grid64):
         field = cosine_data(grid64, 2.0, mode=3)
         mags = np.abs(field.coeffs)

@@ -81,23 +81,23 @@ class TestVerifyFactorIdentity:
         assert type(report.max_defect) is int
         assert report.triads_tested > 0
 
-    def test_symbolic_expansion_to_k3(self):
-        report = verify_factor_identity(3, 2, symbolic_k_max=3)
-        assert report.all_equal
+    def test_the_proof_finds_a_planted_error(self, monkeypatch):
+        # prod_{s=0..2k} (xi1 - s xi2) is homogeneous of the sides' degree
+        # 2k+1 and vanishes at (t, 1) for t = 0..2k: of the 2k+2 points
+        # t = 0..2k+1, only the last one sees it, where it is (2k+1)!
+        k = 3
+        factored = identities.factored_form
 
-    def test_the_expansion_finds_a_planted_error(self, monkeypatch):
-        # with xi3 = xi1 + xi2 in place of -xi1 - xi2, the k = 1 sides are
-        # xi1^3 + xi2^3 + (xi1 + xi2)^3 and 3 xi1 xi2 (xi1 + xi2): they
-        # differ by 2 xi1^3 + 2 xi2^3, coefficients [2, 0, 0, 2]
-        times = identities._times
+        def planted(t, j):
+            extra = math.prod(t.xi1 - s * t.xi2 for s in range(2 * k + 1))
+            return factored(t, j) + (extra if j == k else 0)
 
-        def off_the_hyperplane(poly, *linear):
-            return times(poly, *([1, 1] if f == [-1, -1] else f for f in linear))
-
-        monkeypatch.setattr(identities, "_times", off_the_hyperplane)
+        monkeypatch.setattr(identities, "factored_form", planted)
         with pytest.raises(IdentityViolation) as caught:
-            verify_factor_identity(1, 1, symbolic_k_max=1)
-        assert caught.value.counterexample == (1, [2, 2])
+            verify_factor_identity(1, 1, symbolic_k_max=k + 1)
+        t = Triad(2 * k + 1, 1, -2 * k - 2)
+        assert caught.value.counterexample == (
+            t, k, power_sum(t, k), factored(t, k) + math.factorial(2 * k + 1))
 
     def test_the_scan_stops_at_the_first_planted_error(self, monkeypatch):
         # the scan runs triad by triad with k inside, so (-2, 1, 1) at k = 3
@@ -120,13 +120,22 @@ class TestVerifyFactorIdentity:
         assert seen[-1] == ((-2, 1, 1), 3)
         assert ((-1, -1, 2), 1) not in seen
 
-    def test_symbolic_k_max_zero_skips_the_symbolic_check(self, monkeypatch):
-        def refuse(k):
-            raise AssertionError(f"symbolic check called at k={k}")
+    def test_the_proof_covers_k_1_to_symbolic_k_max(self, monkeypatch):
+        # the scan never calls power_sum, the proof calls it once per point:
+        # (t, 1, -t-1) for t = 0..2k+1 at each k, and not at all for 0
+        seen = []
 
-        monkeypatch.setattr(identities, "_symbolic_defect", refuse)
-        report = verify_factor_identity(3, 2, symbolic_k_max=0)
-        assert report.all_equal
+        def recording(t, k):
+            seen.append(((t.xi1, t.xi2, t.xi3), k))
+            return power_sum(t, k)
+
+        monkeypatch.setattr(identities, "power_sum", recording)
+        for symbolic_k_max in (0, 3):
+            seen.clear()
+            assert verify_factor_identity(3, 2, symbolic_k_max).all_equal
+            assert seen == [((t, 1, -t - 1), k)
+                            for k in range(1, symbolic_k_max + 1)
+                            for t in range(2 * k + 2)]
 
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
@@ -142,8 +151,8 @@ class TestCarriedSides:
     @given(a=st.fractions(-20, 20, max_denominator=60),
            b=st.fractions(-20, 20, max_denominator=60))
     def test_matches_the_definitions_on_rational_triads(self, a, b):
-        # the integer scan and the coefficient expansion never reach a
-        # non-integer triad; the carried pass must hold there too
+        # neither the integer scan nor the proof reaches a non-integer
+        # triad; the carried pass must hold there too
         t = Triad(a, b, -a - b)
         sides = list(identities._carried_sides(t, 12))
         assert [k for k, _, _ in sides] == list(range(1, 13))
@@ -188,6 +197,8 @@ class TestFabBound:
             check_fab_bound(100, 0.0)
         with pytest.raises(InvalidInput):
             check_fab_bound(0, 0.1)
+        with pytest.raises(InvalidInput):  # the envelope underflows: 0/0 ratios
+            check_fab_bound(100, 1e-308)
 
 
 class TestFractionalExponents:

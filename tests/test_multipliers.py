@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,15 @@ class TestPhiSymbol:
     def test_alpha_validated(self):
         with pytest.raises(InvalidInput):
             phi_symbol(1.0, 0.5)
+
+    def test_huge_alpha_is_its_limit_without_a_warning(self, grid128):
+        # |xi|^alpha overflows to inf above |xi| = 1: phi is 0 there, i*xi
+        # below, and no RuntimeWarning escapes
+        xi = grid128.wavenumbers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = phi_symbol(xi, 1e308)
+        assert np.array_equal(value, np.where(xi < 1.0, 1j * xi, 0.0))
 
     def test_bounded_symbol(self, grid128):
         # |xi|/(1+xi^2) <= 1/2 for alpha = 2: the system is never stiff
