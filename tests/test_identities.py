@@ -20,6 +20,18 @@ from gevrey_bbm.identities import (
 T112 = Triad(Fraction(1), Fraction(1), Fraction(-2))
 
 
+def _record_power_sum(monkeypatch):
+    """Route identities.power_sum through a recorder of its (triad, k) calls."""
+    seen = []
+
+    def recording(t, k):
+        seen.append(((t.xi1, t.xi2, t.xi3), k))
+        return power_sum(t, k)
+
+    monkeypatch.setattr(identities, "power_sum", recording)
+    return seen
+
+
 class TestTriad:
     def test_off_hyperplane_rejected(self):
         with pytest.raises(InvalidInput):
@@ -120,22 +132,20 @@ class TestVerifyFactorIdentity:
         assert seen[-1] == ((-2, 1, 1), 3)
         assert ((-1, -1, 2), 1) not in seen
 
-    def test_the_proof_covers_k_1_to_symbolic_k_max(self, monkeypatch):
+    def test_symbolic_expansion_to_k3(self, monkeypatch):
         # the scan never calls power_sum, the proof calls it once per point:
-        # (t, 1, -t-1) for t = 0..2k+1 at each k, and not at all for 0
-        seen = []
+        # (t, 1, -t-1) for t = 0..2k+1 at each k = 1..symbolic_k_max
+        seen = _record_power_sum(monkeypatch)
+        report = verify_factor_identity(3, 2, symbolic_k_max=3)
+        assert report.all_equal
+        assert seen == [((t, 1, -t - 1), k)
+                        for k in range(1, 4) for t in range(2 * k + 2)]
 
-        def recording(t, k):
-            seen.append(((t.xi1, t.xi2, t.xi3), k))
-            return power_sum(t, k)
-
-        monkeypatch.setattr(identities, "power_sum", recording)
-        for symbolic_k_max in (0, 3):
-            seen.clear()
-            assert verify_factor_identity(3, 2, symbolic_k_max).all_equal
-            assert seen == [((t, 1, -t - 1), k)
-                            for k in range(1, symbolic_k_max + 1)
-                            for t in range(2 * k + 2)]
+    def test_symbolic_k_max_zero_skips_the_symbolic_check(self, monkeypatch):
+        seen = _record_power_sum(monkeypatch)
+        report = verify_factor_identity(3, 2, symbolic_k_max=0)
+        assert report.all_equal
+        assert seen == []
 
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
