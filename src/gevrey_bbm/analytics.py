@@ -28,6 +28,7 @@ from .evolution import (
     _sample_steps,
     _step_count,
     gaussian_data,
+    lifespan,
     sech2_data,
 )
 from .identities import fractional_bound_exponents, symmetrized_weight
@@ -357,7 +358,6 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
     if len(traj.states) < 10:
         raise InvalidInput("trajectory must be sampled at >= 10 times")
     samples: list[tuple[float, float, float]] = []
-    bands: list[tuple[float, float]] = []
     for t, state in zip(traj.times, traj.states):
         try:
             lo, hi = default_band(state, noise_floor)
@@ -365,7 +365,7 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
         except SpectrumTooThin:
             continue
         samples.append((float(t), sigma_est, r2))
-        bands.append((lo, hi))
+        band = (lo, hi)
     fit_pts = [(t, s) for (t, s, r2) in samples
                if r2 >= FIT_R2_MIN and t >= FIT_T_MIN and s > 0]
     if len(fit_pts) < 2:
@@ -384,7 +384,7 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
         samples=samples,
         mu_fit=mu_fit,
         c_fit=c_fit,
-        band=bands[-1] if bands else (0.0, 0.0),
+        band=band,
         c_check=float(c_check),
         pointwise_ok=bool(pointwise_ok),
     )
@@ -443,6 +443,28 @@ def schedule_sigma(T: float, sigma0: float, C1: float, C2: float,
 # --- calibration file ---------------------------------------------------------
 
 
+def read_key_values(path) -> dict[str, str]:
+    """The ``key = value`` lines of a text file, keys and values stripped.
+
+    Blank lines, ``#`` comment lines and ``[section]`` header lines are
+    skipped, and a later key replaces an earlier one.  Any other line raises
+    InvalidInput naming the file and the line number.
+    """
+    values = {}
+    with open(path) as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#") or (
+                    line.startswith("[") and line.endswith("]")):
+                continue
+            key, equals, value = line.partition("=")
+            if not equals or not key.strip():
+                raise InvalidInput(f"{path}, line {number}: expected "
+                                   f"key = value, got {line!r}")
+            values[key.strip()] = value.strip()
+    return values
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Frozen constants: C1 from the bilinear estimate, C2 from the defect
@@ -465,14 +487,7 @@ class Calibration:
 
     @classmethod
     def load(cls, path) -> "Calibration":
-        values = {}
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
+        values = read_key_values(path)
         return cls(
             c1=float(values["c1"]),
             c2=float(values["c2"]),
@@ -501,27 +516,24 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
 
     C2 is the maximum of defect_abs / (delta * sigma^beta * ||I u0||^3)
     over a small suite of initial data and sigma values, doubled for margin.
-    Each sigma has its own window delta = 1 / (8 C1 ||I u0||); the windows
-    of one initial datum are read off a single measure_defects run.
+    Each sigma has its own window, the lifespan 1 / (8 C1 ||I u0||); the
+    windows of one initial datum are read off a single measure_defects run.
     """
     grid = Grid(n_points, domain_length)
     weight = GevreyWeight(sigma_ref)
     c1 = calibrate_bilinear_constant(CALIBRATION_SAMPLES, weight, alpha, grid,
                                      seed=seed)
-    _, beta, _ = fractional_bound_exponents(alpha)
     worst = 0.0
     suite = [gaussian_data(grid, 0.5, 4.0), gaussian_data(grid, 1.0, 2.0),
              sech2_data(grid, 0.5, 3.0)]
     for u0 in suite:
-        norms = [(sigma, hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0))
-                 for sigma in (0.05, 0.1, 0.3)]
-        windows = [(sigma, 1.0 / (8.0 * c1 * u0_norm)) for sigma, u0_norm in norms]
+        windows = [(sigma, lifespan(u0, GevreyWeight(sigma), alpha, c1))
+                   for sigma in (0.05, 0.1, 0.3)]
         params = ModelParams(alpha, grid, CALIBRATION_DT,
                              max(delta for _, delta in windows))
-        reports = measure_defects(u0, windows, params)
-        for (sigma, u0_norm), report in zip(norms, reports):
-            ratio = report.defect_abs / (report.delta * sigma**beta * u0_norm**3)
-            worst = max(worst, ratio)
+        # at c_cal = 1 the predicted bound is delta * sigma^beta * ||I u0||^3
+        for report in measure_defects(u0, windows, params):
+            worst = max(worst, report.defect_abs / report.predicted_bound)
     return Calibration(c1=float(c1), c2=float(2.0 * worst), alpha=alpha,
                        sigma_ref=sigma_ref, n_points=n_points,
                        domain_length=domain_length, seed=seed)

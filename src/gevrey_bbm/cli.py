@@ -4,14 +4,16 @@ Usage:
     gevrey-bbm <simulate|verify-identities|conservation|radius|schedule|sweep>
                --config PATH [--key value ...]
 
-Config files are flat ``key = value`` text with INI-style sections (sections
-are organizational only; keys are globally flat).  Every key can also be
-overridden on the command line by a flag of the same name; keys are
-case-sensitive and one not in COMMON_DEFAULTS is a config error.  Every
-value is read by its key's type before the command runs: a number must be
-finite, and an empty C1, C2 or delta means its default.  So a bad value is a
-config error whatever the command.  Every run embeds the full resolved
-config and seed in its JSON output.
+Config files are flat ``key = value`` lines (``analytics.read_key_values``:
+blank lines, ``#`` comments and ``[section]`` headers are skipped, a later key
+wins, any other line is a config error).  Every key can also be overridden
+on the command line by a flag of the same name; keys are case-sensitive and
+one not in COMMON_DEFAULTS is a config error.  Every value is read by its
+key's type before the command runs: a number must be finite, and an empty
+C1, C2 or delta means its default.  So a bad value is a config error
+whatever the command, and so is an output path that cannot be written.
+Each command returns its report body; ``main`` alone adds the full resolved
+config (seed included) and writes the JSON.
 
 Exit-code map (public contract): 0 ok, 2 config error, 3 simulation failure,
 4 identity violation, 5 insufficient data, 6 cross-check failure.
@@ -20,7 +22,6 @@ Exit-code map (public contract): 0 ok, 2 config error, 3 simulation failure,
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import dataclasses
 import json
@@ -78,14 +79,12 @@ def _check_key(key: str) -> str:
 def load_config(path: str | None) -> dict[str, str]:
     resolved = dict(COMMON_DEFAULTS)
     if path:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # keep the case of keys such as T, C1, C2
-        read = parser.read(path)
-        if not read:
-            raise errors.InvalidInput(f"config file not found: {path}")
-        for section in [parser.defaults()] + [parser[s] for s in parser.sections()]:
-            for key, value in dict(section).items():
-                resolved[_check_key(key)] = value
+        try:
+            entries = analytics.read_key_values(path)
+        except FileNotFoundError:
+            raise errors.InvalidInput(f"config file not found: {path}") from None
+        for key, value in entries.items():
+            resolved[_check_key(key)] = value
     return resolved
 
 
@@ -168,12 +167,12 @@ def _calibration(v) -> analytics.Calibration:
         c2=cal.c2 if v["C2"] is None else v["C2"])
 
 
-def _trajectory(v) -> evolution.Trajectory:
-    """The run behind simulate and radius."""
+def _trajectory(v, sigma: float) -> evolution.Trajectory:
+    """The run behind simulate and radius; sigma weights its reports' energy."""
     grid = _grid(v)
     params = ModelParams(v["alpha"], grid, v["dt"], v["t_end"])
     u0 = _initial_data(v, grid)
-    return evolution.simulate(u0, params, GevreyWeight(v["sigma"]),
+    return evolution.simulate(u0, params, GevreyWeight(sigma),
                               sample_every=v["sample_every"])
 
 
@@ -196,8 +195,8 @@ def write_json(path: str, payload: dict) -> None:
 CSV_HEADER = ["t", "l2", "h1", "energy", "h1_invariant", "sigma_est"]
 
 
-def cmd_simulate(config: dict[str, str], v: dict) -> int:
-    traj = _trajectory(v)
+def cmd_simulate(v: dict) -> dict:
+    traj = _trajectory(v, v["sigma"])
     rows = []
     for t, state, report in zip(traj.times, traj.states, traj.reports):
         try:
@@ -209,30 +208,27 @@ def cmd_simulate(config: dict[str, str], v: dict) -> int:
         rows.append([repr(float(t)), repr(report.l2), repr(report.h1),
                      repr(report.energy), repr(report.h1_invariant),
                      repr(sigma_est)])
-    if config["output_csv"]:
-        with open(config["output_csv"], "w", newline="") as handle:
+    if v["output_csv"]:
+        with open(v["output_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
     final = traj.reports[-1]
-    write_json(config["output_json"], {
-        "config": config,
+    return {
         "samples": len(rows),
         "final": {"t": float(traj.times[-1]), "l2": final.l2, "h1": final.h1,
                   "energy": final.energy, "h1_invariant": final.h1_invariant},
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_verify_identities(config: dict[str, str], v: dict) -> int:
+def cmd_verify_identities(v: dict) -> dict:
     report = identities.verify_factor_identity(
         v["k_max"], v["coordinate_range"], v["symbolic_k_max"])
     fab = {}
     for sigma in v["fab_sigmas"]:
         cal = identities.check_fab_bound(v["fab_samples"], sigma, seed=v["seed"])
         fab[repr(sigma)] = {"max_ratio": cal.max_ratio, "usable": cal.usable}
-    write_json(config["output_json"], {
-        "config": config,
+    return {
         "identity": {
             "k_max": report.k_max,
             "coordinate_range": v["coordinate_range"],
@@ -245,11 +241,17 @@ def cmd_verify_identities(config: dict[str, str], v: dict) -> int:
             },
         },
         "series_bound": fab,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_conservation(config: dict[str, str], v: dict) -> int:
+def _defect_row(report: analytics.ConservationReport) -> dict:
+    return {"sigma": report.sigma, "defect": report.defect,
+            "defect_abs": report.defect_abs,
+            "predicted_bound": report.predicted_bound,
+            "bound_satisfied": report.bound_satisfied}
+
+
+def cmd_conservation(v: dict) -> dict:
     grid = _grid(v)
     cal = _calibration(v)
     alpha = v["alpha"]
@@ -264,54 +266,44 @@ def cmd_conservation(config: dict[str, str], v: dict) -> int:
     else:
         slope, reports = analytics.defect_scaling_fit(u0, sigmas, delta, params,
                                                       c_cal=cal.c2)
-    write_json(config["output_json"], {
-        "config": config,
+    return {
         "delta": delta,
         "calibration": {"c1": cal.c1, "c2": cal.c2},
         "slope": slope,
-        "reports": [
-            {"sigma": r.sigma, "defect": r.defect, "defect_abs": r.defect_abs,
-             "predicted_bound": r.predicted_bound,
-             "bound_satisfied": r.bound_satisfied}
-            for r in reports
-        ],
-    })
-    return EXIT_OK
+        "reports": [_defect_row(r) for r in reports],
+    }
 
 
-def cmd_radius(config: dict[str, str], v: dict) -> int:
+def cmd_radius(v: dict) -> dict:
     _, _, mu = identities.fractional_bound_exponents(v["alpha"])
-    fit = analytics.track_radius(_trajectory(v), noise_floor=v["noise_floor"],
-                                 reference_mu=mu)
-    write_json(config["output_json"], {
-        "config": config,
+    # the fit reads no report, and at sigma 0 their energy cannot overflow
+    fit = analytics.track_radius(_trajectory(v, 0.0),
+                                 noise_floor=v["noise_floor"], reference_mu=mu)
+    return {
         "mu_fit": fit.mu_fit,
         "c_fit": fit.c_fit,
         "c_check": fit.c_check,
         "pointwise_ok": fit.pointwise_ok,
         "band": list(fit.band),
         "samples": [list(s) for s in fit.samples],
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_schedule(config: dict[str, str], v: dict) -> int:
+def cmd_schedule(v: dict) -> dict:
     cal = _calibration(v)
     result = analytics.schedule_sigma(v["T"], v["sigma0"], cal.c1, cal.c2,
                                       alpha=v["alpha"], u0_norm=v["u0_norm"])
-    write_json(config["output_json"], {
-        "config": config,
+    return {
         "horizon_T": result.horizon_T,
         "n_steps": result.n_steps,
         "delta": result.delta,
         "sigma_assigned": result.sigma_assigned,
         "per_step_checks": [list(c) for c in result.per_step_checks],
         "all_checks_ok": all(c[3] for c in result.per_step_checks),
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_sweep(config: dict[str, str], v: dict) -> int:
+def cmd_sweep(v: dict) -> dict:
     grid = _grid(v)
     cal = _calibration(v)
     u0 = _initial_data(v, grid)
@@ -323,19 +315,8 @@ def cmd_sweep(config: dict[str, str], v: dict) -> int:
         for report in analytics.measure_defects(u0, windows, params,
                                                 c_cal=cal.c2):
             results[f"alpha={alpha!r},sigma={report.sigma!r}"] = {
-                "alpha": alpha,
-                "sigma": report.sigma,
-                "defect": report.defect,
-                "defect_abs": report.defect_abs,
-                "predicted_bound": report.predicted_bound,
-                "bound_satisfied": report.bound_satisfied,
-            }
-    write_json(config["output_json"], {
-        "config": config,
-        "calibration": {"c1": cal.c1, "c2": cal.c2},
-        "results": results,
-    })
-    return EXIT_OK
+                "alpha": alpha, **_defect_row(report)}
+    return {"calibration": {"c1": cal.c1, "c2": cal.c2}, "results": results}
 
 
 COMMANDS = {
@@ -356,20 +337,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = apply_overrides(load_config(args.config), extra)
         values = _parse(config)
-    except (errors.InvalidInput, ValueError) as exc:
+        try:
+            report = COMMANDS[args.command](values)
+        except errors.BlowupDetected as exc:
+            write_json(config["output_json"],
+                       {"config": config, "error": "blowup", "time": exc.time})
+            raise
+        write_json(config["output_json"], {"config": config, **report})
+        return EXIT_OK
+    except (errors.InvalidInput, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](config, values)
-    except (errors.InvalidInput, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except errors.BlowupDetected as exc:
-        write_json(config["output_json"],
-                   {"config": config, "error": "blowup", "time": exc.time})
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except (errors.NoConvergence, errors.OverflowRisk) as exc:
+    except (errors.BlowupDetected, errors.NoConvergence,
+            errors.OverflowRisk) as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     except errors.IdentityViolation as exc:

@@ -183,7 +183,8 @@ def check_fab_bound(samples: int, sigma: float,
     (seeded); degenerate triads with a zero coordinate are 0/0 on both sides
     and are excluded from the ratio statistics.  Raises OverflowRisk if the
     series, the envelope or their ratio overflows, and InvalidInput when the
-    envelope underflows to 0 (a sigma near the smallest double).
+    series of a usable triad underflows below the smallest normal double (a
+    sigma below about 1e-150) or the envelope underflows to 0.
     """
     if not sigma > 0:
         raise InvalidInput(f"sigma must be positive, got {sigma}")
@@ -196,6 +197,8 @@ def check_fab_bound(samples: int, sigma: float,
     product = np.abs(x1 * x2 * x3)
     usable = product > 0
     series = symmetrized_weight(x1[usable], x2[usable], x3[usable], sigma)
+    if np.any(np.abs(series) < np.finfo(np.float64).tiny):
+        raise InvalidInput(f"sigma = {sigma}: the series underflows")
     with _overflow_guard("exp(sigma*sum|xi|) or the series/envelope ratio"):
         envelope = (
             sigma**1.5

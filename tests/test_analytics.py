@@ -492,6 +492,15 @@ class TestCalibrationFile:
         cal.save(path)
         assert Calibration.load(path) == cal
 
+    def test_key_value_lines(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("# comment\n\n[one]\n a = 1 \nb=\n[two]\na = x = y\n")
+        assert analytics.read_key_values(path) == {"a": "x = y", "b": ""}
+        path.write_text("a = 1\nb: 2\n")
+        with pytest.raises(InvalidInput) as caught:
+            analytics.read_key_values(path)
+        assert str(caught.value) == f"{path}, line 2: expected key = value, got 'b: 2'"
+
     def test_packaged_constants_load(self):
         cal = default_calibration()
         assert cal.c1 > 0 and cal.c2 > 0

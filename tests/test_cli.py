@@ -87,6 +87,59 @@ class TestConfigHandling:
         assert main(["simulate", flag, "64"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_flat_file_runs(self, tmp_path):
+        # no [section] line: configparser refused it (exit 1, traceback)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# schedule\n\nT = 0.5\nC1 = 1.0\n")
+        code, payload = run(tmp_path, "schedule", config=cfg)
+        assert code == 0 and payload["delta"] == 0.125
+
+    def test_repeated_key_and_section_take_the_last_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nT = 0.5\n[run]\nT = 0.75\n")
+        code, payload = run(tmp_path, "schedule", config=cfg)
+        assert code == 0 and payload["horizon_T"] == 0.75
+
+    def test_percent_in_a_value_is_plain_text(self, tmp_path):
+        out = tmp_path / "r%1.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output_json = {out}\n")
+        assert main(["schedule", "--config", str(cfg)]) == 0
+        assert json.loads(out.read_text())["config"]["output_json"] == str(out)
+
+    @pytest.mark.parametrize("text, line", [
+        ("T = 0.5\nn_points 64\n", 2),  # no '='
+        ("n_points: 64\n", 1),  # 'key: value' is not read
+        ("; a comment\n", 1),  # nor are ';' comments
+        ("T = 0.5\n    more\n", 2),  # nor continuation lines
+        ("= 64\n", 1),  # no key
+    ])
+    def test_malformed_line_is_one_line_exit_2(self, tmp_path, text, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        done = run_child("-m", "gevrey_bbm.cli", "schedule", "--config",
+                         str(cfg))
+        bad = text.splitlines()[line - 1].strip()
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (f"config error: {cfg}, line {line}: expected "
+                               f"key = value, got {bad!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--output_json", "/nonexistent/x.json"],
+        ["simulate", "--output_csv", "/nonexistent/x.csv"],
+        # a blowup's report cannot be written either
+        ["simulate", "--amplitude", "1e13", "--output_json", "/nonexistent/x.json"],
+        ["schedule", "--config", "/"],  # a directory is no config file
+    ])
+    def test_unusable_path_is_one_line_exit_2(self, argv):
+        # an unwritable output was a FileNotFoundError traceback (exit 1)
+        # after the whole run
+        done = run_child("-m", "gevrey_bbm.cli", *argv, "--n_points", "64",
+                         "--dt", "0.01", "--t_end", "0.1")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("config error: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
     def test_unknown_file_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nn_point = 64\n")
@@ -264,6 +317,18 @@ class TestRadius:
                       if r2 >= analytics.FIT_R2_MIN and t >= analytics.FIT_T_MIN
                       and s > 0)
         assert payload["c_check"] == analytics.POINTWISE_SLACK * s0 * t0**0.5
+
+    def test_report_does_not_depend_on_sigma(self, tmp_path):
+        # the fit reads no energy: an overflowing one at --sigma once ended
+        # the whole run with exit 3
+        config = dict(n_points=256, dt=0.05, t_end=20, sample_every=20)
+        code, default = run(tmp_path, "radius", **config)
+        assert code == 0
+        code, huge = run(tmp_path, "radius", sigma="1e308", **config)
+        assert code == 0
+        assert huge.pop("config")["sigma"] == "1e308"
+        default.pop("config")
+        assert huge == default
 
     def test_single_mode_band_exits_5(self, tmp_path, capsys):
         # one mode inside default_band's window is no band: every sample is

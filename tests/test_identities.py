@@ -210,6 +210,14 @@ class TestFabBound:
         with pytest.raises(InvalidInput):  # the envelope underflows: 0/0 ratios
             check_fab_bound(100, 1e-308)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+    def test_an_underflowing_series_is_refused(self, sigma):
+        # the envelope stays positive but sinh(sigma xi)^2 does not: the
+        # ratio once read 0.0, a constant that measures nothing
+        with pytest.raises(InvalidInput, match="series underflows"):
+            check_fab_bound(100, sigma)
+        assert check_fab_bound(100, 1e-150).max_ratio > 0
+
 
 class TestFractionalExponents:
     def test_alpha_two(self):
