@@ -33,7 +33,7 @@ from .evolution import (
 )
 from .identities import fractional_bound_exponents, symmetrized_weight
 from .multipliers import GevreyWeight, ModelParams, apply_I, apply_phi
-from .norms import energy, hs_norm
+from .norms import energy, gevrey_norm, hs_norm
 from .spectral import (
     Grid,
     SpectralField,
@@ -184,7 +184,7 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
             e0 = energies[0]
             defect = float(np.max(energies - e0))
             defect_abs = float(np.max(np.abs(energies - e0)))
-            u0_norm = hs_norm(apply_I(u0, GevreyWeight(sigma)), alpha / 2.0)
+            u0_norm = gevrey_norm(u0, GevreyWeight(sigma, alpha / 2.0))
             # a numpy product, so that an overflow raises rather than gives inf
             bound = float(np.float64(c_cal) * delta * sigma**beta * u0_norm**3)
         reports.append(ConservationReport(
@@ -262,12 +262,13 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
         raise InvalidInput(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
+    norm_weight = GevreyWeight(weight.sigma, s)
     best = 0.0
     for _ in range(samples):
         u = random_band_limited_field(grid, rng)
         v = random_band_limited_field(grid, rng)
-        nu = hs_norm(apply_I(u, weight), s)
-        nv = hs_norm(apply_I(v, weight), s)
+        nu = gevrey_norm(u, norm_weight)
+        nv = gevrey_norm(v, norm_weight)
         if nu == 0.0 or nv == 0.0:
             continue
         product = forward_transform(

@@ -11,7 +11,9 @@ on the command line by a flag of the same name; keys are case-sensitive and
 one not in COMMON_DEFAULTS is a config error.  Every value is read by its
 key's type before the command runs: a number must be finite, and an empty
 C1, C2 or delta means its default.  So a bad value is a config error
-whatever the command, and so is an output path that cannot be written.
+whatever the command, and so is an output path that cannot be written: one
+that names a directory or lies in a missing directory is refused before the
+run, one that breaks during the run when it is written.
 Each command returns its report body; ``main`` alone adds the full resolved
 config (seed included) and writes the JSON.
 
@@ -26,6 +28,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import analytics, errors, evolution, identities
@@ -183,6 +186,17 @@ def _window(v, u0, alpha: float, c1: float) -> float:
     return evolution.lifespan(u0, GevreyWeight(v["sigma"]), alpha, c1)
 
 
+def _check_output_paths(v: dict) -> None:
+    """Refuse an output path that names a directory or whose parent directory
+    does not exist, before the run and without creating or truncating it; a
+    path that breaks during the run still fails when it is written."""
+    for key in ("output_csv", "output_json"):
+        path = v[key]
+        if path and (os.path.isdir(path)
+                     or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise errors.InvalidInput(f"{key} = {path!r}: not a writable file path")
+
+
 def write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
@@ -337,6 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = apply_overrides(load_config(args.config), extra)
         values = _parse(config)
+        _check_output_paths(values)
         try:
             report = COMMANDS[args.command](values)
         except errors.BlowupDetected as exc:

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, InvalidInput, NoConvergence, _overflow_guard
-from .multipliers import GevreyWeight, ModelParams, apply_I, phi_symbol
-from .norms import NormReport, hs_norm, norm_report
+from .multipliers import GevreyWeight, ModelParams, phi_symbol
+from .norms import NormReport, gevrey_norm, hs_norm, norm_report
 from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
 
 BLOWUP_CAP = 1e12
@@ -168,16 +168,16 @@ def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
 
 
 def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) -> float:
-    """Local-existence window 1 / (8 c ||I u0||_{H^{alpha/2}}).
+    """Local-existence window 1/(8c ||I u0||_{H^{alpha/2}}); only weight.sigma enters.
 
-    Returns +inf for zero initial data and raises OverflowRisk when the
-    weighted norm overflows.  The constant c is never given numerically
-    by the theory; feed the calibrated bilinear constant.
+    Returns +inf for zero initial data and raises OverflowRisk only when the
+    norm itself exceeds double range.  The constant c is never given
+    numerically by the theory; feed the calibrated bilinear constant.
     """
     if not c > 0:
         raise InvalidInput(f"c must be positive, got {c}")
     with _overflow_guard("||I u0||"):
-        norm = hs_norm(apply_I(u0, weight), alpha / 2.0)
+        norm = gevrey_norm(u0, GevreyWeight(weight.sigma, alpha / 2.0))
     if norm == 0.0:
         return math.inf
     return 1.0 / (8.0 * c * norm)

@@ -9,8 +9,8 @@ The analyticity weight comes in two flavours:
   G^{sigma,s} norm.
 
 Linear-scale application refuses inputs with sigma*xi_max > 700 (cosh/exp
-overflow double precision near 710); the norms module provides log-domain
-routines for that regime.
+overflow near 710).  ``norms.gevrey_norm`` sums in the log domain before that,
+so the refusal guards only direct ``apply_I`` and ``picard_solve`` callers.
 """
 
 from __future__ import annotations

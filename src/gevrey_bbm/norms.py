@@ -12,8 +12,8 @@ weight overflows; ``gevrey_norm`` takes exp of half of it and ``energy``
 exp of it.  Both paths agree to 1e-10 on overlap cases (tested), so the
 crossover is invisible to callers.
 
-``norm_report`` bundles the diagnostics a run reports at each sample.  The
-Gevrey norm is not among them; ``gevrey_norm`` is called where it is wanted.
+``gevrey_norm`` is the one ||I u||_{H^s}, that of the lifespan, the defect bound
+and C1.  ``norm_report`` bundles the diagnostics a run reports per sample.
 The flow's quadratic invariant is energy(field, 0, alpha), which is
 integral(u^2 + u_x^2) dx at alpha = 2.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .multipliers import GevreyWeight, SymbolKind
+from .multipliers import GevreyWeight, SymbolKind, apply_I
 from .spectral import SpectralField
 
 LOG_DOMAIN_CROSSOVER = 300.0
@@ -65,21 +65,17 @@ def hs_norm(field: SpectralField, s: float) -> float:
 
 
 def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:
-    """Gevrey norm: sqrt(sum (1+|xi|)^{2s} w(xi)^2 |coeff|^2 * quad weight).
-
-    w is exp(sigma*|xi|) for the exp symbol and cosh(sigma*xi) for the cosh
-    symbol.  Always finite: uses log-domain accumulation past the crossover.
+    """||I u||_{H^s}: sqrt(sum (1+|xi|)^{2s} w(xi)^2 |coeff|^2 * quad weight),
+    w = cosh(sigma*xi) or exp(sigma*|xi|).  Below the crossover it is hs_norm
+    of apply_I, with s = 0 for the exp symbol (which carries (1+|xi|)^s); past
+    it the sum is log-domain, so only a norm past double range overflows.
     """
     xi = field.grid.wavenumbers
+    s = weight.s if weight.kind is SymbolKind.COSH else 0.0
     if weight.sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
-        if weight.kind is SymbolKind.COSH:
-            w = np.cosh(weight.sigma * xi) ** 2 * (1.0 + xi) ** (2.0 * weight.s)
-        else:
-            w = np.exp(2.0 * weight.sigma * xi) * (1.0 + xi) ** (2.0 * weight.s)
-        return _weighted_sqrt_sum(field, w)
-    log_w = 2.0 * weight.log_symbol(xi)
-    if weight.kind is SymbolKind.COSH:  # the exp symbol carries (1+xi)^s itself
-        log_w += 2.0 * weight.s * np.log1p(xi)
+        weighted = apply_I(field, weight)
+        return hs_norm(weighted, s)
+    log_w = 2.0 * (weight.log_symbol(xi) + s * np.log1p(xi))
     return float(np.exp(0.5 * _log_weighted_sum(field, log_w)))
 
 

@@ -140,6 +140,33 @@ class TestConfigHandling:
         assert done.stderr.startswith("config error: ")
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("key", ["output_csv", "output_json"])
+    def test_unusable_path_exits_2_before_the_run(self, key, tmp_path,
+                                                  monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(evolution, "_march",
+                            lambda *args: calls.append(args))
+        for path in (tmp_path / "missing" / "x.out", tmp_path):
+            assert main(["simulate", f"--{key}", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_path_broken_during_the_run_exits_2(self, tmp_path, monkeypatch,
+                                                capsys):
+        out = tmp_path / "gone"
+        out.mkdir()
+        march = evolution._march
+
+        def removing_march(*args):
+            out.rmdir()
+            return march(*args)
+
+        monkeypatch.setattr(evolution, "_march", removing_march)
+        assert main(["simulate", "--n_points", "64", "--t_end", "0.1",
+                     "--output_csv", str(out / "x.csv")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_file_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nn_point = 64\n")
@@ -293,17 +320,26 @@ class TestConservation:
         assert code == 3 and payload is None
         assert "simulation failure" in err and "overflow" in err
 
-    @pytest.mark.parametrize("sigma", [8, 20])
+    @pytest.mark.parametrize("sigma", [20])
     def test_overflowing_lifespan_exits_3(self, sigma, tmp_path, capsys):
-        # at sigma = 8 ||I u0|| overflows to inf, at sigma = 20 the weight
-        # itself refuses sigma * xi_max > 700: the same overflow, one code
+        # at sigma = 20 (sigma * xi_max ~ 1005) ||I u0|| itself exceeds
+        # double range, even summed in the log domain
         code, payload = run(tmp_path, "conservation", sigma=sigma,
                             n_points=1024, sigma_grid=0.1)
         err = capsys.readouterr().err
         assert code == 3 and payload is None
         assert "simulation failure" in err and "Traceback" not in err
-        if sigma == 8:
-            assert "overflow" in err
+        assert "||I u0|| overflows" in err
+
+    def test_tiny_finite_lifespan_exits_2(self, tmp_path, capsys):
+        # at sigma = 8 (sigma * xi_max ~ 402) the linear weights overflow but
+        # the norm, about 1.8e158, does not: the window is real and takes no
+        # step of dt, which is a config error, not an overflow
+        code, payload = run(tmp_path, "conservation", sigma=8, n_points=1024,
+                            sigma_grid=0.1)
+        err = capsys.readouterr().err
+        assert code == 2 and payload is None
+        assert "delta = 1.857" in err and "e-158 rounds to zero steps" in err
 
 
 class TestRadius:
@@ -419,7 +455,7 @@ class TestSweep:
     ["radius", "--width", "1e308"],
     ["conservation", "--width", "1e308"],
     ["sweep", "--width", "1e308"],
-    ["conservation", "--sigma", "8", "--n_points", "1024"],
+    ["conservation", "--sigma", "20", "--n_points", "1024"],
     ["conservation", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "8"],
     ["conservation", "--n_points", "64", "--delta", "0.1", "--sigma_grid", "2.5",
      "--C2", "1e308"],

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from gevrey_bbm.evolution import (
     step_rk4,
 )
 from gevrey_bbm.multipliers import GevreyWeight, ModelParams, apply_I, phi_symbol
-from gevrey_bbm.norms import energy, hs_norm, l2_norm
+from gevrey_bbm.norms import energy, gevrey_norm, hs_norm, l2_norm
 from gevrey_bbm.spectral import (
     Grid,
     SpectralField,
@@ -182,6 +183,16 @@ class TestLifespan:
         doubled = u0.with_coeffs(2.0 * u0.coeffs)
         assert lifespan(doubled, weight, 2.0, 1.0) == pytest.approx(
             0.5 * lifespan(u0, weight, 2.0, 1.0), rel=1e-12)
+
+    def test_finite_where_the_linear_weights_overflow(self):
+        # sigma * xi_max ~ 402: cosh(sigma xi)^2 overflows a double, the
+        # norm (about 1.8e158) does not, so the window is tiny but real
+        grid = Grid(1024, 64.0)
+        u0 = gaussian_data(grid, 0.5, 4.0)
+        assert 8.0 * np.max(grid.wavenumbers) > 355.0
+        delta = lifespan(u0, GevreyWeight(8.0), 2.0, 0.5)
+        assert 0.0 < delta < math.inf
+        assert delta == 1.0 / (8.0 * 0.5 * gevrey_norm(u0, GevreyWeight(8.0, 1.0)))
 
     def test_zero_data_never_expires(self, grid64):
         assert lifespan(zero_field(grid64), GevreyWeight(0.0), 2.0, 1.0) == np.inf

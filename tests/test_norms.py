@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevrey_bbm.multipliers import GevreyWeight, SymbolKind
+from gevrey_bbm.multipliers import GevreyWeight, SymbolKind, apply_I
 from gevrey_bbm.norms import (
     LOG_DOMAIN_CROSSOVER,
     energy,
@@ -74,6 +74,17 @@ class TestGevreyNorm:
         weight = GevreyWeight(0.0, s=0.0)
         assert gevrey_norm(random_field, weight) == pytest.approx(
             l2_norm(random_field), rel=1e-14)
+
+    @pytest.mark.parametrize("kind", list(SymbolKind))
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_linear_path_is_the_weighted_hs_norm(self, random_field, s, kind):
+        # below the crossover the norm is the H^s norm of I u, bit for bit:
+        # the lifespan, the defect bound and C1 rest on this.  The exp symbol
+        # carries (1+|xi|)^s itself, so its H^s weight is s = 0
+        weight = GevreyWeight(0.15, s, kind)
+        hs = s if kind is SymbolKind.COSH else 0.0
+        assert gevrey_norm(random_field, weight) == hs_norm(
+            apply_I(random_field, weight), hs)
 
     def test_cosh_vs_exp_ratio(self, random_field):
         cosh = gevrey_norm(random_field, GevreyWeight(0.15, kind=SymbolKind.COSH))
