@@ -18,8 +18,6 @@ from .errors import (
     CrossCheckFailure,
     InsufficientData,
     InvalidInput,
-    NoFit,
-    SpectrumTooThin,
     _overflow_guard,
 )
 from .evolution import (
@@ -136,8 +134,6 @@ class ConservationReport:
     """Measured energy defect over one local window vs its predicted bound."""
 
     sigma: float
-    delta: float
-    alpha: float
     defect: float
     defect_abs: float
     predicted_bound: float
@@ -189,8 +185,6 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
             bound = float(np.float64(c_cal) * delta * sigma**beta * u0_norm**3)
         reports.append(ConservationReport(
             sigma=sigma,
-            delta=delta,
-            alpha=alpha,
             defect=defect,
             defect_abs=defect_abs,
             predicted_bound=bound,
@@ -257,11 +251,13 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
                                 seed: int = 20240823) -> float:
     """Max of ||phi(D) I(uv)||_{H^{a/2}} / (||Iu||_{H^{a/2}} ||Iv||_{H^{a/2}})
     over seeded random band-limited pairs; this is the constant feeding the
-    lifespan formula."""
+    lifespan formula.  Only weight.sigma enters: I is cosh(sigma D) in the
+    numerator and both denominators."""
     if samples < 100:
         raise InvalidInput(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
+    cosh_weight = GevreyWeight(weight.sigma)
     norm_weight = GevreyWeight(weight.sigma, s)
     best = 0.0
     for _ in range(samples):
@@ -275,7 +271,7 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
             inverse_transform(u) * inverse_transform(v), grid
         )
         product = dealias(product)
-        num = hs_norm(apply_phi(apply_I(product, weight), alpha), s)
+        num = hs_norm(apply_phi(apply_I(product, cosh_weight), alpha), s)
         best = max(best, num / (nu * nv))
     return best
 
@@ -290,7 +286,8 @@ def estimate_radius(field: SpectralField, xi_lo: float, xi_hi: float,
 
     Least-squares fit of log|coeff| against -sigma*xi + offset using
     positive-frequency modes above the noise floor; the affine offset
-    absorbs overall field scaling.  Returns (sigma_est, r_squared).
+    absorbs overall field scaling.  Returns (sigma_est, r_squared); fewer
+    than 8 usable modes raises InsufficientData.
     """
     if not 0 <= xi_lo < xi_hi:
         raise InvalidInput(f"need 0 <= xi_lo < xi_hi, got {(xi_lo, xi_hi)}")
@@ -300,7 +297,7 @@ def estimate_radius(field: SpectralField, xi_lo: float, xi_hi: float,
     mags = np.abs(field.coeffs)
     mask = (xi >= xi_lo) & (xi <= xi_hi) & (xi > 0) & (mags > noise_floor)
     if np.sum(mask) < 8:
-        raise SpectrumTooThin(
+        raise InsufficientData(
             f"only {int(np.sum(mask))} usable modes in band [{xi_lo}, {xi_hi}]"
         )
     x = xi[mask]
@@ -317,7 +314,7 @@ def default_band(field: SpectralField, noise_floor: float) -> tuple[float, float
     """Band policy: modes with |coeff| in [10*noise_floor, 1e-2 * max|coeff|].
 
     Excludes both the round-off plateau and the low-frequency modes where
-    the decay is not yet asymptotic.  Raises SpectrumTooThin when fewer than
+    the decay is not yet asymptotic.  Raises InsufficientData when fewer than
     2 modes fall inside, since one mode makes no band.
     """
     if not 0 <= noise_floor < math.inf:
@@ -328,7 +325,7 @@ def default_band(field: SpectralField, noise_floor: float) -> tuple[float, float
     mask = (xi > 0) & (mags >= 10.0 * noise_floor) & (mags <= 1e-2 * peak)
     count = int(np.count_nonzero(mask))
     if count < 2:
-        raise SpectrumTooThin(f"only {count} modes inside the band-policy window")
+        raise InsufficientData(f"only {count} modes inside the band-policy window")
     return float(np.min(xi[mask])), float(np.max(xi[mask]))
 
 
@@ -348,9 +345,10 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
                  reference_mu: float = 2.0 / 3.0) -> RadiusFit:
     """Estimate the analytic radius along a trajectory and fit its decay.
 
-    Each sample is fit over its default_band.  Only samples with r^2 >= 0.98
-    enter the (c, mu) fit, restricted to t >= 1 (the transient below that
-    makes a power law meaningless).  The
+    Each sample is fit over its default_band; a sample whose spectrum is too
+    thin for either is skipped.  Only samples with r^2 >= 0.98 enter the
+    (c, mu) fit, restricted to t >= 1 (the transient below that makes a
+    power law meaningless); fewer than 2 raises InsufficientData.  The
     pointwise lower-bound check sigma_est(t) >= c_check * t^-reference_mu
     calibrates c_check from the earliest valid sample (with a 1% slack for
     estimator noise).  mu_fit is reported, never asserted: the theory is a
@@ -363,14 +361,14 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
         try:
             lo, hi = default_band(state, noise_floor)
             sigma_est, r2 = estimate_radius(state, lo, hi, noise_floor)
-        except SpectrumTooThin:
+        except InsufficientData:
             continue
         samples.append((float(t), sigma_est, r2))
         band = (lo, hi)
     fit_pts = [(t, s) for (t, s, r2) in samples
                if r2 >= FIT_R2_MIN and t >= FIT_T_MIN and s > 0]
     if len(fit_pts) < 2:
-        raise NoFit("fewer than 2 samples passed the fit policy")
+        raise InsufficientData("fewer than 2 samples passed the fit policy")
     logt = np.log([t for t, _ in fit_pts])
     logs = np.log([s for _, s in fit_pts])
     slope, intercept = np.polyfit(logt, logs, 1)
@@ -398,7 +396,6 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
 class ScheduleResult:
     """Radius assignment for a horizon T from the induction bookkeeping."""
 
-    horizon_T: float
     n_steps: int
     delta: float
     sigma_assigned: float
@@ -437,7 +434,7 @@ def schedule_sigma(T: float, sigma0: float, C1: float, C2: float,
         lhs = (k + 1) * C2 * delta * 8.0 * sigma**beta * u0_norm**3
         rhs = 3.0 * u0_norm**2
         checks.append((k, float(lhs), float(rhs), bool(lhs <= rhs * (1 + 1e-12))))
-    return ScheduleResult(horizon_T=float(T), n_steps=n, delta=float(delta),
+    return ScheduleResult(n_steps=n, delta=float(delta),
                           sigma_assigned=float(sigma), per_step_checks=checks)
 
 

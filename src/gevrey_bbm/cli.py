@@ -217,7 +217,7 @@ def cmd_simulate(v: dict) -> dict:
             lo, hi = analytics.default_band(state, v["noise_floor"])
             sigma_est, _ = analytics.estimate_radius(state, lo, hi,
                                                      v["noise_floor"])
-        except errors.SpectrumTooThin:
+        except errors.InsufficientData:
             sigma_est = math.nan
         rows.append([repr(float(t)), repr(report.l2), repr(report.h1),
                      repr(report.energy), repr(report.h1_invariant),
@@ -244,7 +244,7 @@ def cmd_verify_identities(v: dict) -> dict:
         fab[repr(sigma)] = {"max_ratio": cal.max_ratio, "usable": cal.usable}
     return {
         "identity": {
-            "k_max": report.k_max,
+            "k_max": v["k_max"],
             "coordinate_range": v["coordinate_range"],
             "triads_tested": report.triads_tested,
             "all_equal": report.all_equal,
@@ -308,7 +308,7 @@ def cmd_schedule(v: dict) -> dict:
     result = analytics.schedule_sigma(v["T"], v["sigma0"], cal.c1, cal.c2,
                                       alpha=v["alpha"], u0_norm=v["u0_norm"])
     return {
-        "horizon_T": result.horizon_T,
+        "horizon_T": v["T"],
         "n_steps": result.n_steps,
         "delta": result.delta,
         "sigma_assigned": result.sigma_assigned,
@@ -370,8 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except errors.IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (errors.InsufficientData, errors.SpectrumTooThin,
-            errors.NoFit) as exc:
+    except errors.InsufficientData as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except errors.CrossCheckFailure as exc:

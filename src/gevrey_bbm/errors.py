@@ -56,16 +56,9 @@ class CrossCheckFailure(GevreyBBMError):
         super().__init__(message)
 
 
-class SpectrumTooThin(GevreyBBMError):
-    """Too few usable spectral modes for a decay-rate fit."""
-
-
 class InsufficientData(GevreyBBMError):
-    """Not enough usable data points for a requested fit."""
-
-
-class NoFit(GevreyBBMError):
-    """Every trajectory sample was rejected by the fitting policy."""
+    """Too few usable points for a fit: sigma points above the defect floor,
+    radius samples that pass the fit policy, or spectral modes in a band."""
 
 
 @contextmanager

@@ -78,7 +78,6 @@ class PicardDiagnostics:
 
     iterate_distances: list[float]
     contraction_factor: float
-    converged: bool
 
 
 def _workspace(shape: tuple[int, ...], grid: Grid) -> tuple[np.ndarray, ...]:
@@ -183,6 +182,17 @@ def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) ->
     return 1.0 / (8.0 * c * norm)
 
 
+def _picard_diagnostics(distances: list[float]) -> PicardDiagnostics:
+    """The contraction factor is the largest ratio of successive distances
+    whose first is above 100 * PICARD_TOL, or 0.0 when there is none."""
+    ratios = [
+        distances[i + 1] / distances[i]
+        for i in range(len(distances) - 1)
+        if distances[i] > 100.0 * PICARD_TOL
+    ]
+    return PicardDiagnostics(distances, max(ratios) if ratios else 0.0)
+
+
 def picard_solve(
     u0: SpectralField,
     delta: float,
@@ -201,12 +211,15 @@ def picard_solve(
     with S(dtau) = exp(-dtau*phi), so an iteration costs O(n_nodes * n):
     one batched u^2 over every node, then one pass of the recursion.
     Successive iterates are compared in the sup-in-time H^{alpha/2} norm of
-    the I-weighted difference (the metric of the contraction argument);
-    stops when the distance drops below PICARD_TOL, and raises NoConvergence
-    after PICARD_MAX_ITER iterations.
+    the difference weighted by cosh(sigma D), the metric of the contraction
+    argument; only weight.sigma enters.  Stops when the distance drops below
+    PICARD_TOL.  Raises NoConvergence after PICARD_MAX_ITER iterations, or as
+    soon as an iterate has a coefficient above BLOWUP_CAP or NaN.
     """
     if not delta > 0:
         raise InvalidInput(f"delta must be positive, got {delta}")
+    if n_nodes < 1:
+        raise InvalidInput(f"n_nodes must be >= 1, got {n_nodes}")
     grid = u0.grid
     xi = grid.wavenumbers
     symbol = phi_symbol(xi, alpha)
@@ -216,9 +229,8 @@ def picard_solve(
     # free flow S(t_k) u0 at every node
     free = np.exp(-np.outer(times, symbol)) * u0.coeffs[None, :]
     iterate = free
-    i_symbol = weight.symbol(xi)
+    i_symbol = GevreyWeight(weight.sigma).symbol(xi)
     distances: list[float] = []
-    converged = False
     for _ in range(PICARD_MAX_ITER):
         nl = symbol * _square(iterate, grid)  # phi(D)(u^2) at every node
         new = free.copy()
@@ -226,22 +238,18 @@ def picard_solve(
         for k in range(1, len(times)):
             integral = shift * integral + 0.5 * dtau * (shift * nl[k - 1] + nl[k])
             new[k] -= 0.5 * integral
+        if not np.abs(new).max() <= BLOWUP_CAP:  # and NaN
+            raise NoConvergence(
+                f"Picard iterate {len(distances) + 1} exceeds the blowup cap",
+                diagnostics=_picard_diagnostics(distances))
         weighted = (new - iterate) * i_symbol
-        dist = max(hs_norm(SpectralField(grid, row), alpha / 2.0)
-                   for row in weighted)
-        distances.append(dist)
+        distances.append(max(hs_norm(SpectralField(grid, row), alpha / 2.0)
+                             for row in weighted))
         iterate = new
-        if dist < PICARD_TOL:
-            converged = True
+        if distances[-1] < PICARD_TOL:
             break
-    ratios = [
-        distances[i + 1] / distances[i]
-        for i in range(len(distances) - 1)
-        if distances[i] > 100.0 * PICARD_TOL
-    ]
-    factor = max(ratios) if ratios else 0.0
-    diagnostics = PicardDiagnostics(distances, factor, converged)
-    if not converged:
+    diagnostics = _picard_diagnostics(distances)
+    if not distances[-1] < PICARD_TOL:
         raise NoConvergence(
             f"Picard iteration did not reach tol={PICARD_TOL} in "
             f"{PICARD_MAX_ITER} iterations",

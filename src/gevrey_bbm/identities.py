@@ -47,7 +47,6 @@ class Triad:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    k_max: int
     triads_tested: int
     all_equal: bool
     max_defect: int
@@ -146,8 +145,7 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
             left, right = power_sum(triad, k), factored_form(triad, k)
             if left != right:
                 raise _violation(triad, k, left, right)
-    return IdentityReport(k_max=k_max, triads_tested=tested,
-                          all_equal=True, max_defect=0)
+    return IdentityReport(triads_tested=tested, all_equal=True, max_defect=0)
 
 
 def symmetrized_weight(x1, x2, x3, sigma: float) -> np.ndarray:
@@ -167,11 +165,8 @@ def symmetrized_weight(x1, x2, x3, sigma: float) -> np.ndarray:
 class FabBoundCalibration:
     """Empirical constant for the sigma^{3/2} series bound."""
 
-    sigma: float
-    samples: int
     usable: int
     max_ratio: float
-    seed: int
 
 
 def check_fab_bound(samples: int, sigma: float,
@@ -209,9 +204,7 @@ def check_fab_bound(samples: int, sigma: float,
             raise InvalidInput(f"sigma = {sigma}: the envelope underflows to 0")
         ratios = np.abs(series) / envelope
     max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    return FabBoundCalibration(sigma=sigma, samples=samples,
-                               usable=int(np.sum(usable)),
-                               max_ratio=max_ratio, seed=seed)
+    return FabBoundCalibration(usable=int(np.sum(usable)), max_ratio=max_ratio)
 
 
 def fractional_bound_exponents(alpha: float) -> tuple[float, float, float]:

@@ -71,8 +71,8 @@ class GevreyWeight:
 
 def phi_symbol(xi, alpha: float):
     """Dispersive symbol i*xi / (1 + |xi|^alpha) of d_x(1 + D^alpha)^{-1}."""
-    if alpha < 1:
-        raise InvalidInput(f"alpha must be >= 1, got {alpha}")
+    if not alpha > 1:
+        raise InvalidInput(f"alpha must be > 1, got {alpha}")
     xi = np.asarray(xi, dtype=np.float64)
     # |xi|^alpha past the double range is inf, and phi there is 0, its limit
     with np.errstate(over="ignore"):

@@ -84,8 +84,8 @@ def energy(field: SpectralField, sigma: float, alpha: float) -> float:
 
     At sigma = 0: the flow's exact quadratic invariant (H^1 at alpha = 2).
     """
-    if alpha < 1:
-        raise InvalidInput(f"alpha must be >= 1, got {alpha}")
+    if not alpha > 1:
+        raise InvalidInput(f"alpha must be > 1, got {alpha}")
     if sigma < 0:
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
     xi = field.grid.wavenumbers

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gevrey_bbm import evolution
-from gevrey_bbm.errors import BlowupDetected, InvalidInput
+from gevrey_bbm.analytics import DEFAULT_NOISE_FLOOR, default_band, estimate_radius
+from gevrey_bbm.errors import BlowupDetected, InvalidInput, NoConvergence
 from gevrey_bbm.evolution import (
     INITIAL_DATA,
     cosine_data,
@@ -23,6 +24,7 @@ from gevrey_bbm.spectral import (
     Grid,
     SpectralField,
     forward_transform,
+    inverse_transform,
     zero_field,
 )
 
@@ -205,7 +207,7 @@ class TestLifespan:
 class TestPicardSolve:
     def test_zero_data_converges_immediately(self, grid64):
         traj, diag = picard_solve(zero_field(grid64), 1.0, 2.0, GevreyWeight(0.0))
-        assert diag.converged
+        assert diag.iterate_distances[-1] < evolution.PICARD_TOL
         assert len(diag.iterate_distances) == 1
         assert all(np.all(s.coeffs == 0) for s in traj.states)
 
@@ -214,7 +216,7 @@ class TestPicardSolve:
         weight = GevreyWeight(0.1)
         u0 = gaussian_data(grid, 0.1, 4.0)
         traj, diag = picard_solve(u0, 2.0, 2.0, weight)
-        assert diag.converged
+        assert diag.iterate_distances[-1] < evolution.PICARD_TOL
         assert diag.contraction_factor <= 0.5
         assert traj.times[-1] == pytest.approx(2.0)
 
@@ -246,6 +248,29 @@ class TestPicardSolve:
     def test_rejects_nonpositive_window(self, grid64):
         with pytest.raises(InvalidInput):
             picard_solve(zero_field(grid64), 0.0, 2.0, GevreyWeight(0.0))
+
+    @pytest.mark.parametrize("n_nodes, alpha", [(0, 2.0), (-3, 2.0), (16, 1.0)])
+    def test_inputs_checked_before_iterating(self, grid64, monkeypatch,
+                                             n_nodes, alpha):
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("picard_solve iterated")
+
+        monkeypatch.setattr(evolution, "_square", no_iteration)
+        with pytest.raises(InvalidInput):
+            picard_solve(zero_field(grid64), 1.0, alpha, GevreyWeight(0.0),
+                         n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("amplitude, delta", [(2.0, 10.0), (3.0, 40.0)])
+    def test_a_non_finite_iterate_is_no_convergence(self, amplitude, delta):
+        # a NaN row is never the max of the per-node distances, so without
+        # the cap check both runs end on a distance below the tolerance
+        # with non-finite states
+        u0 = gaussian_data(Grid(64), amplitude, 4.0)
+        with pytest.raises(NoConvergence) as info:
+            picard_solve(u0, delta, 2.0, GevreyWeight(0.1), n_nodes=16)
+        distances = info.value.diagnostics.iterate_distances
+        assert all(math.isfinite(d) for d in distances)
+        assert distances[-1] > evolution.PICARD_TOL
 
 
 class TestSimulate:
@@ -339,7 +364,6 @@ class TestInitialData:
     def test_profiles_are_real_and_centered(self, grid64):
         for factory in (gaussian_data, sech2_data):
             field = factory(grid64, 1.0, 4.0)
-            from gevrey_bbm.spectral import inverse_transform
             samples = inverse_transform(field)
             assert abs(np.argmax(samples) * grid64.dx - 32.0) <= grid64.dx
 
@@ -354,3 +378,40 @@ class TestInitialData:
         mags = np.abs(field.coeffs)
         live = set(grid64.mode_numbers[mags > 1e-10 * mags.max()].tolist())
         assert live == {3}
+
+
+class TestSolitaryWave:
+    """The exact BBM solitary wave (Benjamin, Bona & Mahony 1972),
+    u = 3(c-1) sech^2(k(x - x0 - ct)) with k = sqrt((c-1)/c)/2, at alpha = 2."""
+
+    c, T = 1.5, 10.0
+    grid = Grid(512, 128.0)
+
+    def wave(self, t):
+        k = 0.5 * math.sqrt((self.c - 1.0) / self.c)
+        x0 = self.grid.domain_length / 2.0 - self.c * self.T / 2.0
+        return 3.0 * (self.c - 1.0) / np.cosh(
+            k * (self.grid.points - x0 - self.c * t)) ** 2
+
+    def final_state(self, dt):
+        u0 = forward_transform(self.wave(0.0), self.grid)
+        params = ModelParams(2.0, self.grid, dt, self.T)
+        traj = simulate(u0, params, GevreyWeight(0.0),
+                        sample_every=round(self.T / dt))
+        return traj.states[-1]
+
+    def test_rk4_converges_to_the_wave_at_fourth_order(self):
+        exact = self.wave(self.T)
+        errors = [np.max(np.abs(inverse_transform(self.final_state(dt)) - exact))
+                  for dt in (0.08, 0.04, 0.02)]
+        assert errors[0] < 1e-6 and errors[1] < 7e-8 and errors[2] < 5e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
+
+    def test_radius_estimate_within_ten_percent(self):
+        # the exact radius is pi / (2k); the affine log-fit reads about 5% low
+        state = self.final_state(0.04)
+        lo, hi = default_band(state, DEFAULT_NOISE_FLOOR)
+        sigma_est, _ = estimate_radius(state, lo, hi)
+        exact = math.pi * math.sqrt(self.c / (self.c - 1.0))
+        assert abs(sigma_est - exact) <= 0.1 * exact

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gevrey_bbm.errors import InvalidInput
 from gevrey_bbm.multipliers import GevreyWeight, SymbolKind, apply_I
 from gevrey_bbm.norms import (
     LOG_DOMAIN_CROSSOVER,
@@ -195,6 +198,12 @@ class TestEnergy:
         expected = grid.dx * np.sum(u**2 + ux**2)
         assert energy(random_field, 0.0, 2.0) == pytest.approx(expected,
                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, math.nan])
+    def test_alpha_above_one_only(self, grid64, alpha):
+        # the same rule as ModelParams and phi_symbol
+        with pytest.raises(InvalidInput):
+            energy(zero_field(grid64), 0.1, alpha)
 
 
 class TestH1Invariant:
