@@ -157,10 +157,18 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
     defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
     An energy or a bound that overflows raises OverflowRisk.
     """
-    alpha, dt = params.alpha, params.dt
     windows = list(windows)
     if not windows:
         return []
+    window_steps = _window_steps(windows, params.dt)
+    (kept,) = _march([zero_nyquist(u0)], params, [set().union(*window_steps)])
+    return _defect_reports(u0, windows, window_steps, kept, params.alpha, c_cal)
+
+
+def _window_steps(windows, dt: float) -> list[list[int]]:
+    """The sample steps of each (sigma, delta) window: every
+    n_steps // DEFECT_SAMPLES steps of its n_steps = round(delta/dt), and
+    the last."""
     window_steps = []
     for _, delta in windows:
         if not 0 < delta < math.inf:
@@ -170,7 +178,13 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
             raise InvalidInput(f"delta = {delta} rounds to zero steps of dt = {dt}")
         window_steps.append(_sample_steps(n_steps,
                                           max(n_steps // DEFECT_SAMPLES, 1)))
-    kept = _march(zero_nyquist(u0), params, set().union(*window_steps))
+    return window_steps
+
+
+def _defect_reports(u0: SpectralField, windows, window_steps, kept,
+                    alpha: float, c_cal: float) -> list[ConservationReport]:
+    """The ConservationReport of each window, from the kept states of u0's
+    flow at its sample steps (see measure_defects)."""
     _, beta, _ = fractional_bound_exponents(alpha)
     reports = []
     for (sigma, delta), steps in zip(windows, window_steps):
@@ -514,23 +528,30 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
 
     C2 is the maximum of defect_abs / (delta * sigma^beta * ||I u0||^3)
     over a small suite of initial data and sigma values, doubled for margin.
-    Each sigma has its own window, the lifespan 1 / (8 C1 ||I u0||); the
-    windows of one initial datum are read off a single measure_defects run.
+    Each sigma has its own window, the lifespan 1 / (8 C1 ||I u0||).  The
+    suite is stepped as one batched RK4 run, each datum to its own longest
+    window, and every window is read off its datum's kept states as
+    measure_defects reads them.
     """
     grid = Grid(n_points, domain_length)
     weight = GevreyWeight(sigma_ref)
     c1 = calibrate_bilinear_constant(CALIBRATION_SAMPLES, weight, alpha, grid,
                                      seed=seed)
-    worst = 0.0
     suite = [gaussian_data(grid, 0.5, 4.0), gaussian_data(grid, 1.0, 2.0),
              sech2_data(grid, 0.5, 3.0)]
-    for u0 in suite:
-        windows = [(sigma, lifespan(u0, GevreyWeight(sigma), alpha, c1))
-                   for sigma in (0.05, 0.1, 0.3)]
-        params = ModelParams(alpha, grid, CALIBRATION_DT,
-                             max(delta for _, delta in windows))
+    suite_windows = [[(sigma, lifespan(u0, GevreyWeight(sigma), alpha, c1))
+                      for sigma in (0.05, 0.1, 0.3)] for u0 in suite]
+    suite_steps = [_window_steps(windows, CALIBRATION_DT)
+                   for windows in suite_windows]
+    params = ModelParams(alpha, grid, CALIBRATION_DT,
+                         max(delta for windows in suite_windows
+                             for _, delta in windows))
+    runs = _march([zero_nyquist(u0) for u0 in suite], params,
+                  [set().union(*steps) for steps in suite_steps])
+    worst = 0.0
+    for u0, windows, steps, kept in zip(suite, suite_windows, suite_steps, runs):
         # at c_cal = 1 the predicted bound is delta * sigma^beta * ||I u0||^3
-        for report in measure_defects(u0, windows, params):
+        for report in _defect_reports(u0, windows, steps, kept, alpha, 1.0):
             worst = max(worst, report.defect_abs / report.predicted_bound)
     return Calibration(c1=float(c1), c2=float(2.0 * worst), alpha=alpha,
                        sigma_ref=sigma_ref, n_points=n_points,

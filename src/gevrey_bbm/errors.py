@@ -24,11 +24,14 @@ class OverflowRisk(GevreyBBMError):
 
 
 class BlowupDetected(GevreyBBMError):
-    """A simulated coefficient became non-finite or exceeded the blowup cap."""
+    """A simulated coefficient became non-finite or exceeded the blowup cap;
+    row names the run of a batched march it happened in."""
 
-    def __init__(self, time, message=None):
+    def __init__(self, time, row=None):
         self.time = time
-        super().__init__(message or f"non-finite state detected at t={time}")
+        self.row = row
+        where = "" if row is None else f" in row {row}"
+        super().__init__(f"non-finite state detected at t={time}{where}")
 
 
 class NoConvergence(GevreyBBMError):

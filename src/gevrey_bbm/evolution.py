@@ -21,15 +21,26 @@ MAX_SAMPLES of them) and ``analytics.measure_defects`` on the union of its
 windows' sample steps; neither takes more than MAX_STEPS steps.
 ``picard_solve`` squares every time node in one batched ``_square`` call.
 
+``_march`` has a batch axis: it takes several initial states on one grid,
+each with its own step set.  A single state is stepped as its 1-D array.
+Several are stacked to shape (rows, n/2+1) and stepped as one array, which
+the kernel handles unchanged, because it works along the last axis and
+batched real FFTs give each row bit for bit its single-row result.  Each
+row stops at its own last step: the stack is re-sliced without it, with a
+fresh workspace, so no row takes a step past its own.  A blowup names the
+first failing row.  ``analytics.run_calibration`` steps its three initial
+data this way.
+
 The kernel allocates nothing it does not return.  A ``_workspace`` holds
 the four RK4 stages, the stage input and the real samples; the FFTs write
 into it through ``out=`` and every scaling, the square and the stage
-combinations are in-place ufuncs.  ``_march`` makes one workspace per run;
-``step_rk4``, ``rhs`` and ``picard_solve`` get fresh buffers per call.  The
-ufuncs take their operands in the order of the plain expressions, so every
-state is bit for bit what the allocating formula gives.  The new state of
-a step is the one fresh array, so no kept state shares memory with the
-workspace.
+combinations are in-place ufuncs.  ``_march`` makes one workspace per
+stack; ``step_rk4``, ``rhs`` and ``picard_solve`` get fresh buffers per
+call.  The ufuncs take their operands in the order of the plain
+expressions, so every state is bit for bit what the allocating formula
+gives.  The new state of a step is the one fresh array, and a batched row
+is kept as a copy of its row, so no kept state shares memory with the
+workspace or with another kept state.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ import numpy as np
 
 from .errors import BlowupDetected, InvalidInput, NoConvergence, _overflow_guard
 from .multipliers import GevreyWeight, ModelParams, phi_symbol
-from .norms import NormReport, gevrey_norm, hs_norm, norm_report
+from .norms import NormReport, _hs_norms, gevrey_norm, norm_report
 from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
 
 BLOWUP_CAP = 1e12
@@ -243,8 +254,7 @@ def picard_solve(
                 f"Picard iterate {len(distances) + 1} exceeds the blowup cap",
                 diagnostics=_picard_diagnostics(distances))
         weighted = (new - iterate) * i_symbol
-        distances.append(max(hs_norm(SpectralField(grid, row), alpha / 2.0)
-                             for row in weighted))
+        distances.append(float(np.max(_hs_norms(grid, weighted, alpha / 2.0))))
         iterate = new
         if distances[-1] < PICARD_TOL:
             break
@@ -283,30 +293,50 @@ def _sample_steps(n_steps: int, every: int) -> list[int]:
     return sorted(set(range(0, n_steps + 1, every)) | {n_steps})
 
 
-def _march(u0: SpectralField, params: ModelParams, steps) -> dict[int, SpectralField]:
-    """RK4 from u0 to the largest of steps, keeping u0 (step 0) and the
-    state at each of steps.
+def _march(u0s: list[SpectralField], params: ModelParams,
+           steps) -> list[dict[int, SpectralField]]:
+    """RK4 from each initial state in u0s to the largest step of its own step
+    set in steps, keeping the state (step 0 included) at each of them; one
+    kept-state dict per state.
 
-    Only the requested states are stored, so memory follows len(steps), not
-    the number of steps taken.  Raises BlowupDetected as soon as a
+    A single state is stepped as its 1-D array.  Several are stacked to shape
+    (rows, n/2+1) and stepped together; a row leaves the stack after its last
+    step, so no row steps past it.  Only the requested states are stored, so
+    memory follows the kept steps, not the steps taken.  Raises
+    BlowupDetected, naming the row when there are several, as soon as a
     coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1.
     """
     grid, dt = params.grid, params.dt
     minus_phi = -phi_symbol(grid.wavenumbers, params.alpha)
-    wanted = set(steps)
-    last = max(wanted)
-    if last > 0:
+    wanted = [set(s) for s in steps]
+    lasts = [max(w) for w in wanted]
+    if max(lasts) > 0:
         _warn_if_unstable(dt, minus_phi, stacklevel=4)
-    kept = {0: u0}
-    coeffs = u0.coeffs
-    work = _workspace(coeffs.shape, grid)
-    modulus = work[-1][:coeffs.size]  # the samples are free between steps
-    for step in range(1, last + 1):
-        coeffs = _rk4(coeffs, dt, grid, minus_phi, work)
-        if not np.abs(coeffs, out=modulus).max() <= BLOWUP_CAP:  # and NaN
-            raise BlowupDetected(step * dt)
-        if step in wanted:
-            kept[step] = SpectralField(grid, coeffs)
+    kept = [{0: u0} for u0 in u0s]
+    live = [row for row, last in enumerate(lasts) if last > 0]
+    rows = [u0s[row].coeffs for row in live]
+    first = 1
+    while live:
+        # the live rows, stacked; a lone row stays 1-D
+        coeffs = rows[0] if len(rows) == 1 else np.stack(rows)
+        work = _workspace(coeffs.shape, grid)
+        modulus = work[-1][..., :coeffs.shape[-1]]  # samples are free between steps
+        stop = min(lasts[row] for row in live)
+        for step in range(first, stop + 1):
+            coeffs = _rk4(coeffs, dt, grid, minus_phi, work)
+            # a max per row costs about 2% of a step at n = 1024, so it is
+            # taken only to name the row once the max over the stack fails
+            if not np.abs(coeffs, out=modulus).max() <= BLOWUP_CAP:  # and NaN
+                row = live[int(np.argmin(modulus.max(axis=-1) <= BLOWUP_CAP))]
+                raise BlowupDetected(step * dt, row if len(u0s) > 1 else None)
+            for i, row in enumerate(live):
+                if step in wanted[row]:
+                    state = coeffs if coeffs.ndim == 1 else coeffs[i].copy()
+                    kept[row][step] = SpectralField(grid, state)
+        stacked = coeffs if coeffs.ndim == 2 else [coeffs]
+        rows = [state for state, row in zip(stacked, live) if lasts[row] > stop]
+        live = [row for row in live if lasts[row] > stop]
+        first = stop + 1
     return kept
 
 
@@ -322,7 +352,7 @@ def simulate(
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
     steps = _sample_steps(_step_count(params.t_end, params.dt), sample_every)
     times = [step * params.dt for step in steps]
-    kept = _march(zero_nyquist(u0), params, steps)
+    (kept,) = _march([zero_nyquist(u0)], params, [steps])
     states = [kept[step] for step in steps]
     with _overflow_guard("the energy"):
         reports = [norm_report(s, weight, params.alpha) for s in states]

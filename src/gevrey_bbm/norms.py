@@ -26,16 +26,16 @@ import numpy as np
 
 from .errors import InvalidInput
 from .multipliers import GevreyWeight, SymbolKind, apply_I
-from .spectral import SpectralField
+from .spectral import Grid, SpectralField
 
 LOG_DOMAIN_CROSSOVER = 300.0
 
 
-def _weighted_sqrt_sum(field: SpectralField, weights) -> float:
-    """sqrt(parseval_weight * sum(multiplicity * weights * |coeffs|^2)),
-    in linear scale."""
-    total = np.sum(field.grid.multiplicity * weights * np.abs(field.coeffs) ** 2)
-    return float(np.sqrt(field.grid.parseval_weight * total))
+def _weighted_sqrt_sum(grid: Grid, coeffs: np.ndarray, weights) -> np.ndarray:
+    """sqrt(parseval_weight * sum(multiplicity * weights * |coeffs|^2)) of
+    raw half-spectra, summed along the last axis, in linear scale."""
+    total = np.sum(grid.multiplicity * weights * np.abs(coeffs) ** 2, axis=-1)
+    return np.sqrt(grid.parseval_weight * total)
 
 
 def _log_weighted_sum(field: SpectralField, log_weights: np.ndarray) -> float:
@@ -55,13 +55,17 @@ def _log_weighted_sum(field: SpectralField, log_weights: np.ndarray) -> float:
 
 def l2_norm(field: SpectralField) -> float:
     """L^2 norm of the physical field, computed spectrally (Parseval)."""
-    return _weighted_sqrt_sum(field, 1.0)
+    return float(_weighted_sqrt_sum(field.grid, field.coeffs, 1.0))
+
+
+def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """hs_norm of each half-spectrum along the last axis of coeffs."""
+    return _weighted_sqrt_sum(grid, coeffs, (1.0 + grid.wavenumbers) ** (2.0 * s))
 
 
 def hs_norm(field: SpectralField, s: float) -> float:
     """Sobolev H^s norm with weight (1+|xi|)^{2s}."""
-    xi = field.grid.wavenumbers
-    return _weighted_sqrt_sum(field, (1.0 + xi) ** (2.0 * s))
+    return float(_hs_norms(field.grid, field.coeffs, s))
 
 
 def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:

@@ -204,8 +204,8 @@ class TestMeasureDefect:
     def test_one_run_keeps_only_the_union_of_sample_steps(self, grid64, monkeypatch):
         runs, steps = [], []
 
-        def counting_march(u0, params, wanted):
-            runs.append(evolution._march(u0, params, wanted))
+        def counting_march(u0s, params, wanted):
+            runs.append(evolution._march(u0s, params, wanted))
             return runs[-1]
 
         def counting_rk4(*args):
@@ -222,7 +222,8 @@ class TestMeasureDefect:
             union |= set(range(0, n_steps + 1, n_steps // 40)) | {n_steps}
         assert len(runs) == 1
         assert len(steps) == 205
-        assert sorted(runs[0]) == sorted(union)
+        (kept,) = runs[0]
+        assert sorted(kept) == sorted(union)
 
     def test_kept_states_are_distinct_arrays_of_the_step_loop(self, grid64,
                                                               monkeypatch):
@@ -235,7 +236,7 @@ class TestMeasureDefect:
         monkeypatch.setattr(analytics, "_march", keeping_march)
         u0 = gaussian_data(grid64, 0.5, 4.0)
         measure_defects(u0, self.WINDOWS[:3], ModelParams(2.0, grid64, 1e-2, 1.0))
-        (kept,) = runs
+        ((kept,),) = runs
         arrays = [kept[step].coeffs for step in sorted(kept)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
@@ -466,8 +467,8 @@ class TestRunCalibration:
         runs, steps = [], []
 
         def counting_march(*args):
-            runs.append(args)
-            return evolution._march(*args)
+            runs.append((args, evolution._march(*args)))
+            return runs[-1][1]
 
         def counting_rk4(*args):
             steps.append(None)
@@ -477,9 +478,11 @@ class TestRunCalibration:
         monkeypatch.setattr(analytics, "_march", counting_march)
         monkeypatch.setattr(evolution, "_rk4", counting_rk4)
         analytics.run_calibration()
-        # one run per initial datum, each to its longest sigma window
-        assert len(runs) == 3
-        assert len(steps) == 3377
+        # one batched run of the three data, each to its longest sigma window
+        (((u0s, _, wanted), kept),) = runs
+        assert len(u0s) == len(wanted) == len(kept) == 3
+        assert len(steps) == 1367
+        assert [max(states) for states in kept] == [1259, 751, 1367]
 
 
 class TestCalibrationFile:

@@ -245,6 +245,34 @@ class TestPicardSolve:
         got = np.array([s.coeffs for s in traj.states])
         assert np.max(np.abs(got - iterate)) <= 1e-13 * np.max(np.abs(iterate))
 
+    @pytest.mark.parametrize("n_nodes", [8, 64])
+    def test_distances_equal_the_per_node_loop_bitwise(self, n_nodes):
+        grid = Grid(128)
+        weight = GevreyWeight(0.1)
+        u0 = gaussian_data(grid, 0.3, 4.0)
+        _, diag = picard_solve(u0, 2.0, 2.0, weight, n_nodes=n_nodes)
+        # picard_solve's iteration, with one hs_norm per time node
+        symbol = phi_symbol(grid.wavenumbers, 2.0)
+        times = np.linspace(0.0, 2.0, n_nodes + 1)
+        dtau = times[1] - times[0]
+        shift = np.exp(-dtau * symbol)
+        free = np.exp(-np.outer(times, symbol)) * u0.coeffs[None, :]
+        i_symbol = weight.symbol(grid.wavenumbers)
+        iterate, distances = free, []
+        for _ in diag.iterate_distances:
+            nl = symbol * evolution._square(iterate, grid)
+            new = free.copy()
+            integral = np.zeros_like(nl[0])
+            for k in range(1, n_nodes + 1):
+                integral = shift * integral + 0.5 * dtau * (shift * nl[k - 1] + nl[k])
+                new[k] -= 0.5 * integral
+            weighted = (new - iterate) * i_symbol
+            distances.append(max(hs_norm(SpectralField(grid, row), 1.0)
+                                 for row in weighted))
+            iterate = new
+        assert len(distances) > 3
+        assert distances == diag.iterate_distances
+
     def test_rejects_nonpositive_window(self, grid64):
         with pytest.raises(InvalidInput):
             picard_solve(zero_field(grid64), 0.0, 2.0, GevreyWeight(0.0))
@@ -355,6 +383,105 @@ class TestSimulate:
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
         with pytest.raises(InvalidInput):
             simulate(zero_field(grid64), params, GevreyWeight(0.0), sample_every=0)
+
+
+class TestBatchedMarch:
+    # last steps 20, 11, 0, 20 and 11: rows of different lengths, two pairs
+    # that leave the stack at the same step and a row that takes no step
+    STEPS = [{0, 3, 7, 20}, {5, 11}, {0}, range(0, 21, 4), {2, 9, 11}]
+
+    def data(self, grid):
+        return [gaussian_data(grid, 0.5, 4.0), sech2_data(grid, 0.5, 3.0),
+                cosine_data(grid, 0.3, 2), gaussian_data(grid, 1.0, 2.0),
+                gaussian_data(grid, 0.2, 6.0)]
+
+    def test_rows_equal_single_runs_bitwise(self, grid64):
+        params = ModelParams(2.0, grid64, 0.05, 1.0)
+        u0s = self.data(grid64)
+        batched = evolution._march(u0s, params, self.STEPS)
+        assert len(batched) == len(u0s)
+        assert batched[2] == {0: u0s[2]}
+        for u0, steps, kept in zip(u0s, self.STEPS, batched):
+            (single,) = evolution._march([u0], params, [steps])
+            assert sorted(kept) == sorted(single) == sorted(set(steps) | {0})
+            for step, state in single.items():
+                assert kept[step].coeffs.tobytes() == state.coeffs.tobytes()
+
+    def test_kept_states_share_no_memory(self, grid64, monkeypatch):
+        spaces = []
+
+        def recording_workspace(*args):
+            spaces.append(workspace(*args))
+            return spaces[-1]
+
+        workspace = evolution._workspace
+        monkeypatch.setattr(evolution, "_workspace", recording_workspace)
+        params = ModelParams(2.0, grid64, 0.05, 1.0)
+        batched = evolution._march(self.data(grid64), params, self.STEPS)
+        # a fresh workspace for the five-row stack and for the two rows that
+        # step on past 11
+        assert [space[0].shape for space in spaces] == [(4, 33), (2, 33)]
+        arrays = [state.coeffs for kept in batched for state in kept.values()]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+            assert not any(np.shares_memory(a, buffer)
+                           for space in spaces for buffer in space)
+        # a kept row is its own array, not a view that holds the stack
+        assert all(state.coeffs.base is None
+                   for kept in batched for step, state in kept.items() if step)
+
+    def test_single_state_steps_its_1d_array(self, grid64, monkeypatch):
+        shapes = []
+
+        def recording_rk4(coeffs, *args):
+            shapes.append(coeffs.shape)
+            return rk4(coeffs, *args)
+
+        rk4 = evolution._rk4
+        monkeypatch.setattr(evolution, "_rk4", recording_rk4)
+        params = ModelParams(2.0, grid64, 0.05, 1.0)
+        (kept,) = evolution._march([gaussian_data(grid64, 0.5, 4.0)], params,
+                                   [{0, 4, 10}])
+        assert shapes == [(33,)] * 10
+        assert [kept[step].coeffs.shape for step in (0, 4, 10)] == [(33,)] * 3
+
+    def test_blowup_names_its_row(self, grid64, monkeypatch):
+        # row 0 leaves the stack after step 2; a NaN planted at step 6 in
+        # the first row of the remaining stack is in row 1
+        calls = []
+
+        def planting_rk4(*args):
+            out = rk4(*args)
+            calls.append(None)
+            if len(calls) == 6:
+                out[0, 3] = np.nan
+            return out
+
+        rk4 = evolution._rk4
+        monkeypatch.setattr(evolution, "_rk4", planting_rk4)
+        params = ModelParams(2.0, grid64, 0.05, 1.0)
+        with pytest.raises(BlowupDetected) as info:
+            evolution._march(self.data(grid64)[:3], params, [{2}, {10}, {10}])
+        assert info.value.row == 1 and info.value.time == 6 * 0.05
+        assert str(info.value) == f"non-finite state detected at t={6 * 0.05} in row 1"
+
+    def test_single_state_blowup_names_no_row(self, grid64):
+        coeffs = gaussian_data(grid64, 0.5, 4.0).coeffs.copy()
+        coeffs[3] = np.nan
+        params = ModelParams(2.0, grid64, 1e-2, 1.0)
+        with pytest.raises(BlowupDetected) as info:
+            evolution._march([SpectralField(grid64, coeffs)], params, [{5}])
+        assert info.value.row is None
+        assert str(info.value) == "non-finite state detected at t=0.01"
+
+    def test_unstable_dt_warns_once_per_batch(self, grid64):
+        u0s = [gaussian_data(grid64, 0.01, 4.0), cosine_data(grid64, 0.01, 1)]
+        params = ModelParams(2.0, grid64, 2.5, 50.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolution._march(u0s, params, [{20}, {5, 12}])
+        assert len(caught) == 1
+        assert "dt*max|phi|" in str(caught[0].message)
 
 
 class TestInitialData:
