@@ -215,11 +215,15 @@ def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
 
     sigma values whose defect sits below the discretization floor (measured
     at sigma = 0 on the same trajectory) are dropped; fewer than 4 usable
-    points raises InsufficientData.  Returns (slope, per-sigma reports).
+    points raises InsufficientData; a repeated sigma, which leaves the fit
+    degenerate, raises InvalidInput.  Returns (slope, per-sigma reports).
     """
     sigma_list = sorted(float(s) for s in sigma_list)
     if len(sigma_list) < 2 or min(sigma_list) <= 0:
         raise InvalidInput("sigma_list must contain >= 2 positive values")
+    if len(set(sigma_list)) < len(sigma_list):
+        raise InvalidInput(f"sigma_list (sigma_grid) must not repeat a value, "
+                           f"got {sigma_list}")
     base, *reports = measure_defects(u0, [(s, delta) for s in [0.0] + sigma_list],
                                      params, c_cal=c_cal)
     floor = 10.0 * base.defect_abs + 1e-14

@@ -32,15 +32,15 @@ first failing row.  ``analytics.run_calibration`` steps its three initial
 data this way.
 
 The kernel allocates nothing it does not return.  A ``_workspace`` holds
-the four RK4 stages, the stage input and the real samples; the FFTs write
-into it through ``out=`` and every scaling, the square and the stage
-combinations are in-place ufuncs.  ``_march`` makes one workspace per
-stack; ``step_rk4``, ``rhs`` and ``picard_solve`` get fresh buffers per
-call.  The ufuncs take their operands in the order of the plain
-expressions, so every state is bit for bit what the allocating formula
-gives.  The new state of a step is the one fresh array, and a batched row
-is kept as a copy of its row, so no kept state shares memory with the
-workspace or with another kept state.
+the four RK4 stages, the stage input and the real samples; the FFTs, all
+through ``spectral._rfft``/``_irfft``, write into it through ``out=`` and
+every scaling, the square and the stage combinations are in-place
+ufuncs.  ``_march`` makes one workspace per stack; ``step_rk4``, ``rhs``
+and ``picard_solve`` get fresh buffers per call.  The ufuncs take their
+operands in the order of the plain expressions, so every state is bit for
+bit what the allocating formula gives.  The new state of a step is the
+one fresh array, and a batched row is kept as a copy of its row, so no
+kept state shares memory with the workspace or with another kept state.
 """
 
 from __future__ import annotations
@@ -54,14 +54,21 @@ import numpy as np
 from .errors import BlowupDetected, InvalidInput, NoConvergence, _overflow_guard
 from .multipliers import GevreyWeight, ModelParams, phi_symbol
 from .norms import NormReport, _hs_norms, gevrey_norm, norm_report
-from .spectral import Grid, SpectralField, forward_transform, zero_nyquist
+from .spectral import (
+    Grid,
+    SpectralField,
+    _irfft,
+    _rfft,
+    forward_transform,
+    zero_nyquist,
+)
 
 BLOWUP_CAP = 1e12
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
 MAX_SAMPLES = 10**6  # _sample_steps builds the sample set before stepping
-# _step_count's cap: about a day of _march at the fastest step measured,
-# 91-107 us at n = 8-64 on 2 cores
+# _step_count's cap: most of a day of _march at the fastest step measured,
+# 50-80 us at n = 8-64 on 2 cores
 MAX_STEPS = 10**9
 
 
@@ -108,10 +115,10 @@ def _square(coeffs: np.ndarray, grid: Grid, samples: np.ndarray | None = None,
     followed by dealias (which clears the Nyquist mode too), on raw arrays.
     """
     n, length = grid.n_points, grid.domain_length
-    samples = np.fft.irfft(coeffs, n, axis=-1, out=samples)
+    samples = _irfft(coeffs, n, out=samples)
     np.multiply(samples, n / length, out=samples)
     np.multiply(samples, samples, out=samples)
-    square = np.fft.rfft(samples, axis=-1, out=out)
+    square = _rfft(samples, out=out)
     np.multiply(square, length / n, out=square)
     square[..., grid.dealias_cutoff + 1:] = 0.0
     return square

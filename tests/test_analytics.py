@@ -266,9 +266,12 @@ class TestScalingFit:
                                0.5, params)
 
     def test_sigma_list_validated(self, grid64):
+        # a repeated sigma once fitted a slope through a poorly conditioned
+        # polyfit and exited 0
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
-        with pytest.raises(InvalidInput):
-            defect_scaling_fit(zero_field(grid64), [0.1], 1.0, params)
+        for sigmas in [0.1], [0.1, 0.1, 0.1, 0.1], [0.3, 0.1, 0.2, 0.1]:
+            with pytest.raises(InvalidInput):
+                defect_scaling_fit(zero_field(grid64), sigmas, 1.0, params)
 
     def test_simulates_once(self, grid64, monkeypatch):
         calls = []

@@ -193,10 +193,11 @@ class TestConfigHandling:
         ["simulate", "--noise_floor", "-1"],
         ["simulate", "--width", "0"],
         ["conservation", "--width", "0"],
+        ["conservation", "--sigma_grid", "0.1,0.1,0.1,0.1"],
     ])
     def test_out_of_range_value_exits_2(self, argv, capsys):
         # a negative noise floor once fitted log|0|; a zero width made a
-        # non-finite state
+        # non-finite state; a repeated sigma once fitted a meaningless slope
         assert main([*argv, "--n_points", "64", "--dt", "0.01", "--t_end",
                      "0.1", "--sample_every", "1", "--delta", "0.1"]) == 2
         err = capsys.readouterr().err

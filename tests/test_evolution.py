@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from gevrey_bbm import evolution
-from gevrey_bbm.analytics import DEFAULT_NOISE_FLOOR, default_band, estimate_radius
+from gevrey_bbm.analytics import (
+    DEFAULT_NOISE_FLOOR,
+    default_band,
+    estimate_radius,
+    measure_defects,
+)
 from gevrey_bbm.errors import BlowupDetected, InvalidInput, NoConvergence
 from gevrey_bbm.evolution import (
     INITIAL_DATA,
@@ -94,6 +99,25 @@ class TestInPlaceKernel:
             want = allocating_rk4(want, 0.05, grid, symbol)
             assert got.tobytes() == want.tobytes()
             assert not any(np.shares_memory(got, buffer) for buffer in work)
+
+
+def test_no_run_calls_the_np_fft_wrapper(grid64, monkeypatch):
+    # every FFT goes to numpy's kernels through spectral._rfft and _irfft;
+    # the np.fft wrapper costs more than the transform at small n
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft wrapper called")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    u0 = gaussian_data(grid64, 0.5, 4.0)  # forward_transform
+    inverse_transform(u0)
+    params = ModelParams(2.0, grid64, 0.05, 0.2)
+    simulate(u0, params, GevreyWeight(0.1))
+    u0s = [u0, sech2_data(grid64, 0.5, 3.0), cosine_data(grid64, 0.3, 2)]
+    kept = evolution._march(u0s, params, [{0, 2}, {4}, {1, 3}])
+    assert [sorted(k) for k in kept] == [[0, 2], [0, 4], [0, 1, 3]]
+    measure_defects(u0, [(0.1, 0.2)], params)
+    picard_solve(u0, 0.2, 2.0, GevreyWeight(0.1), n_nodes=8)
 
 
 class TestRhs:

@@ -8,6 +8,8 @@ from gevrey_bbm.norms import l2_norm
 from gevrey_bbm.spectral import (
     Grid,
     SpectralField,
+    _irfft,
+    _rfft,
     dealias,
     forward_transform,
     inverse_transform,
@@ -122,6 +124,48 @@ class TestInverseTransform:
         reference = np.fft.ifft(full).real * (n / 10.0)
         back = inverse_transform(SpectralField(grid, coeffs))
         assert np.max(np.abs(back - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+class TestPrivateKernels:
+    """_rfft and _irfft call numpy's private pocketfft gufuncs, the kernels
+    behind np.fft.rfft/irfft; they must stay bit for bit np.fft's result."""
+
+    @staticmethod
+    def inputs(n, rng):
+        """1-D and (3, .) inputs, each also as a strided (non-contiguous) view."""
+        m = n // 2 + 1
+        samples = rng.standard_normal((3, 2 * n))
+        coeffs = rng.standard_normal((3, 2 * m)) + 1j * rng.standard_normal((3, 2 * m))
+        # imaginary parts at j = 0 and j = n/2, which irfft must ignore
+        assert np.all(coeffs[:, [0, m - 1]].imag != 0)
+        for rows in (0, slice(None)):
+            yield samples[rows, :n], coeffs[rows, :m]
+            yield samples[rows, ::2], coeffs[rows, ::2]
+
+    @pytest.mark.parametrize("n", [8, 128, 1024])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_rfft_is_np_fft_bitwise(self, n, given_out, rng):
+        for samples, _ in self.inputs(n, rng):
+            want = np.fft.rfft(samples)
+            out = np.empty_like(want) if given_out else None
+            got = _rfft(samples, out=out)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert out is None or got is out
+
+    @pytest.mark.parametrize("n", [8, 128, 1024])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_irfft_is_np_fft_bitwise(self, n, given_out, rng):
+        for _, coeffs in self.inputs(n, rng):
+            want = np.fft.irfft(coeffs, n)
+            out = np.empty_like(want) if given_out else None
+            got = _irfft(coeffs, n, out=out)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert out is None or got is out
+            real_ends = coeffs.copy()
+            real_ends[..., [0, n // 2]] = real_ends[..., [0, n // 2]].real
+            assert got.tobytes() == np.fft.irfft(real_ends, n).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
