@@ -110,10 +110,13 @@ def _finite(text: str) -> float:
 
 
 def _grid_values(text: str) -> list[float]:
-    """The values of a comma-separated grid; none is a config error."""
+    """The values of a comma-separated grid; none, or a repeated one (its
+    result would be computed again and overwritten), is a config error."""
     values = [_finite(x) for x in text.split(",") if x.strip()]
     if not values:
         raise errors.InvalidInput("no values")
+    if len(set(values)) < len(values):
+        raise errors.InvalidInput("a value repeats")
     return values
 
 

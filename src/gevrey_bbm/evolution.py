@@ -14,12 +14,14 @@ Both run on one private kernel over raw half-spectrum arrays (the last
 axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
 rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
 and ``_rk4`` one step.  ``rhs`` and ``step_rk4`` are thin ``SpectralField``
-wrappers over it.  ``_march`` is the one stepping loop: it computes -phi
-once and keeps a ``SpectralField`` only at a given set of steps.
-``simulate`` runs it on every ``sample_every``-th step (at most
-MAX_SAMPLES of them) and ``analytics.measure_defects`` on the union of its
-windows' sample steps; neither takes more than MAX_STEPS steps.
-``picard_solve`` squares every time node in one batched ``_square`` call.
+wrappers over it.  ``_minus_phi`` builds -phi and max|phi| once per
+(grid, alpha) and caches them read-only; ``_march``, ``step_rk4`` and
+``rhs`` all read that cache.  ``_march`` is the one stepping loop: it
+keeps a ``SpectralField`` only at a given set of steps.  ``simulate`` runs
+it on every ``sample_every``-th step (at most MAX_SAMPLES of them) and
+``analytics.measure_defects`` on the union of its windows' sample steps;
+neither takes more than MAX_STEPS steps.  ``picard_solve`` squares every
+time node in one batched ``_square`` call.
 
 ``_march`` has a batch axis: it takes several initial states on one grid,
 each with its own step set.  A single state is stepped as its 1-D array.
@@ -31,20 +33,30 @@ fresh workspace, so no row takes a step past its own.  A blowup names the
 first failing row.  ``analytics.run_calibration`` steps its three initial
 data this way.
 
-The kernel allocates nothing it does not return.  A ``_workspace`` holds
-the four RK4 stages, the stage input and the real samples; the FFTs, all
-through ``spectral._rfft``/``_irfft``, write into it through ``out=`` and
-every scaling, the square and the stage combinations are in-place
-ufuncs.  ``_march`` makes one workspace per stack; ``step_rk4``, ``rhs``
-and ``picard_solve`` get fresh buffers per call.  The ufuncs take their
-operands in the order of the plain expressions, so every state is bit for
-bit what the allocating formula gives.  The new state of a step is the
-one fresh array, and a batched row is kept as a copy of its row, so no
-kept state shares memory with the workspace or with another kept state.
+The kernel allocates nothing it does not return, and at small n a step
+pays for its arithmetic, not for numpy's set-up of its 46 calls.  A
+``_workspace`` is built once per run with what every step would otherwise
+rebuild: the four RK4 stages as one (4, ...) array, the stage input, the
+real samples, prebuilt views of the stages' rows and dealias tails, and
+every scalar of a step as a 0-d array (a ufunc converts a Python float on
+every call).  The FFTs, all through ``spectral._rfft``/``_irfft``, write
+into it; every scaling, the square and the stage combinations are in-place
+ufuncs with ``out`` given positionally (cheaper than as a keyword); a tail
+is cleared by ``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on
+the middle rows and one ``np.add.reduce`` over the stages, which adds the
+rows in order.  ``_march`` makes one workspace per stack; ``step_rk4``,
+``rhs`` and ``picard_solve`` one per call.  The ufuncs take their operands
+in the order of the plain expressions, and 0.5 stays a separate factor
+(folded into L/n it would round differently in the subnormal range), so
+every state is bit for bit what the allocating formula gives.  The new
+state of a step is the one fresh array, and a batched row is kept as a
+copy of its row, so no kept state shares memory with the workspace or
+with another kept state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,6 +70,7 @@ from .spectral import (
     Grid,
     SpectralField,
     _irfft,
+    _read_only,
     _rfft,
     forward_transform,
     zero_nyquist,
@@ -67,8 +80,8 @@ BLOWUP_CAP = 1e12
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
 MAX_SAMPLES = 10**6  # _sample_steps builds the sample set before stepping
-# _step_count's cap: most of a day of _march at the fastest step measured,
-# 50-80 us at n = 8-64 on 2 cores
+# _step_count's cap: 10-20 hours of _march at the fastest step measured,
+# 35-70 us at n = 8-64 on 2 cores (the host's core speed drifts)
 MAX_STEPS = 10**9
 
 
@@ -98,69 +111,80 @@ class PicardDiagnostics:
     contraction_factor: float
 
 
-def _workspace(shape: tuple[int, ...], grid: Grid) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for RK4 on half-spectra of the given shape: the four
-    stages k1..k4, the stage input and the real samples of u."""
-    stages = tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
-    return stages + (np.empty(shape[:-1] + (grid.n_points,)),)
+def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
+    """Scratch for RK4 on half-spectra of the given shape, built once per run
+    so that a step makes no array but its new state and converts no Python
+    float.
+
+    In order: the stages k1..k4 as one (4, *shape) array and its middle
+    rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
+    (modes j > n/3); the real samples of u; n; and, as 0-d arrays, n/L,
+    L/n, 0.5, dt/2, dt, 2 and dt/6.  A lone _square or _rhs needs no dt.
+    """
+    n, length = grid.n_points, grid.domain_length
+    stages = np.empty((4, *shape), dtype=np.complex128)
+    rows = tuple(stages)
+    tails = tuple(k[..., grid.dealias_cutoff + 1:] for k in rows)
+    scalars = (n / length, length / n, 0.5, 0.5 * dt, dt, 2.0, dt / 6.0)
+    return (stages, stages[1:3], np.empty(shape, dtype=np.complex128), rows,
+            tails, np.empty(shape[:-1] + (n,)), n, *map(np.array, scalars))
 
 
-def _square(coeffs: np.ndarray, grid: Grid, samples: np.ndarray | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased u^2 of half-spectra along the last axis (any leading shape),
-    written into out; samples is the real scratch array.  Either may be None
-    for a fresh array.
+def _square(coeffs: np.ndarray, work: tuple, k: int) -> np.ndarray:
+    """Dealiased u^2 of half-spectra along the last axis (the shape of work),
+    written into stage k of work.
 
     The same arithmetic as forward_transform(inverse_transform(u)**2)
     followed by dealias (which clears the Nyquist mode too), on raw arrays.
     """
-    n, length = grid.n_points, grid.domain_length
-    samples = _irfft(coeffs, n, out=samples)
-    np.multiply(samples, n / length, out=samples)
-    np.multiply(samples, samples, out=samples)
-    square = _rfft(samples, out=out)
-    np.multiply(square, length / n, out=square)
-    square[..., grid.dealias_cutoff + 1:] = 0.0
+    rows, tails, samples, n, to_samples, to_coeffs = work[3:9]
+    _irfft(coeffs, n, samples)
+    np.multiply(samples, to_samples, samples)
+    np.multiply(samples, samples, samples)
+    square = _rfft(samples, rows[k])
+    np.multiply(square, to_coeffs, square)
+    tails[k].fill(0.0)
     return square
 
 
-def _rhs(coeffs: np.ndarray, grid: Grid, minus_phi: np.ndarray,
-         samples: np.ndarray | None = None,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """-phi(D)(u + u^2/2) on a raw half-spectrum, written into out."""
-    value = _square(coeffs, grid, samples, out)
-    np.multiply(0.5, value, out=value)  # 0.5 * u^2
-    np.add(coeffs, value, out=value)  # u + 0.5 * u^2
-    np.multiply(minus_phi, value, out=value)  # -phi * (u + 0.5 * u^2)
+def _rhs(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
+         k: int) -> np.ndarray:
+    """-phi(D)(u + u^2/2) on raw half-spectra, written into stage k of work."""
+    value = _square(coeffs, work, k)
+    np.multiply(work[9], value, value)  # 0.5 * u^2
+    np.add(coeffs, value, value)  # u + 0.5 * u^2
+    np.multiply(minus_phi, value, value)  # -phi * (u + 0.5 * u^2)
     return value
 
 
-def _rk4(coeffs: np.ndarray, dt: float, grid: Grid, minus_phi: np.ndarray,
-         work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """One classical RK4 step on raw half-spectra, using the scratch arrays
-    of work (a fresh _workspace when None).  Returns a new array."""
-    if work is None:
-        work = _workspace(coeffs.shape, grid)
-    k1, k2, k3, k4, stage, samples = work
-    _rhs(coeffs, grid, minus_phi, samples, k1)
-    for scale, k_in, k_out in ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3),
-                               (dt, k3, k4)):
-        np.multiply(scale, k_in, out=stage)
-        np.add(coeffs, stage, out=stage)
-        _rhs(stage, grid, minus_phi, samples, k_out)
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k2)  # k1 + 2*k2
-    np.multiply(2.0, k3, out=k3)
-    np.add(k2, k3, out=k3)  # k1 + 2*k2 + 2*k3
-    np.add(k3, k4, out=k4)  # k1 + 2*k2 + 2*k3 + k4
-    np.multiply(dt / 6.0, k4, out=k4)
-    return np.add(coeffs, k4)
+def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple) -> np.ndarray:
+    """One classical RK4 step of size dt on raw half-spectra, with the
+    scratch arrays and the dt of work.  Returns a new array."""
+    stages, middle, stage, rows, *_, half_dt, dt, two, sixth_dt = work
+    _rhs(coeffs, minus_phi, work, 0)
+    for k, scale in ((1, half_dt), (2, half_dt), (3, dt)):
+        np.multiply(scale, rows[k - 1], stage)
+        np.add(coeffs, stage, stage)
+        _rhs(stage, minus_phi, work, k)
+    np.multiply(two, middle, middle)  # 2*k2, 2*k3
+    # the rows in order: ((k1 + 2*k2) + 2*k3) + k4
+    np.add.reduce(stages, 0, None, stage)
+    np.multiply(sixth_dt, stage, stage)
+    return np.add(coeffs, stage)
 
 
-def _warn_if_unstable(dt: float, symbol: np.ndarray, stacklevel: int = 3) -> None:
+@functools.lru_cache(maxsize=64)
+def _minus_phi(grid: Grid, alpha: float) -> tuple[np.ndarray, float]:
+    """-phi on the grid's modes (read-only) and max|phi|, built once per
+    (grid, alpha)."""
+    symbol = phi_symbol(grid.wavenumbers, alpha)
+    return _read_only(-symbol), float(np.max(np.abs(symbol)))
+
+
+def _warn_if_unstable(dt: float, max_phi: float, stacklevel: int = 3) -> None:
     """Warn when dt*max|phi| >= 1.  The default stacklevel names the caller
     of the public function that calls this one directly."""
-    margin = dt * float(np.max(np.abs(symbol)))
+    margin = dt * max_phi
     if margin >= 1.0:
         warnings.warn(f"dt*max|phi| = {margin:.3g} >= 1; accuracy may degrade",
                       stacklevel=stacklevel)
@@ -168,8 +192,9 @@ def _warn_if_unstable(dt: float, symbol: np.ndarray, stacklevel: int = 3) -> Non
 
 def rhs(field: SpectralField, alpha: float) -> SpectralField:
     """-phi(D)(u + u^2/2), the full spectral right-hand side."""
-    symbol = phi_symbol(field.grid.wavenumbers, alpha)
-    return field.with_coeffs(_rhs(field.coeffs, field.grid, -symbol))
+    minus_phi, _ = _minus_phi(field.grid, alpha)
+    work = _workspace(field.coeffs.shape, field.grid)
+    return field.with_coeffs(_rhs(field.coeffs, minus_phi, work, 0).copy())
 
 
 def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
@@ -179,9 +204,10 @@ def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
         raise InvalidInput(f"dt must be >= 0, got {dt}")
     if dt == 0:
         return field
-    symbol = phi_symbol(field.grid.wavenumbers, alpha)
-    _warn_if_unstable(dt, symbol)
-    return field.with_coeffs(_rk4(field.coeffs, dt, field.grid, -symbol))
+    minus_phi, max_phi = _minus_phi(field.grid, alpha)
+    _warn_if_unstable(dt, max_phi)
+    work = _workspace(field.coeffs.shape, field.grid, dt)
+    return field.with_coeffs(_rk4(field.coeffs, minus_phi, work))
 
 
 def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) -> float:
@@ -248,9 +274,10 @@ def picard_solve(
     free = np.exp(-np.outer(times, symbol)) * u0.coeffs[None, :]
     iterate = free
     i_symbol = GevreyWeight(weight.sigma).symbol(xi)
+    work = _workspace(free.shape, grid)
     distances: list[float] = []
     for _ in range(PICARD_MAX_ITER):
-        nl = symbol * _square(iterate, grid)  # phi(D)(u^2) at every node
+        nl = symbol * _square(iterate, work, 0)  # phi(D)(u^2) at every node
         new = free.copy()
         integral = np.zeros_like(nl[0])
         for k in range(1, len(times)):
@@ -314,11 +341,11 @@ def _march(u0s: list[SpectralField], params: ModelParams,
     coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1.
     """
     grid, dt = params.grid, params.dt
-    minus_phi = -phi_symbol(grid.wavenumbers, params.alpha)
+    minus_phi, max_phi = _minus_phi(grid, params.alpha)
     wanted = [set(s) for s in steps]
     lasts = [max(w) for w in wanted]
     if max(lasts) > 0:
-        _warn_if_unstable(dt, minus_phi, stacklevel=4)
+        _warn_if_unstable(dt, max_phi, stacklevel=4)
     kept = [{0: u0} for u0 in u0s]
     live = [row for row, last in enumerate(lasts) if last > 0]
     rows = [u0s[row].coeffs for row in live]
@@ -326,14 +353,14 @@ def _march(u0s: list[SpectralField], params: ModelParams,
     while live:
         # the live rows, stacked; a lone row stays 1-D
         coeffs = rows[0] if len(rows) == 1 else np.stack(rows)
-        work = _workspace(coeffs.shape, grid)
-        modulus = work[-1][..., :coeffs.shape[-1]]  # samples are free between steps
+        work = _workspace(coeffs.shape, grid, dt)
+        modulus = work[5][..., :coeffs.shape[-1]]  # samples are free between steps
         stop = min(lasts[row] for row in live)
         for step in range(first, stop + 1):
-            coeffs = _rk4(coeffs, dt, grid, minus_phi, work)
+            coeffs = _rk4(coeffs, minus_phi, work)
             # a max per row costs about 2% of a step at n = 1024, so it is
             # taken only to name the row once the max over the stack fails
-            if not np.abs(coeffs, out=modulus).max() <= BLOWUP_CAP:  # and NaN
+            if not np.abs(coeffs, modulus).max() <= BLOWUP_CAP:  # and NaN
                 row = live[int(np.argmin(modulus.max(axis=-1) <= BLOWUP_CAP))]
                 raise BlowupDetected(step * dt, row if len(u0s) > 1 else None)
             for i, row in enumerate(live):

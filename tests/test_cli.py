@@ -422,6 +422,24 @@ class TestSweep:
         assert code == 2 and payload is None
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, command", [
+        ("alpha_grid", "sweep"), ("sigma_grid", "sweep"),
+        ("fab_sigmas", "verify-identities")])
+    def test_repeated_grid_value_exits_2(self, key, command, tmp_path,
+                                         monkeypatch, capsys):
+        # a repeated value was computed again and its result overwritten
+        # under the same key, at exit 0
+        def no_run(*args):
+            raise AssertionError("stepped a run")
+
+        monkeypatch.setattr(analytics, "_march", no_run)
+        code, payload = run(tmp_path, command, n_points=64, dt=5e-3, delta=0.5,
+                            **{key: "0.1,0.2,0.1" if key != "alpha_grid"
+                               else "2.0,3.0,2.00"})
+        assert code == 2 and payload is None
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "repeats" in err
+
     def test_simulates_once_per_alpha(self, tmp_path, monkeypatch):
         calls = []
 

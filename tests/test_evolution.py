@@ -34,16 +34,21 @@ from gevrey_bbm.spectral import (
 )
 
 
+def square(coeffs, grid):
+    """evolution._square into a fresh workspace."""
+    return evolution._square(coeffs, evolution._workspace(coeffs.shape, grid), 0)
+
+
 class TestNonlinearTerm:
     def test_zero(self, grid64):
-        assert np.all(evolution._square(zero_field(grid64).coeffs, grid64) == 0)
+        assert np.all(square(zero_field(grid64).coeffs, grid64) == 0)
 
     def test_cosine_squared_modes(self, grid64):
         # cos(kx)^2 = 1/2 + cos(2kx)/2: only j in {0, 2k} survive
         k = 3
         field = forward_transform(
             np.cos(2 * np.pi * k * grid64.points / 64.0), grid64)
-        out = evolution._square(field.coeffs, grid64)
+        out = square(field.coeffs, grid64)
         mags = np.abs(out)
         live = set(grid64.mode_numbers[mags > 1e-10 * mags.max()].tolist())
         assert live == {0, 2 * k}
@@ -51,7 +56,7 @@ class TestNonlinearTerm:
 
     def test_output_is_dealiased(self, random_field):
         grid = random_field.grid
-        out = evolution._square(random_field.coeffs, grid)
+        out = square(random_field.coeffs, grid)
         high = np.abs(grid.mode_numbers) > grid.dealias_cutoff
         assert np.all(out[high] == 0)
 
@@ -59,9 +64,9 @@ class TestNonlinearTerm:
         coeffs = (rng.standard_normal((5, 65))
                   + 1j * rng.standard_normal((5, 65)))
         coeffs[:, 0] = coeffs[:, 0].real
-        batched = evolution._square(coeffs, grid128)
+        batched = square(coeffs, grid128)
         for row, expected in zip(coeffs, batched):
-            single = evolution._square(row, grid128)
+            single = square(row, grid128)
             np.testing.assert_array_equal(single, expected)
 
 
@@ -92,13 +97,44 @@ class TestInPlaceKernel:
         u0 = gaussian_data(grid, 0.5, 4.0).coeffs
         coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
         symbol = phi_symbol(grid.wavenumbers, 2.0)
-        work = evolution._workspace(coeffs.shape, grid)
+        work = evolution._workspace(coeffs.shape, grid, 0.05)
         got = want = coeffs
         for _ in range(50):
-            got = evolution._rk4(got, 0.05, grid, -symbol, work)
+            got = evolution._rk4(got, -symbol, work)
             want = allocating_rk4(want, 0.05, grid, symbol)
             assert got.tobytes() == want.tobytes()
             assert not any(np.shares_memory(got, buffer) for buffer in work)
+
+
+class TestPhiCache:
+    def test_step_rk4_follows_each_calls_alpha_and_dt(self, grid128):
+        # one grid, alpha and dt alternating: every step must use its own
+        # call's -phi and scalars, never a cached earlier call's
+        state = gaussian_data(grid128, 0.5, 4.0)
+        want = state.coeffs
+        for step in range(8):
+            alpha, dt = (2.0, 3.0)[step % 2], (0.05, 0.02)[step // 2 % 2]
+            state = step_rk4(state, dt, alpha)
+            want = allocating_rk4(want, dt, grid128,
+                                  phi_symbol(grid128.wavenumbers, alpha))
+            assert state.coeffs.tobytes() == want.tobytes()
+
+    def test_cached_minus_phi_is_read_only(self, grid64):
+        minus_phi, max_phi = evolution._minus_phi(grid64, 2.0)
+        assert evolution._minus_phi(grid64, 2.0)[0] is minus_phi
+        assert max_phi == np.max(np.abs(phi_symbol(grid64.wavenumbers, 2.0)))
+        with pytest.raises(ValueError):
+            minus_phi[1] = 0.0
+
+    def test_unstable_dt_warns_on_every_step_rk4_call(self, grid64):
+        u0 = gaussian_data(grid64, 0.01, 4.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                step_rk4(u0, 2.5, 2.0)
+        assert len(caught) == 3
+        assert all("dt*max|phi|" in str(w.message) and w.filename == __file__
+                   for w in caught)
 
 
 def test_no_run_calls_the_np_fft_wrapper(grid64, monkeypatch):
@@ -123,6 +159,9 @@ def test_no_run_calls_the_np_fft_wrapper(grid64, monkeypatch):
 class TestRhs:
     def test_zero(self, grid64):
         assert np.all(rhs(zero_field(grid64), 2.0).coeffs == 0)
+
+    def test_result_holds_no_workspace(self, random_field):
+        assert rhs(random_field, 2.0).coeffs.base is None
 
     def test_preserves_reality(self, random_field):
         # a real DC entry is the one reality condition a half-spectrum can
@@ -257,7 +296,7 @@ class TestPicardSolve:
         free = np.exp(-np.outer(times, symbol)) * u0.coeffs
         iterate = free
         for _ in diag.iterate_distances:
-            nl = np.array([symbol * evolution._square(c, grid) for c in iterate])
+            nl = np.array([symbol * square(c, grid) for c in iterate])
             new = free.copy()
             for k in range(1, n_nodes + 1):
                 weights = np.full(k + 1, dtau)
@@ -284,7 +323,7 @@ class TestPicardSolve:
         i_symbol = weight.symbol(grid.wavenumbers)
         iterate, distances = free, []
         for _ in diag.iterate_distances:
-            nl = symbol * evolution._square(iterate, grid)
+            nl = symbol * square(iterate, grid)
             new = free.copy()
             integral = np.zeros_like(nl[0])
             for k in range(1, n_nodes + 1):
@@ -443,13 +482,14 @@ class TestBatchedMarch:
         params = ModelParams(2.0, grid64, 0.05, 1.0)
         batched = evolution._march(self.data(grid64), params, self.STEPS)
         # a fresh workspace for the five-row stack and for the two rows that
-        # step on past 11
-        assert [space[0].shape for space in spaces] == [(4, 33), (2, 33)]
+        # step on past 11; the stage input has the stack's shape
+        assert [space[2].shape for space in spaces] == [(4, 33), (2, 33)]
+        buffers = [buffer for space in spaces for buffer in space
+                   if isinstance(buffer, np.ndarray)]
         arrays = [state.coeffs for kept in batched for state in kept.values()]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
-            assert not any(np.shares_memory(a, buffer)
-                           for space in spaces for buffer in space)
+            assert not any(np.shares_memory(a, buffer) for buffer in buffers)
         # a kept row is its own array, not a view that holds the stack
         assert all(state.coeffs.base is None
                    for kept in batched for step, state in kept.items() if step)
