@@ -30,13 +30,13 @@ from .evolution import (
     sech2_data,
 )
 from .identities import fractional_bound_exponents, symmetrized_weight
-from .multipliers import GevreyWeight, ModelParams, apply_I, apply_phi
-from .norms import energy, gevrey_norm, hs_norm
+from .multipliers import GevreyWeight, ModelParams, phi_symbol
+from .norms import _energies, _gevrey_norms, _hs_norms, gevrey_norm
 from .spectral import (
     Grid,
     SpectralField,
-    dealias,
-    forward_transform,
+    _irfft,
+    _rfft,
     inverse_transform,
     zero_nyquist,
 )
@@ -148,8 +148,10 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
     same dt, so one RK4 run to the longest window serves them all.  A window
     of n_steps = round(delta/dt) steps is sampled every
     n_steps // DEFECT_SAMPLES steps and at its last step; the run keeps only
-    the states at the union of these sample steps.  params supplies alpha,
-    the grid and dt.
+    the states at the union of these sample steps.  The moduli of the kept
+    states are taken once, as one array, and each window's energies are one
+    batched sum over its rows (norms._energies, energy's formula).  params
+    supplies alpha, the grid and dt.
 
     defect is sup_t E(t) - E(0); defect_abs is sup_t |E(t) - E(0)| (the
     magnitude used for scaling fits, since the signed defect can vanish when
@@ -184,13 +186,17 @@ def _window_steps(windows, dt: float) -> list[list[int]]:
 def _defect_reports(u0: SpectralField, windows, window_steps, kept,
                     alpha: float, c_cal: float) -> list[ConservationReport]:
     """The ConservationReport of each window, from the kept states of u0's
-    flow at its sample steps (see measure_defects)."""
+    flow at its sample steps (see measure_defects).  The moduli of all kept
+    states are taken once, as one stacked array, and each window's energies
+    are one batched energy over its rows."""
     _, beta, _ = fractional_bound_exponents(alpha)
+    row = {step: i for i, step in enumerate(kept)}
+    mags = np.abs(np.stack([state.coeffs for state in kept.values()]))
     reports = []
     for (sigma, delta), steps in zip(windows, window_steps):
         with _overflow_guard(f"sigma = {sigma}: the energy or its bound"):
-            energies = np.array([energy(kept[step], sigma, alpha)
-                                 for step in steps])
+            energies = _energies(u0.grid, mags[[row[step] for step in steps]],
+                                 sigma, alpha)
             e0 = energies[0]
             defect = float(np.max(energies - e0))
             defect_abs = float(np.max(np.abs(energies - e0)))
@@ -246,22 +252,32 @@ def loglog_slope(x, y) -> float:
 # --- bilinear constant calibration ------------------------------------------
 
 
+def _random_fields(grid: Grid, rng: np.random.Generator,
+                   count: int) -> np.ndarray:
+    """The half-spectra, shape (count, n/2+1), of count random real fields
+    with modes confined to the alias-free band.
+
+    Each field draws the magnitudes and then the phases of every mode +-j in
+    FFT order, so the generator is consumed as by count single draws."""
+    n, length = grid.n_points, grid.domain_length
+    modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    xi = 2.0 * np.pi * modes / length
+    draws = rng.uniform([[0.1], [0.0]], [[1.0], [2.0 * np.pi]], (count, 2, n))
+    coeffs = draws[:, 0] * np.exp(-RANDOM_FIELD_DECAY * np.abs(xi))
+    coeffs = coeffs * np.exp(1j * draws[:, 1])
+    coeffs[:, np.abs(modes) > _active_band(grid)] = 0.0
+    # hermitian-symmetrize and rescale the modes j = 0..n/2; take, unlike
+    # fancy indexing, keeps the rows contiguous, so that a row's norm sums
+    # in the order of a single field's
+    mirror = np.conj(np.take(coeffs, -np.arange(n // 2 + 1) % n, axis=-1))
+    return 0.5 * (coeffs[:, :n // 2 + 1] + mirror) * length
+
+
 def random_band_limited_field(grid: Grid,
                               rng: np.random.Generator) -> SpectralField:
-    """Random real field with modes confined to the alias-free band."""
-    n = grid.n_points
-    band = _active_band(grid)
-    # draw every mode +-j in FFT order, symmetrize, then keep j = 0..n/2
-    modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    xi = 2.0 * np.pi * modes / grid.domain_length
-    mags = rng.uniform(0.1, 1.0, n) * np.exp(-RANDOM_FIELD_DECAY * np.abs(xi))
-    phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    coeffs = mags * np.exp(1j * phases)
-    coeffs[np.abs(modes) > band] = 0.0
-    # hermitian-symmetrize and rescale
-    mirror = np.conj(coeffs[(-np.arange(n)) % n])
-    coeffs = 0.5 * (coeffs + mirror) * grid.domain_length
-    return SpectralField(grid, coeffs[: n // 2 + 1])
+    """Random real field with modes confined to the alias-free band; one
+    draw of _random_fields."""
+    return SpectralField(grid, _random_fields(grid, rng, 1)[0])
 
 
 def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
@@ -270,28 +286,36 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
     """Max of ||phi(D) I(uv)||_{H^{a/2}} / (||Iu||_{H^{a/2}} ||Iv||_{H^{a/2}})
     over seeded random band-limited pairs; this is the constant feeding the
     lifespan formula.  Only weight.sigma enters: I is cosh(sigma D) in the
-    numerator and both denominators."""
+    numerator and both denominators.
+
+    The pairs are drawn as 2*samples fields, u then v of each pair, and
+    measured in one array pass: one inverse transform of the us and one of
+    the vs, one forward transform of their products, and one batched norm
+    for each of the numerator and the two denominators (gevrey_norm's).  A
+    pair with a zero denominator is skipped.
+    """
     if samples < 100:
         raise InvalidInput(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
-    cosh_weight = GevreyWeight(weight.sigma)
+    n, length = grid.n_points, grid.domain_length
+    xi = grid.wavenumbers
+    fields = _random_fields(grid, rng, 2 * samples)
+    us, vs = fields[0::2], fields[1::2]
     norm_weight = GevreyWeight(weight.sigma, s)
-    best = 0.0
-    for _ in range(samples):
-        u = random_band_limited_field(grid, rng)
-        v = random_band_limited_field(grid, rng)
-        nu = gevrey_norm(u, norm_weight)
-        nv = gevrey_norm(v, norm_weight)
-        if nu == 0.0 or nv == 0.0:
-            continue
-        product = forward_transform(
-            inverse_transform(u) * inverse_transform(v), grid
-        )
-        product = dealias(product)
-        num = hs_norm(apply_phi(apply_I(product, cosh_weight), alpha), s)
-        best = max(best, num / (nu * nv))
-    return best
+    nu = _gevrey_norms(grid, us, norm_weight)
+    nv = _gevrey_norms(grid, vs, norm_weight)
+    # the arithmetic of forward_transform(inverse_transform(u) *
+    # inverse_transform(v)), dealias, apply_I and apply_phi
+    product = _irfft(us, n) * (n / length)
+    product *= _irfft(vs, n) * (n / length)
+    product = _rfft(product) * (length / n)
+    product[:, grid.dealias_cutoff + 1:] = 0.0
+    product = product * GevreyWeight(weight.sigma).symbol(xi)
+    num = _hs_norms(grid, product * phi_symbol(xi, alpha), s)
+    usable = (nu != 0.0) & (nv != 0.0)
+    ratios = num[usable] / (nu[usable] * nv[usable])
+    return float(np.max(ratios, initial=0.0))
 
 
 # --- analytic-radius estimation ---------------------------------------------

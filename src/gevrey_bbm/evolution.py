@@ -21,7 +21,9 @@ keeps a ``SpectralField`` only at a given set of steps.  ``simulate`` runs
 it on every ``sample_every``-th step (at most MAX_SAMPLES of them) and
 ``analytics.measure_defects`` on the union of its windows' sample steps;
 neither takes more than MAX_STEPS steps.  ``picard_solve`` squares every
-time node in one batched ``_square`` call.
+time node in one batched ``_square`` call and sums the trapezoid over the
+nodes as one cumulative sum in the interaction picture, so an iteration has
+no loop over its nodes.
 
 ``_march`` has a batch axis: it takes several initial states on one grid,
 each with its own step set.  A single state is stepped as its 1-D array.
@@ -248,12 +250,14 @@ def picard_solve(
 
     Gamma(u)(t) = S(t) u0 - (1/2) int_0^t S(t-tau) phi(D)(u(tau)^2) dtau,
     with composite trapezoidal quadrature on n_nodes+1 uniform tau nodes.
-    On a uniform grid the trapezoid J_k at node k obeys the recursion
+    phi is imaginary, so S(t) = exp(-t*phi) is unimodular and
+    S(-t) = conj(S(t)); with g_m = S(-t_m) phi(D)(u_m^2) the trapezoid at
+    node k is one cumulative sum in the interaction picture,
 
-        J_k = S(dtau) J_{k-1} + dtau/2 (S(dtau) nl_{k-1} + nl_k),  J_0 = 0,
+        J_k = S(t_k) dtau (sum_{m<=k} g_m - (g_0 + g_k)/2),
 
-    with S(dtau) = exp(-dtau*phi), so an iteration costs O(n_nodes * n):
-    one batched u^2 over every node, then one pass of the recursion.
+    so an iteration costs O(n_nodes * n): one batched u^2 over every node,
+    then one cumulative sum over the nodes.
     Successive iterates are compared in the sup-in-time H^{alpha/2} norm of
     the difference weighted by cosh(sigma D), the metric of the contraction
     argument; only weight.sigma enters.  Stops when the distance drops below
@@ -269,20 +273,18 @@ def picard_solve(
     symbol = phi_symbol(xi, alpha)
     times = np.linspace(0.0, delta, n_nodes + 1)
     dtau = times[1] - times[0]
-    shift = np.exp(-dtau * symbol)  # S(dtau)
-    # free flow S(t_k) u0 at every node
-    free = np.exp(-np.outer(times, symbol)) * u0.coeffs[None, :]
+    flow = np.exp(-np.outer(times, symbol))  # S(t_k) at every node
+    back = np.conj(flow) * symbol  # S(-t_k) phi
+    free = flow * u0.coeffs[None, :]  # free flow S(t_k) u0
     iterate = free
     i_symbol = GevreyWeight(weight.sigma).symbol(xi)
     work = _workspace(free.shape, grid)
     distances: list[float] = []
     for _ in range(PICARD_MAX_ITER):
-        nl = symbol * _square(iterate, work, 0)  # phi(D)(u^2) at every node
-        new = free.copy()
-        integral = np.zeros_like(nl[0])
-        for k in range(1, len(times)):
-            integral = shift * integral + 0.5 * dtau * (shift * nl[k - 1] + nl[k])
-            new[k] -= 0.5 * integral
+        g = back * _square(iterate, work, 0)  # S(-t_k) phi(D)(u^2) at every node
+        sums = np.cumsum(g, axis=0)
+        sums -= 0.5 * (g[0] + g)
+        new = free - 0.5 * (flow * (dtau * sums))
         if not np.abs(new).max() <= BLOWUP_CAP:  # and NaN
             raise NoConvergence(
                 f"Picard iterate {len(distances) + 1} exceeds the blowup cap",

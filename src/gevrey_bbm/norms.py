@@ -6,11 +6,17 @@ so that every norm approximates its continuum counterpart and the analytic
 equivalence constants apply unchanged.
 
 Gevrey-weighted sums switch to log-magnitude accumulation once
-sigma*xi_max exceeds LOG_DOMAIN_CROSSOVER.  ``_log_weighted_sum`` returns
+sigma*xi_max exceeds LOG_DOMAIN_CROSSOVER.  ``_log_weighted_sums`` returns
 the log of the weighted sum as peak + log(sum(exp(terms - peak))), so no
 weight overflows; ``gevrey_norm`` takes exp of half of it and ``energy``
 exp of it.  Both paths agree to 1e-10 on overlap cases (tested), so the
 crossover is invisible to callers.
+
+The private ``_hs_norms``, ``_gevrey_norms`` and ``_energies`` take raw
+arrays and reduce along the last axis, so a stack of half-spectra is one
+array pass; ``hs_norm``, ``gevrey_norm`` and ``energy`` are their one-field
+cases, and a row of a stack whose rows are contiguous is bit for bit its
+single-field value.
 
 ``gevrey_norm`` is the one ||I u||_{H^s}, that of the lifespan, the defect bound
 and C1.  ``norm_report`` bundles the diagnostics a run reports per sample.
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .multipliers import GevreyWeight, SymbolKind, apply_I
+from .multipliers import GevreyWeight, SymbolKind
 from .spectral import Grid, SpectralField
 
 LOG_DOMAIN_CROSSOVER = 300.0
@@ -38,19 +44,18 @@ def _weighted_sqrt_sum(grid: Grid, coeffs: np.ndarray, weights) -> np.ndarray:
     return np.sqrt(grid.parseval_weight * total)
 
 
-def _log_weighted_sum(field: SpectralField, log_weights: np.ndarray) -> float:
-    """log(parseval_weight * sum(multiplicity * exp(log_weights) * |coeffs|^2)),
-    summed after shifting by the largest term (immune to exp overflow);
-    -inf for a field with no nonzero mode."""
-    mags = np.abs(field.coeffs)
-    mask = mags > 0.0
-    if not np.any(mask):
-        return -np.inf
-    log_weights = log_weights + np.log(field.grid.multiplicity)
-    terms = log_weights[mask] + 2.0 * np.log(mags[mask])
-    peak = np.max(terms)
-    log_sum = peak + np.log(np.sum(np.exp(terms - peak)))
-    return float(log_sum + np.log(field.grid.parseval_weight))
+def _log_weighted_sums(grid: Grid, mags: np.ndarray,
+                       log_weights: np.ndarray) -> np.ndarray:
+    """log(parseval_weight * sum(multiplicity * exp(log_weights) * mags^2))
+    of moduli |coeffs| along the last axis, summed after shifting by each
+    row's largest term (immune to exp overflow); -inf for a row with no
+    nonzero mode.  A zero modulus is a term of -inf, whose exp adds 0."""
+    with np.errstate(divide="ignore"):  # log(0) = -inf, not an overflow
+        terms = (log_weights + np.log(grid.multiplicity)) + 2.0 * np.log(mags)
+        peak = np.max(terms, axis=-1, keepdims=True)
+        shifted = np.exp(terms - np.where(peak == -np.inf, 0.0, peak))
+        log_sums = peak[..., 0] + np.log(np.sum(shifted, axis=-1))
+    return log_sums + np.log(grid.parseval_weight)
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -68,19 +73,42 @@ def hs_norm(field: SpectralField, s: float) -> float:
     return float(_hs_norms(field.grid, field.coeffs, s))
 
 
+def _gevrey_norms(grid: Grid, coeffs: np.ndarray,
+                  weight: GevreyWeight) -> np.ndarray:
+    """gevrey_norm of each half-spectrum along the last axis of coeffs."""
+    xi = grid.wavenumbers
+    s = weight.s if weight.kind is SymbolKind.COSH else 0.0
+    if weight.sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
+        return _hs_norms(grid, coeffs * weight.symbol(xi), s)
+    log_w = 2.0 * (weight.log_symbol(xi) + s * np.log1p(xi))
+    return np.exp(0.5 * _log_weighted_sums(grid, np.abs(coeffs), log_w))
+
+
 def gevrey_norm(field: SpectralField, weight: GevreyWeight) -> float:
     """||I u||_{H^s}: sqrt(sum (1+|xi|)^{2s} w(xi)^2 |coeff|^2 * quad weight),
     w = cosh(sigma*xi) or exp(sigma*|xi|).  Below the crossover it is hs_norm
     of apply_I, with s = 0 for the exp symbol (which carries (1+|xi|)^s); past
     it the sum is log-domain, so only a norm past double range overflows.
     """
-    xi = field.grid.wavenumbers
-    s = weight.s if weight.kind is SymbolKind.COSH else 0.0
-    if weight.sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
-        weighted = apply_I(field, weight)
-        return hs_norm(weighted, s)
-    log_w = 2.0 * (weight.log_symbol(xi) + s * np.log1p(xi))
-    return float(np.exp(0.5 * _log_weighted_sum(field, log_w)))
+    return float(_gevrey_norms(field.grid, field.coeffs, weight))
+
+
+def _energies(grid: Grid, mags: np.ndarray, sigma: float,
+              alpha: float) -> np.ndarray:
+    """energy of each half-spectrum whose moduli |coeffs| lie along the last
+    axis of mags."""
+    if not alpha > 1:
+        raise InvalidInput(f"alpha must be > 1, got {alpha}")
+    if sigma < 0:
+        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
+    xi = grid.wavenumbers
+    if sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
+        w = (1.0 + xi**alpha) * np.cosh(sigma * xi) ** 2
+        return grid.parseval_weight * np.sum(grid.multiplicity * w * mags**2,
+                                             axis=-1)
+    cosh_weight = GevreyWeight(sigma, kind=SymbolKind.COSH)
+    log_w = np.log1p(xi**alpha) + 2.0 * cosh_weight.log_symbol(xi)
+    return np.exp(_log_weighted_sums(grid, mags, log_w))
 
 
 def energy(field: SpectralField, sigma: float, alpha: float) -> float:
@@ -88,18 +116,7 @@ def energy(field: SpectralField, sigma: float, alpha: float) -> float:
 
     At sigma = 0: the flow's exact quadratic invariant (H^1 at alpha = 2).
     """
-    if not alpha > 1:
-        raise InvalidInput(f"alpha must be > 1, got {alpha}")
-    if sigma < 0:
-        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
-    xi = field.grid.wavenumbers
-    if sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
-        w = (1.0 + xi**alpha) * np.cosh(sigma * xi) ** 2
-        total = np.sum(field.grid.multiplicity * w * np.abs(field.coeffs) ** 2)
-        return float(field.grid.parseval_weight * total)
-    cosh_weight = GevreyWeight(sigma, kind=SymbolKind.COSH)
-    log_w = np.log1p(xi**alpha) + 2.0 * cosh_weight.log_symbol(xi)
-    return float(np.exp(_log_weighted_sum(field, log_w)))
+    return float(_energies(field.grid, np.abs(field.coeffs), sigma, alpha))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,23 @@ from gevrey_bbm.errors import (
 )
 from gevrey_bbm.evolution import Trajectory, gaussian_data, sech2_data, simulate
 from gevrey_bbm.identities import symmetrized_weight
-from gevrey_bbm.multipliers import GevreyWeight, ModelParams, semigroup
-from gevrey_bbm.norms import energy
-from gevrey_bbm.spectral import Grid, SpectralField, zero_field, zero_nyquist
+from gevrey_bbm.multipliers import (
+    GevreyWeight,
+    ModelParams,
+    apply_I,
+    apply_phi,
+    semigroup,
+)
+from gevrey_bbm.norms import LOG_DOMAIN_CROSSOVER, energy, gevrey_norm, hs_norm
+from gevrey_bbm.spectral import (
+    Grid,
+    SpectralField,
+    dealias,
+    forward_transform,
+    inverse_transform,
+    zero_field,
+    zero_nyquist,
+)
 
 
 class TestTrilinearDefectRate:
@@ -246,6 +260,25 @@ class TestMeasureDefect:
             if step in kept:
                 assert kept[step].coeffs.tobytes() == state.coeffs.tobytes()
 
+    def test_reports_equal_per_state_energies(self, grid64):
+        # sigma = 96 puts sigma * xi_max = 301.6 past the crossover; a
+        # dealiased datum keeps the modes above n/3 exactly zero, so the
+        # log-domain energies have zero moduli and stay finite
+        u0 = dealias(gaussian_data(grid64, 0.5, 4.0))
+        assert 96.0 * np.max(grid64.wavenumbers) > LOG_DOMAIN_CROSSOVER
+        windows = self.WINDOWS + [(96.0, 0.93)]
+        window_steps = analytics._window_steps(windows, 1e-2)
+        (kept,) = evolution._march([u0], ModelParams(2.0, grid64, 1e-2, 1.0),
+                                   [set().union(*window_steps)])
+        reports = analytics._defect_reports(u0, windows, window_steps, kept,
+                                            2.0, 0.01)
+        assert len(reports) == len(windows)
+        for (sigma, delta), steps, report in zip(windows, window_steps, reports):
+            energies = np.array([energy(kept[step], sigma, 2.0) for step in steps])
+            assert np.all(np.isfinite(energies))
+            assert report.defect == float(np.max(energies - energies[0]))
+            assert report.defect_abs == float(np.max(np.abs(energies - energies[0])))
+
     def test_no_window_takes_no_step(self, grid64, monkeypatch):
         monkeypatch.setattr(analytics, "_march", None)
         assert measure_defects(zero_field(grid64), [],
@@ -315,6 +348,74 @@ class TestBilinearCalibration:
         field = random_band_limited_field(grid128, rng)
         high = np.abs(grid128.mode_numbers) > grid128.dealias_cutoff
         assert np.all(field.coeffs[high] == 0)
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_batched_draws_equal_single_draws(self, n):
+        grid = Grid(n)
+        batch_rng, single_rng = (np.random.default_rng(7) for _ in range(2))
+        batch = analytics._random_fields(grid, batch_rng, 5)
+        singles = [random_band_limited_field(grid, single_rng) for _ in range(5)]
+        assert batch.tobytes() == np.array([f.coeffs for f in singles]).tobytes()
+        # and both leave the generator in the same state
+        assert batch_rng.random() == single_rng.random()
+
+    @staticmethod
+    def per_pair_loop(samples, weight, alpha, grid, seed=20240823):
+        """calibrate_bilinear_constant as one pair at a time."""
+        rng = np.random.default_rng(seed)
+        s = alpha / 2.0
+        best = 0.0
+        for _ in range(samples):
+            u = random_band_limited_field(grid, rng)
+            v = random_band_limited_field(grid, rng)
+            nu = gevrey_norm(u, GevreyWeight(weight.sigma, s))
+            nv = gevrey_norm(v, GevreyWeight(weight.sigma, s))
+            if nu == 0.0 or nv == 0.0:
+                continue
+            product = dealias(forward_transform(
+                inverse_transform(u) * inverse_transform(v), grid))
+            num = hs_norm(apply_phi(apply_I(product, GevreyWeight(weight.sigma)),
+                                    alpha), s)
+            best = max(best, num / (nu * nv))
+        return best
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 1.0])
+    def test_equals_the_per_pair_loop(self, grid128, sigma):
+        weight = GevreyWeight(sigma)
+        assert calibrate_bilinear_constant(100, weight, 2.0, grid128) == \
+            self.per_pair_loop(100, weight, 2.0, grid128)
+
+    def test_denominators_are_gevrey_norm_past_the_crossover(self, grid64,
+                                                             monkeypatch):
+        calls = []
+
+        def recording_norms(grid, coeffs, weight):
+            calls.append((coeffs, weight, gevrey_norms(grid, coeffs, weight)))
+            return calls[-1][2]
+
+        gevrey_norms = analytics._gevrey_norms
+        monkeypatch.setattr(analytics, "_gevrey_norms", recording_norms)
+        sigma = 96.0
+        assert sigma * np.max(grid64.wavenumbers) > LOG_DOMAIN_CROSSOVER
+        c1 = calibrate_bilinear_constant(100, GevreyWeight(sigma), 2.0, grid64)
+        assert 0.0 < c1 < math.inf
+        assert len(calls) == 2  # the us and the vs, 100 rows each
+        for coeffs, weight, norms in calls:
+            assert weight == GevreyWeight(sigma, 1.0) and len(norms) == 100
+            assert list(norms) == [gevrey_norm(SpectralField(grid64, row), weight)
+                                   for row in coeffs]
+
+    @pytest.mark.parametrize("samples", [100, 250])
+    def test_one_transform_pass_for_every_pair(self, grid64, monkeypatch,
+                                               samples):
+        calls = []
+        for name in ("_rfft", "_irfft"):
+            def counted(*args, _name=name, _function=getattr(analytics, name)):
+                calls.append(_name)
+                return _function(*args)
+            monkeypatch.setattr(analytics, name, counted)
+        calibrate_bilinear_constant(samples, GevreyWeight(0.1), 2.0, grid64)
+        assert sorted(calls) == ["_irfft", "_irfft", "_rfft"]
 
 
 class TestEstimateRadius:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -283,7 +284,7 @@ class TestPicardSolve:
         assert diag.contraction_factor <= 0.5
         assert traj.times[-1] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("n_nodes", [8, 64])
+    @pytest.mark.parametrize("n_nodes", [8, 64, 256])
     def test_recursion_matches_the_direct_trapezoid(self, n_nodes):
         grid = Grid(64)
         u0 = gaussian_data(grid, 0.1, 4.0)
@@ -318,23 +319,35 @@ class TestPicardSolve:
         symbol = phi_symbol(grid.wavenumbers, 2.0)
         times = np.linspace(0.0, 2.0, n_nodes + 1)
         dtau = times[1] - times[0]
-        shift = np.exp(-dtau * symbol)
-        free = np.exp(-np.outer(times, symbol)) * u0.coeffs[None, :]
+        flow = np.exp(-np.outer(times, symbol))
+        free = flow * u0.coeffs[None, :]
         i_symbol = weight.symbol(grid.wavenumbers)
         iterate, distances = free, []
         for _ in diag.iterate_distances:
-            nl = symbol * square(iterate, grid)
-            new = free.copy()
-            integral = np.zeros_like(nl[0])
-            for k in range(1, n_nodes + 1):
-                integral = shift * integral + 0.5 * dtau * (shift * nl[k - 1] + nl[k])
-                new[k] -= 0.5 * integral
+            # the trapezoid as a cumulative sum of g_m = S(-t_m) phi u_m^2
+            g = np.conj(flow) * symbol * square(iterate, grid)
+            sums = np.cumsum(g, axis=0) - 0.5 * (g[0] + g)
+            new = free - 0.5 * (flow * (dtau * sums))
             weighted = (new - iterate) * i_symbol
             distances.append(max(hs_norm(SpectralField(grid, row), 1.0)
                                  for row in weighted))
             iterate = new
         assert len(distances) > 3
         assert distances == diag.iterate_distances
+
+    def test_one_batched_square_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting_square(*args):
+            calls.append(args[0].shape)
+            return square(*args)
+
+        square = evolution._square
+        monkeypatch.setattr(evolution, "_square", counting_square)
+        u0 = gaussian_data(Grid(128), 0.3, 4.0)
+        _, diag = picard_solve(u0, 2.0, 2.0, GevreyWeight(0.1), n_nodes=32)
+        assert len(diag.iterate_distances) > 3
+        assert calls == [(33, 65)] * len(diag.iterate_distances)
 
     def test_rejects_nonpositive_window(self, grid64):
         with pytest.raises(InvalidInput):
@@ -546,6 +559,49 @@ class TestBatchedMarch:
             evolution._march(u0s, params, [{20}, {5, 12}])
         assert len(caught) == 1
         assert "dt*max|phi|" in str(caught[0].message)
+
+
+class TestOperationCounts:
+    """Counts and memory that do not drift with the host's speed: a
+    reintroduced per-step transform or a state kept per step fails these."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_march_makes_four_transform_pairs_per_step(self, grid64,
+                                                       monkeypatch, rows):
+        calls = []
+        for name in ("_rfft", "_irfft"):
+            def counted(*args, _name=name, _function=getattr(evolution, name)):
+                calls.append(_name)
+                return _function(*args)
+            monkeypatch.setattr(evolution, name, counted)
+        u0s = [gaussian_data(grid64, 0.5, 4.0)] * rows
+        evolution._march(u0s, ModelParams(2.0, grid64, 0.05, 1.0),
+                         [{0, 4, 9}] * rows)
+        assert calls.count("_rfft") == calls.count("_irfft") == 4 * 9
+
+    def test_march_memory_does_not_grow_with_the_steps(self):
+        grid = Grid(1024, 256.0)
+        u0 = gaussian_data(grid, 0.5, 4.0)
+        params = ModelParams(2.0, grid, 0.02, 20.0)
+        evolution._march([u0], params, [{1}])  # fill the caches first
+        peaks = {}
+        for steps in (10, 1000):
+            tracemalloc.start()
+            try:
+                evolution._march([u0], params, [{steps}])
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        work = evolution._workspace(u0.coeffs.shape, grid, params.dt)
+        workspace = sum(a.nbytes for a in work
+                        if isinstance(a, np.ndarray) and a.base is None)
+        state = u0.coeffs.nbytes
+        # the same peak up to Python's small-integer bookkeeping (a kept
+        # state per step would add 8 KiB each), and under the workspace plus
+        # three states: the peak is the workspace with a step's old and new
+        # states, so a state-sized temporary alive beside both crosses it
+        assert abs(peaks[1000] - peaks[10]) < 1024
+        assert peaks[1000] < workspace + 3 * state
 
 
 class TestInitialData:
