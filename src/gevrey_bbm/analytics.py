@@ -10,7 +10,8 @@ validated against planted synthetic spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -519,24 +520,17 @@ class Calibration:
     seed: int
 
     def save(self, path) -> None:
-        lines = [f"{key} = {getattr(self, key)!r}"
-                 for key in ("c1", "c2", "alpha", "sigma_ref", "n_points",
-                             "domain_length", "seed")]
+        """One ``key = repr(value)`` line per field, in field order."""
         with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(f"{f.name} = {getattr(self, f.name)!r}\n"
+                              for f in fields(self))
 
     @classmethod
     def load(cls, path) -> "Calibration":
+        """Each field read by its annotated type."""
         values = read_key_values(path)
-        return cls(
-            c1=float(values["c1"]),
-            c2=float(values["c2"]),
-            alpha=float(values["alpha"]),
-            sigma_ref=float(values["sigma_ref"]),
-            n_points=int(values["n_points"]),
-            domain_length=float(values["domain_length"]),
-            seed=int(values["seed"]),
-        )
+        return cls(**{name: kind(values[name])
+                      for name, kind in get_type_hints(cls).items()})
 
 
 def default_calibration() -> Calibration:

@@ -14,11 +14,14 @@ C1, C2 or delta means its default.  So a bad value is a config error
 whatever the command, and so is an output path that cannot be written: one
 that names a directory or lies in a missing directory is refused before the
 run, one that breaks during the run when it is written.
-Each command returns its report body; ``main`` alone adds the full resolved
-config (seed included) and writes the JSON.
+Each command returns its report body: its result record's fields as they
+are (``_fields``), beside any input it echoes, so a field list lives only in
+its dataclass (the simulate CSV's columns are NormReport's).  ``main`` alone
+adds the full resolved config (seed included) and writes the JSON.
 
 Exit-code map (public contract): 0 ok, 2 config error, 3 simulation failure,
-4 identity violation, 5 insufficient data, 6 cross-check failure.
+4 identity violation, 5 insufficient data, 6 cross-check failure.  A size
+too large to allocate is a config error.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import sys
 
 from . import analytics, errors, evolution, identities
 from .multipliers import GevreyWeight, ModelParams
+from .norms import NormReport
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -200,6 +204,12 @@ def _check_output_paths(v: dict) -> None:
             raise errors.InvalidInput(f"{key} = {path!r}: not a writable file path")
 
 
+def _fields(record) -> dict:
+    """A result record's fields by name, the values themselves: one shallow
+    level, where dataclasses.asdict would deep-copy every tuple."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
@@ -209,7 +219,7 @@ def write_json(path: str, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-CSV_HEADER = ["t", "l2", "h1", "energy", "h1_invariant", "sigma_est"]
+CSV_HEADER = ["t", *(f.name for f in dataclasses.fields(NormReport)), "sigma_est"]
 
 
 def cmd_simulate(v: dict) -> dict:
@@ -222,35 +232,27 @@ def cmd_simulate(v: dict) -> dict:
                                                      v["noise_floor"])
         except errors.InsufficientData:
             sigma_est = math.nan
-        rows.append([repr(float(t)), repr(report.l2), repr(report.h1),
-                     repr(report.energy), repr(report.h1_invariant),
+        rows.append([repr(float(t)), *map(repr, _fields(report).values()),
                      repr(sigma_est)])
     if v["output_csv"]:
         with open(v["output_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
-    final = traj.reports[-1]
-    return {
-        "samples": len(rows),
-        "final": {"t": float(traj.times[-1]), "l2": final.l2, "h1": final.h1,
-                  "energy": final.energy, "h1_invariant": final.h1_invariant},
-    }
+    return {"samples": len(rows),
+            "final": {"t": float(traj.times[-1]), **_fields(traj.reports[-1])}}
 
 
 def cmd_verify_identities(v: dict) -> dict:
     report = identities.verify_factor_identity(
         v["k_max"], v["coordinate_range"], v["symbolic_k_max"])
-    fab = {}
-    for sigma in v["fab_sigmas"]:
-        cal = identities.check_fab_bound(v["fab_samples"], sigma, seed=v["seed"])
-        fab[repr(sigma)] = {"max_ratio": cal.max_ratio, "usable": cal.usable}
+    fab = {repr(sigma): _fields(identities.check_fab_bound(
+        v["fab_samples"], sigma, seed=v["seed"])) for sigma in v["fab_sigmas"]}
     return {
         "identity": {
             "k_max": v["k_max"],
             "coordinate_range": v["coordinate_range"],
-            "triads_tested": report.triads_tested,
-            "all_equal": report.all_equal,
+            **_fields(report),
             "max_defect": str(report.max_defect),
             "special_cases": {
                 "k=1": "3·ξ₁ξ₂ξ₃",
@@ -259,13 +261,6 @@ def cmd_verify_identities(v: dict) -> dict:
         },
         "series_bound": fab,
     }
-
-
-def _defect_row(report: analytics.ConservationReport) -> dict:
-    return {"sigma": report.sigma, "defect": report.defect,
-            "defect_abs": report.defect_abs,
-            "predicted_bound": report.predicted_bound,
-            "bound_satisfied": report.bound_satisfied}
 
 
 def cmd_conservation(v: dict) -> dict:
@@ -287,37 +282,23 @@ def cmd_conservation(v: dict) -> dict:
         "delta": delta,
         "calibration": {"c1": cal.c1, "c2": cal.c2},
         "slope": slope,
-        "reports": [_defect_row(r) for r in reports],
+        "reports": [_fields(r) for r in reports],
     }
 
 
 def cmd_radius(v: dict) -> dict:
     _, _, mu = identities.fractional_bound_exponents(v["alpha"])
     # the fit reads no report, and at sigma 0 their energy cannot overflow
-    fit = analytics.track_radius(_trajectory(v, 0.0),
-                                 noise_floor=v["noise_floor"], reference_mu=mu)
-    return {
-        "mu_fit": fit.mu_fit,
-        "c_fit": fit.c_fit,
-        "c_check": fit.c_check,
-        "pointwise_ok": fit.pointwise_ok,
-        "band": list(fit.band),
-        "samples": [list(s) for s in fit.samples],
-    }
+    return _fields(analytics.track_radius(
+        _trajectory(v, 0.0), noise_floor=v["noise_floor"], reference_mu=mu))
 
 
 def cmd_schedule(v: dict) -> dict:
     cal = _calibration(v)
     result = analytics.schedule_sigma(v["T"], v["sigma0"], cal.c1, cal.c2,
                                       alpha=v["alpha"], u0_norm=v["u0_norm"])
-    return {
-        "horizon_T": v["T"],
-        "n_steps": result.n_steps,
-        "delta": result.delta,
-        "sigma_assigned": result.sigma_assigned,
-        "per_step_checks": [list(c) for c in result.per_step_checks],
-        "all_checks_ok": all(c[3] for c in result.per_step_checks),
-    }
+    return {"horizon_T": v["T"], **_fields(result),
+            "all_checks_ok": all(c[3] for c in result.per_step_checks)}
 
 
 def cmd_sweep(v: dict) -> dict:
@@ -332,7 +313,7 @@ def cmd_sweep(v: dict) -> dict:
         for report in analytics.measure_defects(u0, windows, params,
                                                 c_cal=cal.c2):
             results[f"alpha={alpha!r},sigma={report.sigma!r}"] = {
-                "alpha": alpha, **_defect_row(report)}
+                "alpha": alpha, **_fields(report)}
     return {"calibration": {"c1": cal.c1, "c2": cal.c2}, "results": results}
 
 
@@ -365,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except (errors.InvalidInput, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (errors.BlowupDetected, errors.NoConvergence,
             errors.OverflowRisk) as exc:

@@ -5,7 +5,8 @@ its multiplicity and carry the grid's Parseval weight (see spectral module),
 so that every norm approximates its continuum counterpart and the analytic
 equivalence constants apply unchanged.
 
-Gevrey-weighted sums switch to log-magnitude accumulation once
+Every linear-scale sum is ``_weighted_sums`` (``l2_norm`` is hs_norm at
+s = 0).  Gevrey-weighted sums switch to log-magnitude accumulation once
 sigma*xi_max exceeds LOG_DOMAIN_CROSSOVER.  ``_log_weighted_sums`` returns
 the log of the weighted sum as peak + log(sum(exp(terms - peak))), so no
 weight overflows; ``gevrey_norm`` takes exp of half of it and ``energy``
@@ -37,11 +38,11 @@ from .spectral import Grid, SpectralField
 LOG_DOMAIN_CROSSOVER = 300.0
 
 
-def _weighted_sqrt_sum(grid: Grid, coeffs: np.ndarray, weights) -> np.ndarray:
-    """sqrt(parseval_weight * sum(multiplicity * weights * |coeffs|^2)) of
-    raw half-spectra, summed along the last axis, in linear scale."""
-    total = np.sum(grid.multiplicity * weights * np.abs(coeffs) ** 2, axis=-1)
-    return np.sqrt(grid.parseval_weight * total)
+def _weighted_sums(grid: Grid, mags: np.ndarray, weights) -> np.ndarray:
+    """parseval_weight * sum(multiplicity * weights * mags^2) of moduli
+    |coeffs| along the last axis, in linear scale."""
+    return grid.parseval_weight * np.sum(grid.multiplicity * weights * mags**2,
+                                         axis=-1)
 
 
 def _log_weighted_sums(grid: Grid, mags: np.ndarray,
@@ -60,12 +61,13 @@ def _log_weighted_sums(grid: Grid, mags: np.ndarray,
 
 def l2_norm(field: SpectralField) -> float:
     """L^2 norm of the physical field, computed spectrally (Parseval)."""
-    return float(_weighted_sqrt_sum(field.grid, field.coeffs, 1.0))
+    return hs_norm(field, 0.0)
 
 
 def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
     """hs_norm of each half-spectrum along the last axis of coeffs."""
-    return _weighted_sqrt_sum(grid, coeffs, (1.0 + grid.wavenumbers) ** (2.0 * s))
+    weights = (1.0 + grid.wavenumbers) ** (2.0 * s)
+    return np.sqrt(_weighted_sums(grid, np.abs(coeffs), weights))
 
 
 def hs_norm(field: SpectralField, s: float) -> float:
@@ -103,9 +105,8 @@ def _energies(grid: Grid, mags: np.ndarray, sigma: float,
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
     xi = grid.wavenumbers
     if sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
-        w = (1.0 + xi**alpha) * np.cosh(sigma * xi) ** 2
-        return grid.parseval_weight * np.sum(grid.multiplicity * w * mags**2,
-                                             axis=-1)
+        return _weighted_sums(grid, mags,
+                              (1.0 + xi**alpha) * np.cosh(sigma * xi) ** 2)
     cosh_weight = GevreyWeight(sigma, kind=SymbolKind.COSH)
     log_w = np.log1p(xi**alpha) + 2.0 * cosh_weight.log_symbol(xi)
     return np.exp(_log_weighted_sums(grid, mags, log_w))

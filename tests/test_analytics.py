@@ -595,7 +595,9 @@ class TestCalibrationFile:
                           n_points=128, domain_length=64.0, seed=7)
         path = tmp_path / "cal.txt"
         cal.save(path)
-        assert Calibration.load(path) == cal
+        loaded = Calibration.load(path)
+        assert loaded == cal
+        assert type(loaded.n_points) is int and type(loaded.alpha) is float
 
     def test_key_value_lines(self, tmp_path):
         path = tmp_path / "values.txt"

@@ -14,15 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gevrey_bbm
-from gevrey_bbm import analytics, evolution
+from gevrey_bbm import analytics, errors, evolution
 from gevrey_bbm.cli import (
     COMMANDS,
-    CSV_HEADER,
     EXIT_CONFIG,
     apply_overrides,
     load_config,
     main,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 def run_child(*args):
@@ -237,7 +238,7 @@ class TestSimulate:
         assert code == 0
         with open(csv_path) as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == CSV_HEADER
+        assert rows[0] == ["t", "l2", "h1", "energy", "h1_invariant", "sigma_est"]
         assert len(rows) > 2
         assert payload["final"]["t"] == pytest.approx(0.1)
 
@@ -529,3 +530,66 @@ def test_the_package_loads_no_scipy():
                      "sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# Each command's report at a small config, byte for byte: written to stdout
+# (output_json empty) from a working directory that holds simulate's CSV.
+GOLDEN_CASES = {
+    "simulate": ["simulate", "--n_points", "64", "--t_end", "0.5",
+                 "--output_csv", "run.csv"],
+    "verify-identities": ["verify-identities", "--k_max", "3",
+                          "--coordinate_range", "3", "--symbolic_k_max", "2",
+                          "--fab_samples", "500", "--fab_sigmas", "0.1,0.5"],
+    "conservation": ["conservation", "--n_points", "64", "--dt", "5e-3",
+                     "--delta", "0.5"],
+    "conservation-one-sigma": ["conservation", "--n_points", "64", "--dt",
+                               "5e-3", "--delta", "0.5", "--sigma_grid", "0.1"],
+    "radius": ["radius", "--n_points", "256", "--dt", "0.05", "--t_end", "20",
+               "--sample_every", "20"],
+    "schedule": ["schedule"],
+    "sweep": ["sweep", "--n_points", "64", "--dt", "5e-3", "--delta", "0.5",
+              "--sigma_grid", "0.05,0.1", "--alpha_grid", "2.0,3.0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_matches_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(GOLDEN_CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    csv_golden = GOLDEN / f"{name}.csv"
+    assert (tmp_path / "run.csv").exists() == csv_golden.exists()
+    if csv_golden.exists():
+        assert (tmp_path / "run.csv").read_bytes() == csv_golden.read_bytes()
+
+
+def _error_classes(cls=errors.GevreyBBMError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_has_an_exit_code(error, monkeypatch, capsys):
+    # a new error class that main does not map would exit 1 with a traceback
+    def failing(v):
+        raise error("planted")
+
+    monkeypatch.setitem(COMMANDS, "schedule", failing)
+    assert main(["schedule"]) in (2, 3, 4, 5, 6)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "planted" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--fab_samples", "1000000000000000"],
+    ["radius", "--n_points", "1000000000000000"],
+])
+def test_a_size_too_large_to_allocate_is_one_line_exit_2(argv):
+    # numpy refuses an array of 10^15 elements at once, using no memory; it
+    # was exit 1 with a traceback
+    done = run_child("-m", "gevrey_bbm.cli", *argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("config error: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
