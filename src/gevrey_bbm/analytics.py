@@ -50,7 +50,6 @@ DEFECT_SAMPLES = 40  # energy samples per defect window
 RANDOM_FIELD_DECAY = 0.5  # e^(-decay |xi|) envelope of the random fields
 CALIBRATION_SAMPLES = 200  # random pairs behind C1
 CALIBRATION_DT = 2e-3  # RK4 step of the defect suite behind C2
-MAX_SCHEDULE_WINDOWS = 10**7  # schedule_sigma keeps a check per window
 
 
 # --- energy defect rate: two independent routes ----------------------------
@@ -437,7 +436,8 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Radius assignment for a horizon T from the induction bookkeeping."""
+    """Radius assignment for a horizon T from the induction bookkeeping;
+    per_step_checks holds the binding window's check, none if n_steps = 0."""
 
     n_steps: int
     delta: float
@@ -451,32 +451,31 @@ def schedule_sigma(T: float, sigma0: float, C1: float, C2: float,
 
     delta = 1/(8 C1 ||I u0||), n the unique integer with T in [n*delta,
     (n+1)*delta), and sigma = min(sigma0, (2 C1 / (C2 (n+1)))^{1/beta}).
-    Each per-step check records the induction increment against the slack
-    that keeps the norm-doubling bound alive through window k:
+    The check of window k weighs the induction increment against the slack
+    that keeps the norm-doubling bound alive through it:
 
         (k+1) * C2 * delta * 8 * sigma^beta * N^3  <=  3 N^2,
 
-    since sup^2 <= N^2 + increment must stay below (2N)^2.  With the sigma
-    assignment above the increment at k = n is exactly 2 N^2, so the
-    inequality holds with margin at every window.  More than
-    MAX_SCHEDULE_WINDOWS windows raises InvalidInput.
+    since sup^2 <= N^2 + increment must stay below (2N)^2.  The increment
+    grows with k, so only the binding check k = n is computed; with the
+    sigma above its increment is at most 2 N^2.  A non-finite T/delta raises
+    InvalidInput, an overflowing increment OverflowRisk.
     """
     if not all(0 < x < math.inf for x in (T, sigma0, C1, C2, u0_norm)):
         raise InvalidInput("all schedule inputs must be positive and finite")
     _, beta, _ = fractional_bound_exponents(alpha)
     delta = 1.0 / (8.0 * C1 * u0_norm)
-    # floor(T / delta) > MAX exactly when T / delta >= MAX + 1 (inf included);
     # delta is 0 when 8 * C1 * u0_norm overflows
-    if delta == 0.0 or T / delta >= MAX_SCHEDULE_WINDOWS + 1:
-        raise InvalidInput(f"T / delta windows exceed the limit of "
-                           f"{MAX_SCHEDULE_WINDOWS}")
+    if delta == 0.0 or T / delta == math.inf:
+        raise InvalidInput(f"T / delta = {T} / {delta} is not finite")
     n = int(math.floor(T / delta))
     sigma = min(sigma0, (2.0 * C1 / (C2 * (n + 1))) ** (1.0 / beta))
     checks = []
-    for k in range(1, n + 1):
-        lhs = (k + 1) * C2 * delta * 8.0 * sigma**beta * u0_norm**3
-        rhs = 3.0 * u0_norm**2
-        checks.append((k, float(lhs), float(rhs), bool(lhs <= rhs * (1 + 1e-12))))
+    if n > 0:  # a numpy product, so that an overflow or a NaN raises
+        with _overflow_guard("the schedule's increment"):
+            lhs = np.float64(n + 1) * C2 * delta * 8.0 * sigma**beta * u0_norm**3
+            rhs = 3.0 * u0_norm**2
+        checks.append((n, float(lhs), float(rhs), bool(lhs <= rhs * (1 + 1e-12))))
     return ScheduleResult(n_steps=n, delta=float(delta),
                           sigma_assigned=float(sigma), per_step_checks=checks)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from gevrey_bbm.errors import (
     OverflowRisk,
 )
 from gevrey_bbm.evolution import Trajectory, gaussian_data, sech2_data, simulate
-from gevrey_bbm.identities import symmetrized_weight
+from gevrey_bbm.identities import fractional_bound_exponents, symmetrized_weight
 from gevrey_bbm.multipliers import (
     GevreyWeight,
     ModelParams,
@@ -542,15 +543,59 @@ class TestScheduleSigma:
         with pytest.raises(InvalidInput):
             schedule_sigma(-1.0, 1.0, 1.0, 1.0)
 
-    def test_too_many_windows_rejected(self):
-        # delta = 1/8, so T = (MAX + 1) / 8 spans one window over the limit
-        limit = analytics.MAX_SCHEDULE_WINDOWS
-        with pytest.raises(InvalidInput):
-            schedule_sigma((limit + 1) / 8.0, 1.0, 1.0, 1.0)
-        with pytest.raises(InvalidInput):
-            schedule_sigma(1e300, 1.0, 1.0, 1.0)
+    def test_non_finite_window_count_rejected(self):
         with pytest.raises(InvalidInput):  # 8 * C1 * u0_norm overflows
             schedule_sigma(1.0, 1.0, 1e308, 1.0, u0_norm=1e10)
+        with pytest.raises(InvalidInput):  # T / delta = 8e310 overflows
+            schedule_sigma(1e300, 1.0, 1e10, 1.0)
+        # delta = 1/8: 10^7 + 1 and 8e300 windows take one check each
+        for T in ((10**7 + 1) / 8.0, 1e300):
+            result = schedule_sigma(T, 1.0, 1.0, 1.0)
+            (check,) = result.per_step_checks
+            assert check[0] == result.n_steps and check[3]
+
+    @staticmethod
+    def per_window_checks(T, sigma0, C1, C2, alpha, u0_norm):
+        """Every window's check k = 1..n, one by one: the reference that the
+        single binding check is held to."""
+        _, beta, _ = fractional_bound_exponents(alpha)
+        delta = 1.0 / (8.0 * C1 * u0_norm)
+        n = int(math.floor(T / delta))
+        sigma = min(sigma0, (2.0 * C1 / (C2 * (n + 1))) ** (1.0 / beta))
+        checks = []
+        for k in range(1, n + 1):
+            lhs = (k + 1) * C2 * delta * 8.0 * sigma**beta * u0_norm**3
+            rhs = 3.0 * u0_norm**2
+            checks.append((k, float(lhs), float(rhs),
+                           bool(lhs <= rhs * (1 + 1e-12))))
+        return checks
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.0])
+    def test_binding_check_equals_the_last_of_every_window(self, alpha):
+        cal = default_calibration()
+        for T, sigma0, u0_norm, (C1, C2) in itertools.product(
+                (0.01, 0.2, 7.5, 100.0, 1e3), (1e9, 0.05), (0.5, 1.0, 3.0),
+                ((1.0, 1.0), (cal.c1, cal.c2))):
+            result = schedule_sigma(T, sigma0, C1, C2, alpha=alpha,
+                                    u0_norm=u0_norm)
+            every = self.per_window_checks(T, sigma0, C1, C2, alpha, u0_norm)
+            assert result.per_step_checks == every[-1:]
+            assert len(every) == result.n_steps
+            # T < delta: no window ends before T, so there is no check
+            assert bool(result.per_step_checks) == (T >= result.delta)
+            if every:  # the last window's increment is the largest
+                assert every[-1][1] == max(check[1] for check in every)
+
+    def test_reaches_the_power_law_regime(self):
+        # T = 1e12 spans 2.9e11 windows at the shipped constants
+        cal = default_calibration()
+        result = schedule_sigma(1e12, 1.0, cal.c1, cal.c2)
+        n = result.n_steps
+        assert n == math.floor(1e12 / result.delta) > 10**11
+        expected = (2.0 * cal.c1 / (cal.c2 * (n + 1))) ** (1.0 / 1.5)
+        assert result.sigma_assigned == expected  # beta = 3/2 at alpha = 2
+        ((k, _, _, ok),) = result.per_step_checks
+        assert k == n and ok
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("position", range(5))
