@@ -38,6 +38,7 @@ from .spectral import (
     SpectralField,
     _irfft,
     _rfft,
+    _scales,
     inverse_transform,
     zero_nyquist,
 )
@@ -298,18 +299,23 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
         raise InvalidInput(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
-    n, length = grid.n_points, grid.domain_length
+    n = grid.n_points
     xi = grid.wavenumbers
     fields = _random_fields(grid, rng, 2 * samples)
     us, vs = fields[0::2], fields[1::2]
     norm_weight = GevreyWeight(weight.sigma, s)
     nu = _gevrey_norms(grid, us, norm_weight)
     nv = _gevrey_norms(grid, vs, norm_weight)
-    # the arithmetic of forward_transform(inverse_transform(u) *
-    # inverse_transform(v)), dealias, apply_I and apply_phi
-    product = _irfft(us, n) * (n / length)
-    product *= _irfft(vs, n) * (n / length)
-    product = _rfft(product) * (length / n)
+    # the arithmetic of inverse_transform(u) * inverse_transform(v), its
+    # transform with L/n as the kernel's factor, dealias, apply_I and apply_phi
+    scales = _scales(grid)
+    product = _irfft(us, n, None, scales.inverse)
+    other = _irfft(vs, n, None, scales.inverse)
+    if scales.remainder is not None:
+        product *= scales.remainder
+        other *= scales.remainder
+    product *= other
+    product = _rfft(product, None, scales.forward)
     product[:, grid.dealias_cutoff + 1:] = 0.0
     product = product * GevreyWeight(weight.sigma).symbol(xi)
     num = _hs_norms(grid, product * phi_symbol(xi, alpha), s)

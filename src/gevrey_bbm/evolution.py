@@ -36,24 +36,33 @@ first failing row.  ``analytics.run_calibration`` steps its three initial
 data this way.
 
 The kernel allocates nothing it does not return, and at small n a step
-pays for its arithmetic, not for numpy's set-up of its 46 calls.  A
+pays for its arithmetic, not for numpy's set-up of its calls: 8 FFTs, 4
+tail fills and 22 ufunc calls on a power-of-two grid, 26 on any other.  A
 ``_workspace`` is built once per run with what every step would otherwise
 rebuild: the four RK4 stages as one (4, ...) array, the stage input, the
-real samples, prebuilt views of the stages' rows and dealias tails, and
-every scalar of a step as a 0-d array (a ufunc converts a Python float on
-every call).  The FFTs, all through ``spectral._rfft``/``_irfft``, write
-into it; every scaling, the square and the stage combinations are in-place
-ufuncs with ``out`` given positionally (cheaper than as a keyword); a tail
-is cleared by ``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on
-the middle rows and one ``np.add.reduce`` over the stages, which adds the
-rows in order.  ``_march`` makes one workspace per stack; ``step_rk4``,
-``rhs`` and ``picard_solve`` one per call.  The ufuncs take their operands
-in the order of the plain expressions, and 0.5 stays a separate factor
-(folded into L/n it would round differently in the subnormal range), so
-every state is bit for bit what the allocating formula gives.  The new
-state of a step is the one fresh array, and a batched row is kept as a
-copy of its row, so no kept state shares memory with the workspace or
-with another kept state.
+real samples, prebuilt views of the stages' rows and dealias tails, the
+grid's transform scalings (``spectral._scales``) and every scalar of a
+step as a 0-d array (a ufunc converts a Python float on every call).  The
+FFTs, all through ``spectral._rfft``/``_irfft``, write into it and apply
+the scalings as the kernel's own factor: L/n forward, L/(2n) in ``_rhs``,
+which folds in the 1/2 of u^2/2, and 1/L inverse on a power-of-two grid,
+where any other grid keeps np.fft's 1/n and one separate multiply by n/L.
+The square and the stage combinations are in-place ufuncs with ``out``
+given positionally (cheaper than as a keyword); a tail is cleared by
+``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on the middle rows
+and one ``np.add.reduce`` over the stages, which adds the rows in order.
+``_march`` makes one workspace per stack; ``step_rk4``, ``rhs`` and
+``picard_solve`` one per call.  The ufuncs take their operands in the
+order of the plain expressions, and each folded factor rounds as the
+separate multiplies did: a factor 1/2, or a power of two n in 1/n times
+n/L, commutes with rounding outside the subnormal range (below about
+2.2e-308).  So every state is bit for bit what the allocating formula
+gives, with one exception that compares equal: the kernel scales each
+real component, where a complex array times a real scalar is a complex
+multiply by (s + 0j), so an exactly zero component can come out -0.0
+where the formula gives +0.0, or the reverse.  The new state of a step is
+the one fresh array, and a batched row is kept as a copy of its row, so no
+kept state shares memory with the workspace or with another kept state.
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ from .spectral import (
     _irfft,
     _read_only,
     _rfft,
+    _scales,
     forward_transform,
     zero_nyquist,
 )
@@ -120,31 +130,37 @@ def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
-    (modes j > n/3); the real samples of u; n; and, as 0-d arrays, n/L,
-    L/n, 0.5, dt/2, dt, 2 and dt/6.  A lone _square or _rhs needs no dt.
+    (modes j > n/3); the real samples of u; n; the grid's inverse scale,
+    its remainder (None on a power-of-two grid) and forward scale from
+    spectral._scales; and, as 0-d arrays, the forward scale halved, dt/2,
+    dt, 2 and dt/6.  A lone _square or _rhs needs no dt.
     """
-    n, length = grid.n_points, grid.domain_length
+    scales = _scales(grid)
     stages = np.empty((4, *shape), dtype=np.complex128)
     rows = tuple(stages)
     tails = tuple(k[..., grid.dealias_cutoff + 1:] for k in rows)
-    scalars = (n / length, length / n, 0.5, 0.5 * dt, dt, 2.0, dt / 6.0)
+    scalars = (0.5 * scales.forward, 0.5 * dt, dt, 2.0, dt / 6.0)
     return (stages, stages[1:3], np.empty(shape, dtype=np.complex128), rows,
-            tails, np.empty(shape[:-1] + (n,)), n, *map(np.array, scalars))
+            tails, np.empty(shape[:-1] + (grid.n_points,)), grid.n_points,
+            scales.inverse, scales.remainder, scales.forward,
+            *map(np.array, scalars))
 
 
-def _square(coeffs: np.ndarray, work: tuple, k: int) -> np.ndarray:
+def _square(coeffs: np.ndarray, work: tuple, k: int,
+            scale: np.ndarray | None = None) -> np.ndarray:
     """Dealiased u^2 of half-spectra along the last axis (the shape of work),
-    written into stage k of work.
+    written into stage k of work; scale is the forward transform's, the
+    grid's L/n when None.
 
     The same arithmetic as forward_transform(inverse_transform(u)**2)
     followed by dealias (which clears the Nyquist mode too), on raw arrays.
     """
-    rows, tails, samples, n, to_samples, to_coeffs = work[3:9]
-    _irfft(coeffs, n, samples)
-    np.multiply(samples, to_samples, samples)
+    rows, tails, samples, n, to_samples, remainder, to_coeffs = work[3:10]
+    _irfft(coeffs, n, samples, to_samples)
+    if remainder is not None:
+        np.multiply(samples, remainder, samples)
     np.multiply(samples, samples, samples)
-    square = _rfft(samples, rows[k])
-    np.multiply(square, to_coeffs, square)
+    square = _rfft(samples, rows[k], to_coeffs if scale is None else scale)
     tails[k].fill(0.0)
     return square
 
@@ -152,8 +168,7 @@ def _square(coeffs: np.ndarray, work: tuple, k: int) -> np.ndarray:
 def _rhs(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
          k: int) -> np.ndarray:
     """-phi(D)(u + u^2/2) on raw half-spectra, written into stage k of work."""
-    value = _square(coeffs, work, k)
-    np.multiply(work[9], value, value)  # 0.5 * u^2
+    value = _square(coeffs, work, k, work[10])  # 0.5 * u^2, by L/(2n)
     np.add(coeffs, value, value)  # u + 0.5 * u^2
     np.multiply(minus_phi, value, value)  # -phi * (u + 0.5 * u^2)
     return value

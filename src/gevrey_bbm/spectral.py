@@ -21,9 +21,32 @@ only its real part; it is forced to zero after every nonlinear evaluation.
 
 Every FFT of the package goes through ``_rfft`` and ``_irfft``, which call
 numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly: the
-kernels and scale factors of ``np.fft.rfft``/``irfft``, so bit for bit
-their results, without the Python wrapper that costs more than the
-transform itself at small n.  This is the only module that imports them.
+kernels of ``np.fft.rfft``/``irfft``, without the Python wrapper that costs
+more than the transform itself at small n.  This is the only module that
+imports them.  With no scale given they apply np.fft's, so they are bit for
+bit its results.  A given scale is the kernel's ``fct``, which it applies
+as one multiply per real component after the transform.  So an inverse
+transform's bits are those of a ufunc multiply by the same factor, and a
+forward transform's agree with one on every value: a complex array times a
+real scalar is a complex multiply by (s + 0j), which may flip the sign of
+an exactly zero component where ``fct`` keeps it.
+
+``_scales`` of a grid holds the L/n convention's scalings, for the callers
+that fold them into a transform:
+
+* forward, L/n: the ``fct`` of ``_rfft`` on every grid.  A caller may halve
+  it (as the BBM right-hand side does for u^2/2): halving commutes with
+  rounding outside the subnormal range (below about 2.2e-308), so the
+  result is the scaled one times 0.5.
+* inverse, np.fft's 1/n followed by n/L.  On a power-of-two grid 1/n is a
+  power of two, so (x * 1/n) * fl(n/L) = x * fl(1/L) exactly outside the
+  subnormal range, and the kernel's ``fct`` is 1/L with nothing left over.
+  On any other grid the two roundings differ in the last bit on some
+  inputs, so the ``fct`` stays 1/n and n/L is a separate multiply.
+
+``forward_transform``, which builds initial data once per run, keeps its
+separate multiply by L/n, so a datum's coefficients are np.fft.rfft's
+times L/n with every zero's sign.
 
 The domain is a torus of length L (default 64): the continuum problem lives
 on the whole real line, and the periodic box is a desk-scale proxy.  All
@@ -36,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
@@ -130,23 +154,50 @@ def _inverse_scale(n: int) -> np.ndarray:
     return _read_only(np.array(1.0 / n))
 
 
-def _rfft(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unscaled real FFT of even-length rows along the last axis, written
-    into out (a fresh array when None).  Bit for bit np.fft.rfft."""
+class _Scales(NamedTuple):
+    """A grid's transform scalings as read-only 0-d arrays: the forward
+    ``fct`` L/n; the inverse ``fct``; and the n/L that the inverse ``fct``
+    leaves to a separate multiply, None on a power-of-two grid."""
+
+    forward: np.ndarray
+    inverse: np.ndarray
+    remainder: np.ndarray | None
+
+
+@lru_cache(maxsize=64)
+def _scales(grid: Grid) -> _Scales:
+    """The L/n convention's scalings for transforms on the grid, each folded
+    into the kernel where that keeps every bit (see the module docstring)."""
+    n, length = grid.n_points, grid.domain_length
+    forward = _read_only(np.array(length / n))
+    if n & (n - 1) == 0:
+        return _Scales(forward, _read_only(np.array(1.0 / length)), None)
+    return _Scales(forward, _inverse_scale(n), _read_only(np.array(n / length)))
+
+
+def _rfft(samples: np.ndarray, out: np.ndarray | None = None,
+          scale: np.ndarray = _UNSCALED) -> np.ndarray:
+    """Real FFT of even-length rows along the last axis times scale (a 0-d
+    array), written into out (a fresh array when None).  Bit for bit
+    np.fft.rfft unscaled, and np.fft.rfft times scale up to the sign of an
+    exact zero."""
     if out is None:
         out = np.empty(samples.shape[:-1] + (samples.shape[-1] // 2 + 1,),
                        dtype=np.complex128)
-    return _pocketfft_umath.rfft_n_even(samples, _UNSCALED, out)
+    return _pocketfft_umath.rfft_n_even(samples, scale, out)
 
 
-def _irfft(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft(coeffs: np.ndarray, n: int, out: np.ndarray | None = None,
+           scale: np.ndarray | None = None) -> np.ndarray:
     """Inverse real FFT of half-spectra along the last axis to n real
-    samples, with np.fft's 1/n, written into out (a fresh array when None).
-    Bit for bit np.fft.irfft(coeffs, n); the imaginary parts of j = 0 and
-    j = n/2 are ignored."""
+    samples times scale (a 0-d array; np.fft's 1/n when None), written into
+    out (a fresh array when None).  Bit for bit np.fft.irfft(coeffs, n) with
+    the default scale; the imaginary parts of j = 0 and j = n/2 are
+    ignored."""
     if out is None:
         out = np.empty(coeffs.shape[:-1] + (n,))
-    return _pocketfft_umath.irfft(coeffs, _inverse_scale(n), out)
+    return _pocketfft_umath.irfft(
+        coeffs, _inverse_scale(n) if scale is None else scale, out)
 
 
 def forward_transform(samples, grid: Grid) -> SpectralField:
@@ -159,14 +210,17 @@ def forward_transform(samples, grid: Grid) -> SpectralField:
         raise InvalidInput(
             f"expected {grid.n_points} samples, got shape {samples.shape}"
         )
-    coeffs = _rfft(samples) * (grid.domain_length / grid.n_points)
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, _rfft(samples) * _scales(grid).forward)
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Reconstruct the real physical samples from the coefficients."""
     grid = field.grid
-    return _irfft(field.coeffs, grid.n_points) * (grid.n_points / grid.domain_length)
+    scales = _scales(grid)
+    samples = _irfft(field.coeffs, grid.n_points, None, scales.inverse)
+    if scales.remainder is not None:
+        np.multiply(samples, scales.remainder, samples)
+    return samples
 
 
 def dealias(field: SpectralField) -> SpectralField:

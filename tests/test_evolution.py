@@ -88,14 +88,30 @@ def allocating_rk4(coeffs, dt, grid, symbol):
     return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def kernel_cases():
+    """(n, L, data) for the in-place kernel: power-of-two grids fold 1/n *
+    n/L into one inverse scale 1/L; 96 and 100 points keep n/L apart, and
+    folding it there changes the bits.  Cosine and zero data have modes that
+    are exactly zero.  Gaussian data on L = 64 is named by n alone."""
+    for n, length in [(8, 64.0), (128, 64.0), (1024, 64.0), (96, 64.0),
+                      (128, 50.0), (100, 30.0)]:
+        for data in ("gaussian", "cosine", "zero"):
+            plain = (length, data) == (64.0, "gaussian")
+            yield pytest.param(n, length, data,
+                               id=str(n) if plain else f"{n}-{length:g}-{data}")
+
+
 class TestInPlaceKernel:
-    @pytest.mark.parametrize("n", [8, 128, 1024])
+    @pytest.mark.parametrize("n, length, data", kernel_cases())
     @pytest.mark.parametrize("rows", [None, 3])
-    def test_rk4_matches_the_allocating_formula_bitwise(self, n, rows):
+    def test_rk4_matches_the_allocating_formula_bitwise(self, n, length, rows,
+                                                        data):
         # one workspace reused for 50 steps, as in a run, on a half-spectrum
         # or on a (nodes x modes) stack
-        grid = Grid(n)
-        u0 = gaussian_data(grid, 0.5, 4.0).coeffs
+        grid = Grid(n, length)
+        u0 = {"gaussian": lambda: gaussian_data(grid, 0.5, 4.0),
+              "cosine": lambda: cosine_data(grid, 0.5, 3),
+              "zero": lambda: zero_field(grid)}[data]().coeffs
         coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
         symbol = phi_symbol(grid.wavenumbers, 2.0)
         work = evolution._workspace(coeffs.shape, grid, 0.05)
@@ -561,6 +577,33 @@ class TestBatchedMarch:
         assert "dt*max|phi|" in str(caught[0].message)
 
 
+class CountingNumpy:
+    """numpy for the evolution module, naming each multiply, add and
+    add.reduce call in calls."""
+
+    def __init__(self):
+        self.calls = []
+        self.multiply = self._counted(np.multiply)
+        self.add = self._counted(np.add)
+
+    def _counted(self, ufunc):
+        calls = self.calls
+
+        class Counted:
+            def __call__(self, *args):
+                calls.append(ufunc.__name__)
+                return ufunc(*args)
+
+            def reduce(self, *args):
+                calls.append(ufunc.__name__ + ".reduce")
+                return ufunc.reduce(*args)
+
+        return Counted()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestOperationCounts:
     """Counts and memory that do not drift with the host's speed: a
     reintroduced per-step transform or a state kept per step fails these."""
@@ -578,6 +621,24 @@ class TestOperationCounts:
         evolution._march(u0s, ModelParams(2.0, grid64, 0.05, 1.0),
                          [{0, 4, 9}] * rows)
         assert calls.count("_rfft") == calls.count("_irfft") == 4 * 9
+
+    @pytest.mark.parametrize("n, calls", [(64, 22), (96, 26)])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_rk4_step_makes_22_ufunc_calls_26_off_powers_of_two(
+            self, monkeypatch, n, calls, rows):
+        # the transforms apply every scaling but n/L off a power-of-two
+        # grid, 4 multiplies a step; as separate multiplies a step made 34
+        grid = Grid(n)
+        u0 = gaussian_data(grid, 0.5, 4.0).coeffs
+        coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
+        minus_phi, _ = evolution._minus_phi(grid, 2.0)
+        work = evolution._workspace(coeffs.shape, grid, 0.05)
+        counting = CountingNumpy()
+        monkeypatch.setattr(evolution, "np", counting)
+        for _ in range(3):
+            coeffs = evolution._rk4(coeffs, minus_phi, work)
+        assert len(counting.calls) == 3 * calls
+        assert set(counting.calls) == {"multiply", "add", "add.reduce"}
 
     def test_march_memory_does_not_grow_with_the_steps(self):
         grid = Grid(1024, 256.0)

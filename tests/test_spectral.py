@@ -172,6 +172,31 @@ class TestPrivateKernels:
             assert got.tobytes() == np.fft.irfft(real_ends, n).tobytes()
 
 
+class TestScaledTransforms:
+    """forward_transform and inverse_transform apply the L/n convention's
+    scalings; they must stay bit for bit the unscaled transforms times L/n
+    and n/L, on power-of-two grids (where 1/L is the inverse's one scale)
+    and on others."""
+
+    @staticmethod
+    def samples(grid, rng):
+        x = grid.points
+        yield rng.standard_normal(grid.n_points)
+        yield np.cos(2 * np.pi * 3 * x / grid.domain_length)  # exact zeros
+        yield np.zeros(grid.n_points)
+
+    @pytest.mark.parametrize("n, length", [(8, 64.0), (128, 50.0),
+                                           (1024, 256.0), (96, 64.0),
+                                           (100, 30.0), (48, 7.0)])
+    def test_pinned_to_the_scaled_unscaled_transforms(self, n, length, rng):
+        grid = Grid(n, length)
+        for samples in self.samples(grid, rng):
+            coeffs = forward_transform(samples, grid).coeffs
+            assert coeffs.tobytes() == (_rfft(samples) * (length / n)).tobytes()
+            back = inverse_transform(SpectralField(grid, coeffs))
+            assert back.tobytes() == (_irfft(coeffs, n) * (n / length)).tobytes()
+
+
 def test_only_spectral_imports_the_private_kernels():
     # every FFT goes through _rfft and _irfft, so a numpy that moves the
     # private kernels breaks one module; scanned by syntax tree, so that
