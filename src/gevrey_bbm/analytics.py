@@ -36,9 +36,9 @@ from .norms import _energies, _gevrey_norms, _hs_norms, gevrey_norm
 from .spectral import (
     Grid,
     SpectralField,
-    _irfft,
     _rfft,
     _scales,
+    _to_samples,
     inverse_transform,
     zero_nyquist,
 )
@@ -299,7 +299,6 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
         raise InvalidInput(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
-    n = grid.n_points
     xi = grid.wavenumbers
     fields = _random_fields(grid, rng, 2 * samples)
     us, vs = fields[0::2], fields[1::2]
@@ -309,12 +308,8 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
     # the arithmetic of inverse_transform(u) * inverse_transform(v), its
     # transform with L/n as the kernel's factor, dealias, apply_I and apply_phi
     scales = _scales(grid)
-    product = _irfft(us, n, None, scales.inverse)
-    other = _irfft(vs, n, None, scales.inverse)
-    if scales.remainder is not None:
-        product *= scales.remainder
-        other *= scales.remainder
-    product *= other
+    product = _to_samples(us, scales)
+    product *= _to_samples(vs, scales)
     product = _rfft(product, None, scales.forward)
     product[:, grid.dealias_cutoff + 1:] = 0.0
     product = product * GevreyWeight(weight.sigma).symbol(xi)
@@ -377,6 +372,16 @@ def default_band(field: SpectralField, noise_floor: float) -> tuple[float, float
     return float(np.min(xi[mask])), float(np.max(xi[mask]))
 
 
+def _sample_radius(field: SpectralField, noise_floor: float) -> tuple | None:
+    """estimate_radius over the field's default_band: (sigma_est, r2, band),
+    or None when the spectrum is too thin for either."""
+    try:
+        band = default_band(field, noise_floor)
+        return (*estimate_radius(field, *band, noise_floor), band)
+    except InsufficientData:
+        return None
+
+
 @dataclass(frozen=True)
 class RadiusFit:
     """Per-time radius estimates with the fitted decay law sigma = c * t^-mu."""
@@ -406,13 +411,10 @@ def track_radius(traj: Trajectory, noise_floor: float = DEFAULT_NOISE_FLOOR,
         raise InvalidInput("trajectory must be sampled at >= 10 times")
     samples: list[tuple[float, float, float]] = []
     for t, state in zip(traj.times, traj.states):
-        try:
-            lo, hi = default_band(state, noise_floor)
-            sigma_est, r2 = estimate_radius(state, lo, hi, noise_floor)
-        except InsufficientData:
-            continue
-        samples.append((float(t), sigma_est, r2))
-        band = (lo, hi)
+        fit = _sample_radius(state, noise_floor)
+        if fit is not None:
+            sigma_est, r2, band = fit
+            samples.append((float(t), sigma_est, r2))
     fit_pts = [(t, s) for (t, s, r2) in samples
                if r2 >= FIT_R2_MIN and t >= FIT_T_MIN and s > 0]
     if len(fit_pts) < 2:

@@ -226,14 +226,9 @@ def cmd_simulate(v: dict) -> dict:
     traj = _trajectory(v, v["sigma"])
     rows = []
     for t, state, report in zip(traj.times, traj.states, traj.reports):
-        try:
-            lo, hi = analytics.default_band(state, v["noise_floor"])
-            sigma_est, _ = analytics.estimate_radius(state, lo, hi,
-                                                     v["noise_floor"])
-        except errors.InsufficientData:
-            sigma_est = math.nan
+        fit = analytics._sample_radius(state, v["noise_floor"])
         rows.append([repr(float(t)), *map(repr, _fields(report).values()),
-                     repr(sigma_est)])
+                     repr(math.nan if fit is None else fit[0])])
     if v["output_csv"]:
         with open(v["output_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)

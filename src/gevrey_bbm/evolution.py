@@ -43,10 +43,9 @@ rebuild: the four RK4 stages as one (4, ...) array, the stage input, the
 real samples, prebuilt views of the stages' rows and dealias tails, the
 grid's transform scalings (``spectral._scales``) and every scalar of a
 step as a 0-d array (a ufunc converts a Python float on every call).  The
-FFTs, all through ``spectral._rfft``/``_irfft``, write into it and apply
-the scalings as the kernel's own factor: L/n forward, L/(2n) in ``_rhs``,
-which folds in the 1/2 of u^2/2, and 1/L inverse on a power-of-two grid,
-where any other grid keeps np.fft's 1/n and one separate multiply by n/L.
+FFTs write into it: the inverse ones through ``spectral._to_samples``,
+and the forward ones through ``spectral._rfft`` with L/n as the kernel's
+own factor, or L/(2n) in ``_rhs``, which folds in the 1/2 of u^2/2.
 The square and the stage combinations are in-place ufuncs with ``out``
 given positionally (cheaper than as a keyword); a tail is cleared by
 ``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on the middle rows
@@ -80,10 +79,10 @@ from .norms import NormReport, _hs_norms, gevrey_norm, norm_report
 from .spectral import (
     Grid,
     SpectralField,
-    _irfft,
     _read_only,
     _rfft,
     _scales,
+    _to_samples,
     forward_transform,
     zero_nyquist,
 )
@@ -130,10 +129,9 @@ def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
-    (modes j > n/3); the real samples of u; n; the grid's inverse scale,
-    its remainder (None on a power-of-two grid) and forward scale from
-    spectral._scales; and, as 0-d arrays, the forward scale halved, dt/2,
-    dt, 2 and dt/6.  A lone _square or _rhs needs no dt.
+    (modes j > n/3); the real samples of u; the grid's spectral._scales;
+    and, as 0-d arrays, the forward scale halved, dt/2, dt, 2 and dt/6.
+    A lone _square or _rhs needs no dt.
     """
     scales = _scales(grid)
     stages = np.empty((4, *shape), dtype=np.complex128)
@@ -141,8 +139,7 @@ def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
     tails = tuple(k[..., grid.dealias_cutoff + 1:] for k in rows)
     scalars = (0.5 * scales.forward, 0.5 * dt, dt, 2.0, dt / 6.0)
     return (stages, stages[1:3], np.empty(shape, dtype=np.complex128), rows,
-            tails, np.empty(shape[:-1] + (grid.n_points,)), grid.n_points,
-            scales.inverse, scales.remainder, scales.forward,
+            tails, np.empty(shape[:-1] + (grid.n_points,)), scales,
             *map(np.array, scalars))
 
 
@@ -155,12 +152,10 @@ def _square(coeffs: np.ndarray, work: tuple, k: int,
     The same arithmetic as forward_transform(inverse_transform(u)**2)
     followed by dealias (which clears the Nyquist mode too), on raw arrays.
     """
-    rows, tails, samples, n, to_samples, remainder, to_coeffs = work[3:10]
-    _irfft(coeffs, n, samples, to_samples)
-    if remainder is not None:
-        np.multiply(samples, remainder, samples)
+    rows, tails, samples, scales = work[3:7]
+    _to_samples(coeffs, scales, samples)
     np.multiply(samples, samples, samples)
-    square = _rfft(samples, rows[k], to_coeffs if scale is None else scale)
+    square = _rfft(samples, rows[k], scales.forward if scale is None else scale)
     tails[k].fill(0.0)
     return square
 
@@ -168,7 +163,7 @@ def _square(coeffs: np.ndarray, work: tuple, k: int,
 def _rhs(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
          k: int) -> np.ndarray:
     """-phi(D)(u + u^2/2) on raw half-spectra, written into stage k of work."""
-    value = _square(coeffs, work, k, work[10])  # 0.5 * u^2, by L/(2n)
+    value = _square(coeffs, work, k, work[7])  # 0.5 * u^2, by L/(2n)
     np.add(coeffs, value, value)  # u + 0.5 * u^2
     np.multiply(minus_phi, value, value)  # -phi * (u + 0.5 * u^2)
     return value
@@ -295,20 +290,21 @@ def picard_solve(
     i_symbol = GevreyWeight(weight.sigma).symbol(xi)
     work = _workspace(free.shape, grid)
     distances: list[float] = []
-    for _ in range(PICARD_MAX_ITER):
-        g = back * _square(iterate, work, 0)  # S(-t_k) phi(D)(u^2) at every node
-        sums = np.cumsum(g, axis=0)
-        sums -= 0.5 * (g[0] + g)
-        new = free - 0.5 * (flow * (dtau * sums))
-        if not np.abs(new).max() <= BLOWUP_CAP:  # and NaN
-            raise NoConvergence(
-                f"Picard iterate {len(distances) + 1} exceeds the blowup cap",
-                diagnostics=_picard_diagnostics(distances))
-        weighted = (new - iterate) * i_symbol
-        distances.append(float(np.max(_hs_norms(grid, weighted, alpha / 2.0))))
-        iterate = new
-        if distances[-1] < PICARD_TOL:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(PICARD_MAX_ITER):
+            g = back * _square(iterate, work, 0)  # S(-t_k) phi(D)(u^2) at every node
+            sums = np.cumsum(g, axis=0)
+            sums -= 0.5 * (g[0] + g)
+            new = free - 0.5 * (flow * (dtau * sums))
+            if not np.abs(new).max() <= BLOWUP_CAP:  # and NaN
+                raise NoConvergence(
+                    f"Picard iterate {len(distances) + 1} exceeds the blowup cap",
+                    diagnostics=_picard_diagnostics(distances))
+            weighted = (new - iterate) * i_symbol
+            distances.append(float(np.max(_hs_norms(grid, weighted, alpha / 2.0))))
+            iterate = new
+            if distances[-1] < PICARD_TOL:
+                break
     diagnostics = _picard_diagnostics(distances)
     if not distances[-1] < PICARD_TOL:
         raise NoConvergence(
@@ -367,27 +363,28 @@ def _march(u0s: list[SpectralField], params: ModelParams,
     live = [row for row, last in enumerate(lasts) if last > 0]
     rows = [u0s[row].coeffs for row in live]
     first = 1
-    while live:
-        # the live rows, stacked; a lone row stays 1-D
-        coeffs = rows[0] if len(rows) == 1 else np.stack(rows)
-        work = _workspace(coeffs.shape, grid, dt)
-        modulus = work[5][..., :coeffs.shape[-1]]  # samples are free between steps
-        stop = min(lasts[row] for row in live)
-        for step in range(first, stop + 1):
-            coeffs = _rk4(coeffs, minus_phi, work)
-            # a max per row costs about 2% of a step at n = 1024, so it is
-            # taken only to name the row once the max over the stack fails
-            if not np.abs(coeffs, modulus).max() <= BLOWUP_CAP:  # and NaN
-                row = live[int(np.argmin(modulus.max(axis=-1) <= BLOWUP_CAP))]
-                raise BlowupDetected(step * dt, row if len(u0s) > 1 else None)
-            for i, row in enumerate(live):
-                if step in wanted[row]:
-                    state = coeffs if coeffs.ndim == 1 else coeffs[i].copy()
-                    kept[row][step] = SpectralField(grid, state)
-        stacked = coeffs if coeffs.ndim == 2 else [coeffs]
-        rows = [state for state, row in zip(stacked, live) if lasts[row] > stop]
-        live = [row for row in live if lasts[row] > stop]
-        first = stop + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            # the live rows, stacked; a lone row stays 1-D
+            coeffs = rows[0] if len(rows) == 1 else np.stack(rows)
+            work = _workspace(coeffs.shape, grid, dt)
+            modulus = work[5][..., :coeffs.shape[-1]]  # samples are free between steps
+            stop = min(lasts[row] for row in live)
+            for step in range(first, stop + 1):
+                coeffs = _rk4(coeffs, minus_phi, work)
+                # a max per row costs about 2% of a step at n = 1024, so it is
+                # taken only to name the row once the max over the stack fails
+                if not np.abs(coeffs, modulus).max() <= BLOWUP_CAP:  # and NaN
+                    row = live[int(np.argmin(modulus.max(axis=-1) <= BLOWUP_CAP))]
+                    raise BlowupDetected(step * dt, row if len(u0s) > 1 else None)
+                for i, row in enumerate(live):
+                    if step in wanted[row]:
+                        state = coeffs if coeffs.ndim == 1 else coeffs[i].copy()
+                        kept[row][step] = SpectralField(grid, state)
+            stacked = coeffs if coeffs.ndim == 2 else [coeffs]
+            rows = [state for state, row in zip(stacked, live) if lasts[row] > stop]
+            live = [row for row in live if lasts[row] > stop]
+            first = stop + 1
     return kept
 
 

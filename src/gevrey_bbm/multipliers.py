@@ -1,11 +1,11 @@
 """Fourier multiplier operators: dispersive symbol, flow semigroup, and
 the analytic weights defining the smoothed Gevrey norms.
 
-The analyticity weight comes in two flavours:
+The analyticity weight ``GevreyWeight`` has two kinds, its ``SymbolKind``:
 
-* ``CoshSymbol``: m(xi) = cosh(sigma*xi) = (exp(sigma*xi)+exp(-sigma*xi))/2,
+* ``COSH``: m(xi) = cosh(sigma*xi) = (exp(sigma*xi)+exp(-sigma*xi))/2,
   a smooth symbol trapped between exp(sigma*|xi|)/2 and exp(sigma*|xi|).
-* ``ExpSymbol``: exp(sigma*|xi|) * (1+|xi|)^s, the raw weight of the
+* ``EXP``: exp(sigma*|xi|) * (1+|xi|)^s, the raw weight of the
   G^{sigma,s} norm.
 
 Linear-scale application refuses inputs with sigma*xi_max > 700 (cosh/exp

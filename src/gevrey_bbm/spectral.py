@@ -19,20 +19,20 @@ and its mirror -j, so coefficient-space sums weight it by multiplicity 2
 The mode j = n/2 has no partner on the grid and the inverse transform reads
 only its real part; it is forced to zero after every nonlinear evaluation.
 
-Every FFT of the package goes through ``_rfft`` and ``_irfft``, which call
-numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly: the
-kernels of ``np.fft.rfft``/``irfft``, without the Python wrapper that costs
-more than the transform itself at small n.  This is the only module that
-imports them.  With no scale given they apply np.fft's, so they are bit for
-bit its results.  A given scale is the kernel's ``fct``, which it applies
-as one multiply per real component after the transform.  So an inverse
-transform's bits are those of a ufunc multiply by the same factor, and a
-forward transform's agree with one on every value: a complex array times a
-real scalar is a complex multiply by (s + 0j), which may flip the sign of
-an exactly zero component where ``fct`` keeps it.
+Every FFT of the package goes through ``_rfft`` and ``_to_samples``, which
+call numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly:
+the kernels of ``np.fft.rfft``/``irfft``, without the Python wrapper that
+costs more than the transform itself at small n.  This is the only module
+that imports them.  With np.fft's scales they are bit for bit its results.
+A scale is the kernel's ``fct``, which it applies as one multiply per real
+component after the transform.  So an inverse transform's bits are those of
+a ufunc multiply by the same factor, and a forward transform's agree with
+one on every value: a complex array times a real scalar is a complex
+multiply by (s + 0j), which may flip the sign of an exactly zero component
+where ``fct`` keeps it.
 
-``_scales`` of a grid holds the L/n convention's scalings, for the callers
-that fold them into a transform:
+``_scales`` of a grid holds its n and the L/n convention's scalings, and
+``_to_samples`` is the one inverse transform, which applies them:
 
 * forward, L/n: the ``fct`` of ``_rfft`` on every grid.  A caller may halve
   it (as the BBM right-hand side does for u^2/2): halving commutes with
@@ -148,17 +148,12 @@ class SpectralField:
 _UNSCALED = _read_only(np.array(1.0))
 
 
-@lru_cache(maxsize=64)
-def _inverse_scale(n: int) -> np.ndarray:
-    """np.fft's 1/n for an inverse transform to n samples."""
-    return _read_only(np.array(1.0 / n))
-
-
 class _Scales(NamedTuple):
-    """A grid's transform scalings as read-only 0-d arrays: the forward
-    ``fct`` L/n; the inverse ``fct``; and the n/L that the inverse ``fct``
-    leaves to a separate multiply, None on a power-of-two grid."""
+    """A grid's n and its transform scalings as read-only 0-d arrays: the
+    forward ``fct`` L/n; the inverse ``fct``; and the n/L that the inverse
+    ``fct`` leaves to a separate multiply, None on a power-of-two grid."""
 
+    n: int
     forward: np.ndarray
     inverse: np.ndarray
     remainder: np.ndarray | None
@@ -171,8 +166,9 @@ def _scales(grid: Grid) -> _Scales:
     n, length = grid.n_points, grid.domain_length
     forward = _read_only(np.array(length / n))
     if n & (n - 1) == 0:
-        return _Scales(forward, _read_only(np.array(1.0 / length)), None)
-    return _Scales(forward, _inverse_scale(n), _read_only(np.array(n / length)))
+        return _Scales(n, forward, _read_only(np.array(1.0 / length)), None)
+    return _Scales(n, forward, _read_only(np.array(1.0 / n)),
+                   _read_only(np.array(n / length)))
 
 
 def _rfft(samples: np.ndarray, out: np.ndarray | None = None,
@@ -187,17 +183,20 @@ def _rfft(samples: np.ndarray, out: np.ndarray | None = None,
     return _pocketfft_umath.rfft_n_even(samples, scale, out)
 
 
-def _irfft(coeffs: np.ndarray, n: int, out: np.ndarray | None = None,
-           scale: np.ndarray | None = None) -> np.ndarray:
-    """Inverse real FFT of half-spectra along the last axis to n real
-    samples times scale (a 0-d array; np.fft's 1/n when None), written into
-    out (a fresh array when None).  Bit for bit np.fft.irfft(coeffs, n) with
-    the default scale; the imaginary parts of j = 0 and j = n/2 are
+def _to_samples(coeffs: np.ndarray, scales: _Scales,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of half-spectra along the last axis, written into out (a
+    fresh array when None): the inverse FFT times scales.inverse, then times
+    scales.remainder when there is one.  Under _scales(grid) this is the L/n
+    convention, and under np.fft's 1/n with no remainder it is bit for bit
+    np.fft.irfft(coeffs, n).  The imaginary parts of j = 0 and j = n/2 are
     ignored."""
     if out is None:
-        out = np.empty(coeffs.shape[:-1] + (n,))
-    return _pocketfft_umath.irfft(
-        coeffs, _inverse_scale(n) if scale is None else scale, out)
+        out = np.empty(coeffs.shape[:-1] + (scales.n,))
+    _pocketfft_umath.irfft(coeffs, scales.inverse, out)
+    if scales.remainder is not None:
+        np.multiply(out, scales.remainder, out)
+    return out
 
 
 def forward_transform(samples, grid: Grid) -> SpectralField:
@@ -215,12 +214,7 @@ def forward_transform(samples, grid: Grid) -> SpectralField:
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Reconstruct the real physical samples from the coefficients."""
-    grid = field.grid
-    scales = _scales(grid)
-    samples = _irfft(field.coeffs, grid.n_points, None, scales.inverse)
-    if scales.remainder is not None:
-        np.multiply(samples, scales.remainder, samples)
-    return samples
+    return _to_samples(field.coeffs, _scales(field.grid))
 
 
 def dealias(field: SpectralField) -> SpectralField:

@@ -410,13 +410,13 @@ class TestBilinearCalibration:
     def test_one_transform_pass_for_every_pair(self, grid64, monkeypatch,
                                                samples):
         calls = []
-        for name in ("_rfft", "_irfft"):
+        for name in ("_rfft", "_to_samples"):
             def counted(*args, _name=name, _function=getattr(analytics, name)):
                 calls.append(_name)
                 return _function(*args)
             monkeypatch.setattr(analytics, name, counted)
         calibrate_bilinear_constant(samples, GevreyWeight(0.1), 2.0, grid64)
-        assert sorted(calls) == ["_irfft", "_irfft", "_rfft"]
+        assert sorted(calls) == ["_rfft", "_to_samples", "_to_samples"]
 
 
 class TestEstimateRadius:

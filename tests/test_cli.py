@@ -266,6 +266,20 @@ class TestSimulate:
         assert payload["error"] == "blowup"
         assert "simulation failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+    def test_overflowing_data_exits_3_with_one_line(self, flags):
+        # u^2 overflows on the first step: the blowup is the one line on
+        # stderr, with no numpy warning before it (under -W error, no
+        # traceback and exit 1 in its place)
+        done = run_child(*flags, "-m", "gevrey_bbm.cli", "simulate",
+                         "--n_points", "64", "--amplitude", "1e200",
+                         "--t_end", "0.01")
+        assert done.returncode == 3
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("simulation failure: non-finite state")
+        assert json.loads(done.stdout)["error"] == "blowup"
+
 
 class TestVerifyIdentities:
     def test_small_run(self, tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gevrey_bbm import evolution
+from gevrey_bbm import evolution, spectral
 from gevrey_bbm.analytics import (
     DEFAULT_NOISE_FLOOR,
     default_band,
@@ -155,7 +155,7 @@ class TestPhiCache:
 
 
 def test_no_run_calls_the_np_fft_wrapper(grid64, monkeypatch):
-    # every FFT goes to numpy's kernels through spectral._rfft and _irfft;
+    # every FFT goes to numpy's kernels through spectral._rfft and _to_samples;
     # the np.fft wrapper costs more than the transform at small n
     def refuse(*args, **kwargs):
         raise AssertionError("np.fft wrapper called")
@@ -392,6 +392,14 @@ class TestPicardSolve:
         assert all(math.isfinite(d) for d in distances)
         assert distances[-1] > evolution.PICARD_TOL
 
+    def test_an_overflowing_iterate_is_no_convergence(self, grid64):
+        # u^2 overflows on the first iteration: the cap check reports it,
+        # and no numpy warning (an error under this suite) comes first
+        u0 = gaussian_data(grid64, 1e200, 4.0)
+        with pytest.raises(NoConvergence) as info:
+            picard_solve(u0, 0.01, 2.0, GevreyWeight(0.1), n_nodes=16)
+        assert info.value.diagnostics.iterate_distances == []
+
 
 class TestSimulate:
     def test_sample_cap_counts_the_samples_it_would_keep(self, monkeypatch):
@@ -459,7 +467,7 @@ class TestSimulate:
         coeffs = gaussian_data(grid64, 0.5, 4.0).coeffs.copy()
         coeffs[3] = bad
         params = ModelParams(2.0, grid64, 1e-2, 1.0)
-        with np.errstate(all="ignore"), pytest.raises(BlowupDetected) as info:
+        with pytest.raises(BlowupDetected) as info:
             simulate(SpectralField(grid64, coeffs), params, GevreyWeight(0.0))
         assert info.value.time == 1e-2
 
@@ -578,8 +586,8 @@ class TestBatchedMarch:
 
 
 class CountingNumpy:
-    """numpy for the evolution module, naming each multiply, add and
-    add.reduce call in calls."""
+    """numpy for the evolution and spectral modules, naming each multiply,
+    add and add.reduce call in calls."""
 
     def __init__(self):
         self.calls = []
@@ -612,7 +620,7 @@ class TestOperationCounts:
     def test_march_makes_four_transform_pairs_per_step(self, grid64,
                                                        monkeypatch, rows):
         calls = []
-        for name in ("_rfft", "_irfft"):
+        for name in ("_rfft", "_to_samples"):
             def counted(*args, _name=name, _function=getattr(evolution, name)):
                 calls.append(_name)
                 return _function(*args)
@@ -620,14 +628,15 @@ class TestOperationCounts:
         u0s = [gaussian_data(grid64, 0.5, 4.0)] * rows
         evolution._march(u0s, ModelParams(2.0, grid64, 0.05, 1.0),
                          [{0, 4, 9}] * rows)
-        assert calls.count("_rfft") == calls.count("_irfft") == 4 * 9
+        assert calls.count("_rfft") == calls.count("_to_samples") == 4 * 9
 
     @pytest.mark.parametrize("n, calls", [(64, 22), (96, 26)])
     @pytest.mark.parametrize("rows", [None, 3])
     def test_rk4_step_makes_22_ufunc_calls_26_off_powers_of_two(
             self, monkeypatch, n, calls, rows):
         # the transforms apply every scaling but n/L off a power-of-two
-        # grid, 4 multiplies a step; as separate multiplies a step made 34
+        # grid, 4 multiplies a step in spectral._to_samples; as separate
+        # multiplies a step made 34
         grid = Grid(n)
         u0 = gaussian_data(grid, 0.5, 4.0).coeffs
         coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
@@ -635,6 +644,7 @@ class TestOperationCounts:
         work = evolution._workspace(coeffs.shape, grid, 0.05)
         counting = CountingNumpy()
         monkeypatch.setattr(evolution, "np", counting)
+        monkeypatch.setattr(spectral, "np", counting)
         for _ in range(3):
             coeffs = evolution._rk4(coeffs, minus_phi, work)
         assert len(counting.calls) == 3 * calls

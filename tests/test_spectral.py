@@ -12,14 +12,21 @@ from gevrey_bbm.norms import l2_norm
 from gevrey_bbm.spectral import (
     Grid,
     SpectralField,
-    _irfft,
     _rfft,
+    _Scales,
+    _to_samples,
     dealias,
     forward_transform,
     inverse_transform,
     zero_field,
     zero_nyquist,
 )
+
+
+def _irfft(coeffs, n, out=None):
+    """_to_samples under np.fft's scales: 1/n in the kernel, nothing left
+    over."""
+    return _to_samples(coeffs, _Scales(n, None, np.array(1.0 / n), None), out)
 
 
 class TestGrid:
@@ -131,8 +138,9 @@ class TestInverseTransform:
 
 
 class TestPrivateKernels:
-    """_rfft and _irfft call numpy's private pocketfft gufuncs, the kernels
-    behind np.fft.rfft/irfft; they must stay bit for bit np.fft's result."""
+    """_rfft and _to_samples call numpy's private pocketfft gufuncs, the
+    kernels behind np.fft.rfft/irfft; under np.fft's scales they must stay
+    bit for bit np.fft's result."""
 
     @staticmethod
     def inputs(n, rng):
@@ -197,11 +205,11 @@ class TestScaledTransforms:
             assert back.tobytes() == (_irfft(coeffs, n) * (n / length)).tobytes()
 
 
-def test_only_spectral_imports_the_private_kernels():
-    # every FFT goes through _rfft and _irfft, so a numpy that moves the
-    # private kernels breaks one module; scanned by syntax tree, so that
-    # prose naming the module does not count
-    def users(path):
+def users(matches):
+    """The lines of each module of the package that import, or read as an
+    attribute, a name that matches; scanned by syntax tree, so that prose
+    naming it does not count."""
+    def lines(path):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] + [a.name for a in node.names]
@@ -211,11 +219,26 @@ def test_only_spectral_imports_the_private_kernels():
                 names = [node.attr]
             else:
                 continue
-            if any("_pocketfft" in name for name in names):
+            if any(map(matches, names)):
                 yield node.lineno
 
     package = pathlib.Path(spectral.__file__).parent
-    found = {path.name: list(users(path)) for path in package.glob("*.py")}
+    return {path.name: list(lines(path)) for path in package.glob("*.py")}
+
+
+def test_only_spectral_imports_the_private_kernels():
+    # every FFT goes through _rfft and _to_samples, so a numpy that moves
+    # the private kernels breaks one module
+    found = users(lambda name: "_pocketfft" in name)
+    assert found["spectral.py"]
+    assert [name for name, lines in found.items() if lines] == ["spectral.py"]
+
+
+def test_only_spectral_applies_the_inverse_scaling():
+    # every inverse transform goes through _to_samples, so the power-of-two
+    # rule for its scaling sits in one module: no other reads the scalings
+    # it applies (nor calls the raw kernel, which the test above holds)
+    found = users(lambda name: name in ("inverse", "remainder"))
     assert found["spectral.py"]
     assert [name for name, lines in found.items() if lines] == ["spectral.py"]
 
