@@ -12,18 +12,18 @@ Two solvers are provided:
 
 Both run on one private kernel over raw half-spectrum arrays (the last
 axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
-rule; linear multipliers need no dealiasing), ``_rhs`` the right-hand side
-and ``_rk4`` one step.  ``rhs`` and ``step_rk4`` are thin ``SpectralField``
-wrappers over it.  ``_minus_phi`` builds -phi and max|phi| once per
-(grid, alpha) and caches them read-only; ``_march``, ``step_rk4`` and
-``rhs`` all read that cache.  ``_march`` is the one stepping loop: it
-keeps a ``SpectralField`` only at a given set of steps.  ``simulate`` runs
-it on every ``sample_every``-th step (at most MAX_SAMPLES of them) and
-``analytics.measure_defects`` on the union of its windows' sample steps;
-neither takes more than MAX_STEPS steps.  ``picard_solve`` squares every
-time node in one batched ``_square`` call and sums the trapezoid over the
-nodes as one cumulative sum in the interaction picture, so an iteration has
-no loop over its nodes.
+rule; linear multipliers need no dealiasing) and ``_rk4`` one step.
+``rhs`` (``_square``, then its add and multiply) and ``step_rk4`` are thin
+``SpectralField`` wrappers over it.  ``_minus_phi`` builds -phi and
+max|phi| once per (grid, alpha) and caches them read-only; ``_march``,
+``step_rk4`` and ``rhs`` all read that cache.  ``_march`` is the one
+stepping loop: it keeps a ``SpectralField`` only at a given set of steps.
+``simulate`` runs it on every ``sample_every``-th step (at most MAX_SAMPLES
+of them) and ``analytics.measure_defects`` on the union of its windows'
+sample steps; neither takes more than MAX_STEPS steps.  ``picard_solve``
+squares every time node in one batched ``_square`` call and sums the
+trapezoid over the nodes as one cumulative sum in the interaction picture,
+so an iteration has no loop over its nodes.
 
 ``_march`` has a batch axis: it takes several initial states on one grid,
 each with its own step set.  A single state is stepped as its 1-D array.
@@ -36,8 +36,13 @@ first failing row.  ``analytics.run_calibration`` steps its three initial
 data this way.
 
 The kernel allocates nothing it does not return, and at small n a step
-pays for its arithmetic, not for numpy's set-up of its calls: 8 FFTs, 4
-tail fills and 22 ufunc calls on a power-of-two grid, 26 on any other.  A
+pays for its arithmetic, not for numpy's set-up of its calls or for Python
+frames: 8 FFTs, 4 tail fills and 22 ufunc calls on a power-of-two grid, 26
+on any other.  ``_rk4`` runs its four stages as one flat loop with the
+dealiased square written inline, and ``_march`` checks for blowup with
+``np.maximum.reduce``, not ``ndarray.max`` (which enters numpy's Python
+``_amax``), so a ``_march`` step makes 9 Python calls: ``_rk4`` and the
+transforms' 4 ``_to_samples`` and 4 ``_rfft``.  A
 ``_workspace`` is built once per run with what every step would otherwise
 rebuild: the four RK4 stages as one (4, ...) array, the stage input, the
 real samples, prebuilt views of the stages' rows and dealias tails, the
@@ -45,13 +50,17 @@ grid's transform scalings (``spectral._scales``) and every scalar of a
 step as a 0-d array (a ufunc converts a Python float on every call).  The
 FFTs write into it: the inverse ones through ``spectral._to_samples``,
 and the forward ones through ``spectral._rfft`` with L/n as the kernel's
-own factor, or L/(2n) in ``_rhs``, which folds in the 1/2 of u^2/2.
+own factor, or L/(2n) in a stage, which folds in the 1/2 of u^2/2.
 The square and the stage combinations are in-place ufuncs with ``out``
 given positionally (cheaper than as a keyword); a tail is cleared by
 ``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on the middle rows
 and one ``np.add.reduce`` over the stages, which adds the rows in order.
-``_march`` makes one workspace per stack; ``step_rk4``, ``rhs`` and
-``picard_solve`` one per call.  The ufuncs take their operands in the
+``_march`` makes one workspace per stack, and ``rhs`` and ``picard_solve``
+one per call.  ``step_rk4`` keeps the workspace of its last call as the
+idle one, keyed by (shape, grid, dt): a call with that key takes it out and
+puts it back only after its step, so a re-entrant or concurrent call finds
+no spare and builds its own, and a call with another key replaces it.  At
+most one idle workspace is held.  The ufuncs take their operands in the
 order of the plain expressions, and each folded factor rounds as the
 separate multiplies did: a factor 1/2, or a power of two n in 1/n times
 n/L, commutes with rounding outside the subnormal range (below about
@@ -124,14 +133,15 @@ class PicardDiagnostics:
 
 def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
     """Scratch for RK4 on half-spectra of the given shape, built once per run
-    so that a step makes no array but its new state and converts no Python
-    float.
+    (per stack of _march, per rhs or picard_solve call, and per change of
+    step_rk4's idle workspace) so that a step makes no array but its new
+    state and converts no Python float.
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
     (modes j > n/3); the real samples of u; the grid's spectral._scales;
     and, as 0-d arrays, the forward scale halved, dt/2, dt, 2 and dt/6.
-    A lone _square or _rhs needs no dt.
+    A lone _square or rhs needs no dt.
     """
     scales = _scales(grid)
     stages = np.empty((4, *shape), dtype=np.complex128)
@@ -160,24 +170,27 @@ def _square(coeffs: np.ndarray, work: tuple, k: int,
     return square
 
 
-def _rhs(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
-         k: int) -> np.ndarray:
-    """-phi(D)(u + u^2/2) on raw half-spectra, written into stage k of work."""
-    value = _square(coeffs, work, k, work[7])  # 0.5 * u^2, by L/(2n)
-    np.add(coeffs, value, value)  # u + 0.5 * u^2
-    np.multiply(minus_phi, value, value)  # -phi * (u + 0.5 * u^2)
-    return value
-
-
 def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple) -> np.ndarray:
     """One classical RK4 step of size dt on raw half-spectra, with the
-    scratch arrays and the dt of work.  Returns a new array."""
-    stages, middle, stage, rows, *_, half_dt, dt, two, sixth_dt = work
-    _rhs(coeffs, minus_phi, work, 0)
-    for k, scale in ((1, half_dt), (2, half_dt), (3, dt)):
-        np.multiply(scale, rows[k - 1], stage)
-        np.add(coeffs, stage, stage)
-        _rhs(stage, minus_phi, work, k)
+    scratch arrays and the dt of work.  Returns a new array.
+
+    Stage k is -phi(D)(u + u^2/2) at its input u, written into row k: the
+    dealiased square of _square, inline, with the forward scale L/(2n)."""
+    (stages, middle, stage, rows, tails, samples, scales, half_forward,
+     half_dt, dt, two, sixth_dt) = work
+    u = coeffs
+    for row, tail, scale in zip(rows, tails, (None, half_dt, half_dt, dt)):
+        if scale is not None:  # u = coeffs + scale * the previous stage
+            np.multiply(scale, previous, stage)
+            np.add(coeffs, stage, stage)
+            u = stage
+        _to_samples(u, scales, samples)
+        np.multiply(samples, samples, samples)
+        _rfft(samples, row, half_forward)  # 0.5 * u^2, by L/(2n)
+        tail.fill(0.0)
+        np.add(u, row, row)  # u + 0.5 * u^2
+        np.multiply(minus_phi, row, row)  # -phi * (u + 0.5 * u^2)
+        previous = row
     np.multiply(two, middle, middle)  # 2*k2, 2*k3
     # the rows in order: ((k1 + 2*k2) + 2*k3) + k4
     np.add.reduce(stages, 0, None, stage)
@@ -206,20 +219,40 @@ def rhs(field: SpectralField, alpha: float) -> SpectralField:
     """-phi(D)(u + u^2/2), the full spectral right-hand side."""
     minus_phi, _ = _minus_phi(field.grid, alpha)
     work = _workspace(field.coeffs.shape, field.grid)
-    return field.with_coeffs(_rhs(field.coeffs, minus_phi, work, 0).copy())
+    value = _square(field.coeffs, work, 0, work[7])  # 0.5 * u^2, by L/(2n)
+    np.add(field.coeffs, value, value)  # u + 0.5 * u^2
+    np.multiply(minus_phi, value, value)  # -phi * (u + 0.5 * u^2)
+    return field.with_coeffs(value.copy())
+
+
+# The workspace of the last step_rk4 call as [((shape, grid, dt), work)];
+# [] before the first call and while a call has it out.
+_idle: list[tuple[tuple, tuple]] = []
 
 
 def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
     """One classical RK4 step of the spectral ODE system; warns when
-    dt*max|phi| >= 1."""
-    if dt < 0:
-        raise InvalidInput(f"dt must be >= 0, got {dt}")
+    dt*max|phi| >= 1.
+
+    A call takes the idle workspace out when its (shape, grid, dt) match,
+    and leaves its own as the idle one after its step, so a re-entrant or
+    concurrent call never shares the workspace of a step in progress."""
+    if not 0 <= dt < math.inf:
+        raise InvalidInput(f"dt must be finite and >= 0, got {dt}")
     if dt == 0:
         return field
     minus_phi, max_phi = _minus_phi(field.grid, alpha)
     _warn_if_unstable(dt, max_phi)
-    work = _workspace(field.coeffs.shape, field.grid, dt)
-    return field.with_coeffs(_rk4(field.coeffs, minus_phi, work))
+    key = (field.coeffs.shape, field.grid, dt)
+    try:
+        idle_key, work = _idle.pop()
+    except IndexError:
+        idle_key = None
+    if idle_key != key:
+        work = _workspace(*key)
+    new = _rk4(field.coeffs, minus_phi, work)
+    _idle[:] = [(key, work)]
+    return field.with_coeffs(new)
 
 
 def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) -> float:
@@ -373,8 +406,11 @@ def _march(u0s: list[SpectralField], params: ModelParams,
             for step in range(first, stop + 1):
                 coeffs = _rk4(coeffs, minus_phi, work)
                 # a max per row costs about 2% of a step at n = 1024, so it is
-                # taken only to name the row once the max over the stack fails
-                if not np.abs(coeffs, modulus).max() <= BLOWUP_CAP:  # and NaN
+                # taken only to name the row once the max over the stack
+                # fails; np.maximum.reduce, since ndarray.max enters a Python
+                # function (numpy's _amax) on every call
+                peak = np.maximum.reduce(np.abs(coeffs, modulus), None)
+                if not peak <= BLOWUP_CAP:  # and NaN
                     row = live[int(np.argmin(modulus.max(axis=-1) <= BLOWUP_CAP))]
                     raise BlowupDetected(step * dt, row if len(u0s) > 1 else None)
                 for i, row in enumerate(live):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -71,15 +72,20 @@ class TestNonlinearTerm:
             np.testing.assert_array_equal(single, expected)
 
 
+def allocating_rhs(c, grid, symbol):
+    """The right-hand side as plain expressions, one temporary per
+    operation."""
+    n, length = grid.n_points, grid.domain_length
+    samples = np.fft.irfft(c, n, axis=-1) * (n / length)
+    square = np.fft.rfft(samples * samples, axis=-1) * (length / n)
+    square[..., grid.dealias_cutoff + 1:] = 0.0
+    return -symbol * (c + 0.5 * square)
+
+
 def allocating_rk4(coeffs, dt, grid, symbol):
     """The RK4 kernel as plain expressions, one temporary per operation."""
-    n, length = grid.n_points, grid.domain_length
-
     def rhs_(c):
-        samples = np.fft.irfft(c, n, axis=-1) * (n / length)
-        square = np.fft.rfft(samples * samples, axis=-1) * (length / n)
-        square[..., grid.dealias_cutoff + 1:] = 0.0
-        return -symbol * (c + 0.5 * square)
+        return allocating_rhs(c, grid, symbol)
 
     k1 = rhs_(coeffs)
     k2 = rhs_(coeffs + 0.5 * dt * k1)
@@ -101,6 +107,13 @@ def kernel_cases():
                                id=str(n) if plain else f"{n}-{length:g}-{data}")
 
 
+def kernel_datum(grid, data):
+    """The initial datum of a kernel case, as its half-spectrum."""
+    return {"gaussian": lambda: gaussian_data(grid, 0.5, 4.0),
+            "cosine": lambda: cosine_data(grid, 0.5, 3),
+            "zero": lambda: zero_field(grid)}[data]().coeffs
+
+
 class TestInPlaceKernel:
     @pytest.mark.parametrize("n, length, data", kernel_cases())
     @pytest.mark.parametrize("rows", [None, 3])
@@ -109,9 +122,7 @@ class TestInPlaceKernel:
         # one workspace reused for 50 steps, as in a run, on a half-spectrum
         # or on a (nodes x modes) stack
         grid = Grid(n, length)
-        u0 = {"gaussian": lambda: gaussian_data(grid, 0.5, 4.0),
-              "cosine": lambda: cosine_data(grid, 0.5, 3),
-              "zero": lambda: zero_field(grid)}[data]().coeffs
+        u0 = kernel_datum(grid, data)
         coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
         symbol = phi_symbol(grid.wavenumbers, 2.0)
         work = evolution._workspace(coeffs.shape, grid, 0.05)
@@ -180,6 +191,13 @@ class TestRhs:
     def test_result_holds_no_workspace(self, random_field):
         assert rhs(random_field, 2.0).coeffs.base is None
 
+    @pytest.mark.parametrize("n, length, data", kernel_cases())
+    def test_equals_the_allocating_formulas_k1_bitwise(self, n, length, data):
+        grid = Grid(n, length)
+        u0 = SpectralField(grid, kernel_datum(grid, data))
+        want = allocating_rhs(u0.coeffs, grid, phi_symbol(grid.wavenumbers, 2.0))
+        assert rhs(u0, 2.0).coeffs.tobytes() == want.tobytes()
+
     def test_preserves_reality(self, random_field):
         # a real DC entry is the one reality condition a half-spectrum can
         # break; phi(0) = 0 keeps it exactly zero (mass conservation)
@@ -203,6 +221,13 @@ class TestStepRk4:
     def test_negative_dt_rejected(self, random_field):
         with pytest.raises(InvalidInput):
             step_rk4(random_field, -0.1, 2.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dt_rejected(self, random_field, dt):
+        # a NaN dt stepped to an all-NaN state, and an infinite one to NaN
+        # after overflow warnings
+        with pytest.raises(InvalidInput, match="finite"):
+            step_rk4(random_field, dt, 2.0)
 
     def test_warns_when_dt_exceeds_the_stability_margin(self, grid64):
         # max|phi| is just below 1/2 at alpha = 2, so dt = 2.5 gives ~1.25
@@ -241,14 +266,26 @@ class TestStepRk4:
         assert abs(energy(state, 0.0, 2.0) - e0) / e0 < 1e-10
 
 
+def hamiltonian(field):
+    """int(u^2/2 + u^3/6) dx as a grid sum; exact for dealiased states."""
+    u = inverse_transform(field)
+    return float(np.sum(u * u / 2.0 + u**3 / 6.0) * field.grid.dx)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 def test_reported_invariant_is_conserved(alpha):
+    # all three exact invariants, for every alpha: the reported H^1
+    # quantity, the Hamiltonian to c03's bound, and the mass exactly, as
+    # phi(0) = 0 leaves coeff(0) untouched
     grid = Grid(128)
     u0 = gaussian_data(grid, amplitude=0.5, width=4.0)
     params = ModelParams(alpha, grid, 2e-3, 1.0)
     traj = simulate(u0, params, GevreyWeight(0.1), sample_every=50)
     values = np.array([r.h1_invariant for r in traj.reports])
     assert np.max(np.abs(values - values[0])) / values[0] < 1e-10
+    energies = np.array([hamiltonian(s) for s in traj.states])
+    assert np.max(np.abs(energies - energies[0])) / abs(energies[0]) < 1e-8
+    assert all(s.coeffs[0] == u0.coeffs[0] for s in traj.states)
 
 
 class TestLifespan:
@@ -649,6 +686,79 @@ class TestOperationCounts:
             coeffs = evolution._rk4(coeffs, minus_phi, work)
         assert len(counting.calls) == 3 * calls
         assert set(counting.calls) == {"multiply", "add", "add.reduce"}
+
+    def test_march_step_makes_nine_python_calls(self, grid64):
+        # _rk4, and the transforms' 4 _to_samples and 4 _rfft: the stages run
+        # inline, and the blowup check calls np.maximum.reduce, not
+        # ndarray.max (numpy's Python _amax); a helper call per stage and
+        # _amax made 18
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        params = ModelParams(2.0, grid64, 0.05, 1.0)
+        evolution._march([u0], params, [{1}])  # fill the caches first
+
+        def python_calls(steps):
+            calls = []
+            sys.setprofile(lambda frame, event, arg: calls.append(event))
+            try:
+                evolution._march([u0], params, [{steps}])
+            finally:
+                sys.setprofile(None)
+            return calls.count("call")
+
+        assert python_calls(20) - python_calls(10) == 9 * 10
+
+    def test_lone_steps_reuse_one_idle_workspace(self, grid64, monkeypatch):
+        built = []
+
+        def counting_workspace(*args):
+            built.append(args)
+            return workspace(*args)
+
+        workspace = evolution._workspace
+        monkeypatch.setattr(evolution, "_workspace", counting_workspace)
+        monkeypatch.setattr(evolution, "_idle", [])
+        state = gaussian_data(grid64, 0.5, 4.0)
+        for _ in range(10):
+            state = step_rk4(state, 0.05, 2.0)
+        assert len(built) == 1
+        step_rk4(state, 0.02, 2.0)  # a new dt
+        other = gaussian_data(Grid(64, 50.0), 0.5, 4.0)
+        step_rk4(other, 0.02, 2.0)  # a new grid
+        step_rk4(state, 0.02, 2.0)  # the grid of the idle one it replaced
+        assert len(built) == 4
+        assert len(evolution._idle) == 1
+
+    def test_a_reentrant_step_builds_its_own_workspace(self, grid64,
+                                                      monkeypatch):
+        # a step_rk4 call made inside the third stage of another, when
+        # k1 and k2 are in the outer step's workspace, with the same key
+        def reentrant(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                inner.append(step_rk4(u1, 0.05, 2.0))
+            return to_samples(*args)
+
+        calls, inner = [], []
+        to_samples = evolution._to_samples
+        u0, u1 = gaussian_data(grid64, 0.5, 4.0), sech2_data(grid64, 0.5, 3.0)
+        step_rk4(u0, 0.05, 2.0)  # leave an idle workspace with that key
+        monkeypatch.setattr(evolution, "_to_samples", reentrant)
+        outer = step_rk4(u0, 0.05, 2.0)
+        assert len(inner) == 1
+        symbol = phi_symbol(grid64.wavenumbers, 2.0)
+        for got, u in ((outer, u0), (inner[0], u1)):
+            want = allocating_rk4(u.coeffs, 0.05, grid64, symbol)
+            assert got.coeffs.tobytes() == want.tobytes()
+
+    def test_lone_steps_share_no_memory_with_the_idle_workspace(self, grid64):
+        state, states = gaussian_data(grid64, 0.5, 4.0), []
+        for _ in range(3):
+            state = step_rk4(state, 0.05, 2.0)
+            states.append(state.coeffs)
+        ((_, work),) = evolution._idle
+        buffers = [buffer for buffer in work if isinstance(buffer, np.ndarray)]
+        assert not any(np.shares_memory(a, buffer)
+                       for a in states for buffer in buffers)
 
     def test_march_memory_does_not_grow_with_the_steps(self):
         grid = Grid(1024, 256.0)
