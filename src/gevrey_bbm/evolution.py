@@ -47,8 +47,17 @@ transforms' 4 ``_to_samples`` and 4 ``_rfft``.  A
 rebuild: the four RK4 stages as one (4, ...) array, the stage input, the
 real samples, prebuilt views of the stages' rows and dealias tails, the
 grid's transform scalings (``spectral._scales``) and every scalar of a
-step as a 0-d array (a ufunc converts a Python float on every call).  The
-FFTs write into it: the inverse ones through ``spectral._to_samples``,
+step as a 0-d array of the dtype of the call's output: a ufunc converts a
+Python float on every call, and casts a float64 0-d array against a
+complex128 state (at n = 128 on 2 cores a multiply took 0.72 us with the
+float64 scalar and 0.45 with a complex128 one).  So dt/2, dt, 2 and dt/6
+are complex128, and only the halved forward scale, the real FFT's
+``fct``, is float64.  For the same reason ``_march`` steps a stack with
+-phi in the stack's (rows, n/2+1) shape, rebuilt when rows leave it:
+broadcasting the 1-D -phi cost 3.2 us a multiply at 3 x 65 modes against
+1.0.  Neither moves a bit: numpy multiplies a complex array by a float s
+as by (s + 0j), and broadcasting does not change any element's product.
+The FFTs write into it: the inverse ones through ``spectral._to_samples``,
 and the forward ones through ``spectral._rfft`` with L/n as the kernel's
 own factor, or L/(2n) in a stage, which folds in the 1/2 of u^2/2.
 The square and the stage combinations are in-place ufuncs with ``out``
@@ -140,17 +149,19 @@ def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
     (modes j > n/3); the real samples of u; the grid's spectral._scales;
-    and, as 0-d arrays, the forward scale halved, dt/2, dt, 2 and dt/6.
-    A lone _square or rhs needs no dt.
+    the forward scale halved, a float64 0-d array (the real samples' fct);
+    and dt/2, dt, 2 and dt/6 as complex128 0-d arrays, the dtype of the
+    states they multiply.  A lone _square or rhs needs no dt.
     """
     scales = _scales(grid)
     stages = np.empty((4, *shape), dtype=np.complex128)
     rows = tuple(stages)
     tails = tuple(k[..., grid.dealias_cutoff + 1:] for k in rows)
-    scalars = (0.5 * scales.forward, 0.5 * dt, dt, 2.0, dt / 6.0)
+    scalars = (0.5 * dt, dt, 2.0, dt / 6.0)
     return (stages, stages[1:3], np.empty(shape, dtype=np.complex128), rows,
             tails, np.empty(shape[:-1] + (grid.n_points,)), scales,
-            *map(np.array, scalars))
+            np.array(0.5 * scales.forward),
+            *(np.array(s, np.complex128) for s in scalars))
 
 
 def _square(coeffs: np.ndarray, work: tuple, k: int,
@@ -172,7 +183,8 @@ def _square(coeffs: np.ndarray, work: tuple, k: int,
 
 def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple) -> np.ndarray:
     """One classical RK4 step of size dt on raw half-spectra, with the
-    scratch arrays and the dt of work.  Returns a new array.
+    scratch arrays and the dt of work.  Returns a new array.  minus_phi
+    broadcasts to coeffs; it is fastest in coeffs' own shape.
 
     Stage k is -phi(D)(u + u^2/2) at its input u, written into row k: the
     dealiased square of _square, inline, with the forward scale L/(2n)."""
@@ -400,11 +412,14 @@ def _march(u0s: list[SpectralField], params: ModelParams,
         while live:
             # the live rows, stacked; a lone row stays 1-D
             coeffs = rows[0] if len(rows) == 1 else np.stack(rows)
+            # -phi in the stack's shape, so that no multiply broadcasts
+            stack_phi = (minus_phi if coeffs.ndim == 1
+                         else np.broadcast_to(minus_phi, coeffs.shape).copy())
             work = _workspace(coeffs.shape, grid, dt)
             modulus = work[5][..., :coeffs.shape[-1]]  # samples are free between steps
             stop = min(lasts[row] for row in live)
             for step in range(first, stop + 1):
-                coeffs = _rk4(coeffs, minus_phi, work)
+                coeffs = _rk4(coeffs, stack_phi, work)
                 # a max per row costs about 2% of a step at n = 1024, so it is
                 # taken only to name the row once the max over the stack
                 # fails; np.maximum.reduce, since ndarray.max enters a Python

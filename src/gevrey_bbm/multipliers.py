@@ -92,8 +92,8 @@ class ModelParams:
     def __post_init__(self):
         if not self.alpha > 1:
             raise InvalidInput(f"alpha must be > 1, got {self.alpha}")
-        if not self.dt > 0:
-            raise InvalidInput(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise InvalidInput(f"dt must be finite and positive, got {self.dt}")
         if not 0 <= self.t_end < math.inf:
             raise InvalidInput(f"t_end must be finite and >= 0, got {self.t_end}")
 

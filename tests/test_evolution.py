@@ -532,9 +532,11 @@ class TestBatchedMarch:
                 cosine_data(grid, 0.3, 2), gaussian_data(grid, 1.0, 2.0),
                 gaussian_data(grid, 0.2, 6.0)]
 
-    def test_rows_equal_single_runs_bitwise(self, grid64):
-        params = ModelParams(2.0, grid64, 0.05, 1.0)
-        u0s = self.data(grid64)
+    @pytest.mark.parametrize("n", [64, 96])  # 96: the inverse's n/L multiply
+    def test_rows_equal_single_runs_bitwise(self, n):
+        grid = Grid(n)
+        params = ModelParams(2.0, grid, 0.05, 1.0)
+        u0s = self.data(grid)
         batched = evolution._march(u0s, params, self.STEPS)
         assert len(batched) == len(u0s)
         assert batched[2] == {0: u0s[2]}
@@ -624,20 +626,24 @@ class TestBatchedMarch:
 
 class CountingNumpy:
     """numpy for the evolution and spectral modules, naming each multiply,
-    add and add.reduce call in calls."""
+    add and add.reduce call in calls, and keeping each multiply and add
+    call's (inputs, output) in operands."""
 
     def __init__(self):
         self.calls = []
+        self.operands = []
         self.multiply = self._counted(np.multiply)
         self.add = self._counted(np.add)
 
     def _counted(self, ufunc):
-        calls = self.calls
+        calls, operands = self.calls, self.operands
 
         class Counted:
             def __call__(self, *args):
                 calls.append(ufunc.__name__)
-                return ufunc(*args)
+                result = ufunc(*args)
+                operands.append((args[:2], result))
+                return result
 
             def reduce(self, *args):
                 calls.append(ufunc.__name__ + ".reduce")
@@ -686,6 +692,37 @@ class TestOperationCounts:
             coeffs = evolution._rk4(coeffs, minus_phi, work)
         assert len(counting.calls) == 3 * calls
         assert set(counting.calls) == {"multiply", "add", "add.reduce"}
+
+    @staticmethod
+    def march_operands(monkeypatch, n, rows):
+        """Each multiply and add call's (inputs, output) over 3 _march steps
+        of rows initial states on Grid(n)."""
+        grid = Grid(n)
+        u0s = [gaussian_data(grid, 0.5, 4.0), sech2_data(grid, 0.5, 3.0),
+               cosine_data(grid, 0.3, 2)][:rows]
+        counting = CountingNumpy()
+        monkeypatch.setattr(evolution, "np", counting)
+        monkeypatch.setattr(spectral, "np", counting)
+        evolution._march(u0s, ModelParams(2.0, grid, 0.05, 1.0), [{3}] * rows)
+        assert len(counting.calls) == 3 * (22 if n == 64 else 26)
+        return counting.operands
+
+    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_march_step_casts_no_operand(self, monkeypatch, n, rows):
+        # numpy casts a float64 0-d array against a complex128 state on
+        # every call: a complex128 dt/2, dt, 2 and dt/6 cast nothing
+        for inputs, output in self.march_operands(monkeypatch, n, rows):
+            assert all(isinstance(a, np.ndarray) for a in inputs)
+            assert [a.dtype for a in inputs] == [output.dtype] * 2
+
+    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_march_step_broadcasts_no_operand(self, monkeypatch, n, rows):
+        # a stack is stepped with -phi in its (rows, n/2+1) shape, not the
+        # cached (n/2+1,) one
+        for inputs, output in self.march_operands(monkeypatch, n, rows):
+            assert all(a.shape == output.shape for a in inputs if a.ndim)
 
     def test_march_step_makes_nine_python_calls(self, grid64):
         # _rk4, and the transforms' 4 _to_samples and 4 _rfft: the stages run

@@ -140,3 +140,8 @@ class TestModelParams:
         for t_end in (np.inf, np.nan):
             with pytest.raises(InvalidInput):
                 ModelParams(2.0, grid64, 1e-3, t_end)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected_by_name(self, grid64, dt):
+        with pytest.raises(InvalidInput, match=r"^dt must be finite"):
+            ModelParams(2.0, grid64, dt, 1.0)
