@@ -141,18 +141,15 @@ class ConservationReport:
     bound_satisfied: bool
 
 
-def measure_defects(u0: SpectralField, windows, params: ModelParams,
-                    c_cal: float = 1.0) -> list[ConservationReport]:
-    """I-weighted energy defect of u0's flow over each (sigma, delta) window.
+def measure_defects(runs, grid: Grid, dt: float,
+                    c_cal: float = 1.0) -> list[list[ConservationReport]]:
+    """I-weighted energy defect over each (sigma, delta) window of each run
+    (u0, alpha, windows) on grid; one report list per run.
 
-    sigma does not enter the flow and every window starts from u0 with the
-    same dt, so one RK4 run to the longest window serves them all.  A window
-    of n_steps = round(delta/dt) steps is sampled every
-    n_steps // DEFECT_SAMPLES steps and at its last step; the run keeps only
-    the states at the union of these sample steps.  The moduli of the kept
-    states are taken once, as one array, and each window's energies are one
-    batched sum over its rows (norms._energies, energy's formula).  params
-    supplies alpha, the grid and dt.
+    sigma does not enter the flow, so each run is one row of a single
+    batched RK4 march (evolution._march) to its longest window.  A window of
+    n_steps = round(delta/dt) steps is sampled every n_steps // DEFECT_SAMPLES
+    steps and at its last step, and only these states are kept.
 
     defect is sup_t E(t) - E(0); defect_abs is sup_t |E(t) - E(0)| (the
     magnitude used for scaling fits, since the signed defect can vanish when
@@ -160,12 +157,18 @@ def measure_defects(u0: SpectralField, windows, params: ModelParams,
     defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
     An energy or a bound that overflows raises OverflowRisk.
     """
-    windows = list(windows)
-    if not windows:
-        return []
-    window_steps = _window_steps(windows, params.dt)
-    (kept,) = _march([zero_nyquist(u0)], params, [set().union(*window_steps)])
-    return _defect_reports(u0, windows, window_steps, kept, params.alpha, c_cal)
+    if not 0 < dt < math.inf:
+        raise InvalidInput(f"dt must be finite and positive, got {dt}")
+    runs = [(u0, alpha, list(windows)) for u0, alpha, windows in runs]
+    run_steps = [_window_steps(windows, dt) for _, _, windows in runs]
+    if not any(run_steps):
+        return [[] for _ in runs]
+    kept = _march([zero_nyquist(u0) for u0, _, _ in runs],
+                  [alpha for _, alpha, _ in runs],
+                  [{0}.union(*steps) for steps in run_steps], grid, dt)
+    return [_defect_reports(u0, windows, steps, states, alpha, c_cal)
+            for (u0, alpha, windows), steps, states
+            in zip(runs, run_steps, kept)]
 
 
 def _window_steps(windows, dt: float) -> list[list[int]]:
@@ -187,9 +190,9 @@ def _window_steps(windows, dt: float) -> list[list[int]]:
 def _defect_reports(u0: SpectralField, windows, window_steps, kept,
                     alpha: float, c_cal: float) -> list[ConservationReport]:
     """The ConservationReport of each window, from the kept states of u0's
-    flow at its sample steps (see measure_defects).  The moduli of all kept
-    states are taken once, as one stacked array, and each window's energies
-    are one batched energy over its rows."""
+    flow at its sample steps.  The moduli of all kept states are taken once,
+    as one stacked array, and each window's energies are one batched energy
+    over its rows (norms._energies, energy's formula)."""
     _, beta, _ = fractional_bound_exponents(alpha)
     row = {step: i for i, step in enumerate(kept)}
     mags = np.abs(np.stack([state.coeffs for state in kept.values()]))
@@ -231,8 +234,9 @@ def defect_scaling_fit(u0: SpectralField, sigma_list, delta: float,
     if len(set(sigma_list)) < len(sigma_list):
         raise InvalidInput(f"sigma_list (sigma_grid) must not repeat a value, "
                            f"got {sigma_list}")
-    base, *reports = measure_defects(u0, [(s, delta) for s in [0.0] + sigma_list],
-                                     params, c_cal=c_cal)
+    windows = [(s, delta) for s in [0.0] + sigma_list]
+    ((base, *reports),) = measure_defects([(u0, params.alpha, windows)],
+                                          params.grid, params.dt, c_cal=c_cal)
     floor = 10.0 * base.defect_abs + 1e-14
     usable = [(s, r.defect_abs) for s, r in zip(sigma_list, reports)
               if r.defect_abs > floor]
@@ -557,10 +561,8 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
 
     C2 is the maximum of defect_abs / (delta * sigma^beta * ||I u0||^3)
     over a small suite of initial data and sigma values, doubled for margin.
-    Each sigma has its own window, the lifespan 1 / (8 C1 ||I u0||).  The
-    suite is stepped as one batched RK4 run, each datum to its own longest
-    window, and every window is read off its datum's kept states as
-    measure_defects reads them.
+    Each sigma has its own window, the lifespan 1 / (8 C1 ||I u0||), and the
+    suite is one measure_defects call.
     """
     grid = Grid(n_points, domain_length)
     weight = GevreyWeight(sigma_ref)
@@ -568,20 +570,12 @@ def run_calibration(alpha: float = 2.0, sigma_ref: float = 0.1,
                                      seed=seed)
     suite = [gaussian_data(grid, 0.5, 4.0), gaussian_data(grid, 1.0, 2.0),
              sech2_data(grid, 0.5, 3.0)]
-    suite_windows = [[(sigma, lifespan(u0, GevreyWeight(sigma), alpha, c1))
-                      for sigma in (0.05, 0.1, 0.3)] for u0 in suite]
-    suite_steps = [_window_steps(windows, CALIBRATION_DT)
-                   for windows in suite_windows]
-    params = ModelParams(alpha, grid, CALIBRATION_DT,
-                         max(delta for windows in suite_windows
-                             for _, delta in windows))
-    runs = _march([zero_nyquist(u0) for u0 in suite], params,
-                  [set().union(*steps) for steps in suite_steps])
-    worst = 0.0
-    for u0, windows, steps, kept in zip(suite, suite_windows, suite_steps, runs):
-        # at c_cal = 1 the predicted bound is delta * sigma^beta * ||I u0||^3
-        for report in _defect_reports(u0, windows, steps, kept, alpha, 1.0):
-            worst = max(worst, report.defect_abs / report.predicted_bound)
+    runs = [(u0, alpha, [(sigma, lifespan(u0, GevreyWeight(sigma), alpha, c1))
+                         for sigma in (0.05, 0.1, 0.3)]) for u0 in suite]
+    # at c_cal = 1 the predicted bound is delta * sigma^beta * ||I u0||^3
+    worst = max(report.defect_abs / report.predicted_bound
+                for reports in measure_defects(runs, grid, CALIBRATION_DT)
+                for report in reports)
     return Calibration(c1=float(c1), c2=float(2.0 * worst), alpha=alpha,
                        sigma_ref=sigma_ref, n_points=n_points,
                        domain_length=domain_length, seed=seed)

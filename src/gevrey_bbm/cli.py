@@ -264,15 +264,15 @@ def cmd_conservation(v: dict) -> dict:
     alpha = v["alpha"]
     u0 = _initial_data(v, grid)
     delta = _window(v, u0, alpha, cal.c1)
-    params = ModelParams(alpha, grid, v["dt"], delta)
     sigmas = v["sigma_grid"]
     if len(sigmas) == 1:
-        reports = analytics.measure_defects(u0, [(sigmas[0], delta)], params,
-                                            c_cal=cal.c2)
+        (reports,) = analytics.measure_defects(
+            [(u0, alpha, [(sigmas[0], delta)])], grid, v["dt"], c_cal=cal.c2)
         slope = None
     else:
-        slope, reports = analytics.defect_scaling_fit(u0, sigmas, delta, params,
-                                                      c_cal=cal.c2)
+        slope, reports = analytics.defect_scaling_fit(
+            u0, sigmas, delta, ModelParams(alpha, grid, v["dt"], delta),
+            c_cal=cal.c2)
     return {
         "delta": delta,
         "calibration": {"c1": cal.c1, "c2": cal.c2},
@@ -300,15 +300,14 @@ def cmd_sweep(v: dict) -> dict:
     grid = _grid(v)
     cal = _calibration(v)
     u0 = _initial_data(v, grid)
-    results = {}
-    for alpha in v["alpha_grid"]:
-        delta = _window(v, u0, alpha, cal.c1)
-        params = ModelParams(alpha, grid, v["dt"], delta)
-        windows = [(sigma, delta) for sigma in v["sigma_grid"]]
-        for report in analytics.measure_defects(u0, windows, params,
-                                                c_cal=cal.c2):
-            results[f"alpha={alpha!r},sigma={report.sigma!r}"] = {
-                "alpha": alpha, **_fields(report)}
+    alphas = v["alpha_grid"]
+    deltas = [_window(v, u0, alpha, cal.c1) for alpha in alphas]
+    runs = [(u0, alpha, [(sigma, delta) for sigma in v["sigma_grid"]])
+            for alpha, delta in zip(alphas, deltas)]
+    reports = analytics.measure_defects(runs, grid, v["dt"], c_cal=cal.c2)
+    results = {f"alpha={alpha!r},sigma={r.sigma!r}":
+               {"alpha": alpha, **_fields(r)}
+               for alpha, run in zip(alphas, reports) for r in run}
     return {"calibration": {"c1": cal.c1, "c2": cal.c2}, "results": results}
 
 

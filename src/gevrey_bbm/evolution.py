@@ -19,21 +19,20 @@ max|phi| once per (grid, alpha) and caches them read-only; ``_march``,
 ``step_rk4`` and ``rhs`` all read that cache.  ``_march`` is the one
 stepping loop: it keeps a ``SpectralField`` only at a given set of steps.
 ``simulate`` runs it on every ``sample_every``-th step (at most MAX_SAMPLES
-of them) and ``analytics.measure_defects`` on the union of its windows'
-sample steps; neither takes more than MAX_STEPS steps.  ``picard_solve``
-squares every time node in one batched ``_square`` call and sums the
-trapezoid over the nodes as one cumulative sum in the interaction picture,
-so an iteration has no loop over its nodes.
+of them) and ``analytics.measure_defects`` on the union of each run's
+window sample steps; neither takes more than MAX_STEPS steps.
+``picard_solve`` squares every time node in one batched ``_square`` call
+and sums the trapezoid over the nodes as one cumulative sum in the
+interaction picture, so an iteration has no loop over its nodes.
 
 ``_march`` has a batch axis: it takes several initial states on one grid,
-each with its own step set.  A single state is stepped as its 1-D array.
-Several are stacked to shape (rows, n/2+1) and stepped as one array, which
-the kernel handles unchanged, because it works along the last axis and
-batched real FFTs give each row bit for bit its single-row result.  Each
-row stops at its own last step: the stack is re-sliced without it, with a
-fresh workspace, so no row takes a step past its own.  A blowup names the
-first failing row.  ``analytics.run_calibration`` steps its three initial
-data this way.
+each with its own alpha and step set.  A single state is stepped as its 1-D
+array.  Several are stacked to shape (rows, n/2+1), with each row's -phi
+stacked beside them, and stepped as one array, which the kernel handles
+unchanged, because it works along the last axis and batched real FFTs give
+each row bit for bit its single-row result.  Each row stops at its own last
+step: the stack is re-sliced without it, with a fresh workspace, so no row
+takes a step past its own.  A blowup names the first failing row.
 
 The kernel allocates nothing it does not return, and at small n a step
 pays for its arithmetic, not for numpy's set-up of its calls or for Python
@@ -52,11 +51,11 @@ Python float on every call, and casts a float64 0-d array against a
 complex128 state (at n = 128 on 2 cores a multiply took 0.72 us with the
 float64 scalar and 0.45 with a complex128 one).  So dt/2, dt, 2 and dt/6
 are complex128, and only the halved forward scale, the real FFT's
-``fct``, is float64.  For the same reason ``_march`` steps a stack with
--phi in the stack's (rows, n/2+1) shape, rebuilt when rows leave it:
-broadcasting the 1-D -phi cost 3.2 us a multiply at 3 x 65 modes against
-1.0.  Neither moves a bit: numpy multiplies a complex array by a float s
-as by (s + 0j), and broadcasting does not change any element's product.
+``fct``, is float64.  For the same reason a stack's -phi has the stack's
+(rows, n/2+1) shape: broadcasting a 1-D -phi cost 3.2 us a multiply at
+3 x 65 modes against 1.0.  Neither moves a bit: numpy multiplies a
+complex array by a float s as by (s + 0j), and broadcasting does not
+change any element's product.
 The FFTs write into it: the inverse ones through ``spectral._to_samples``,
 and the forward ones through ``spectral._rfft`` with L/n as the kernel's
 own factor, or L/(2n) in a stage, which folds in the 1/2 of u^2/2.
@@ -385,36 +384,38 @@ def _sample_steps(n_steps: int, every: int) -> list[int]:
     return sorted(set(range(0, n_steps + 1, every)) | {n_steps})
 
 
-def _march(u0s: list[SpectralField], params: ModelParams,
-           steps) -> list[dict[int, SpectralField]]:
-    """RK4 from each initial state in u0s to the largest step of its own step
-    set in steps, keeping the state (step 0 included) at each of them; one
-    kept-state dict per state.
+def _march(u0s: list[SpectralField], alphas, steps, grid: Grid,
+           dt: float) -> list[dict[int, SpectralField]]:
+    """RK4 from each initial state in u0s, under its own alpha, to the
+    largest step of its own step set in steps, keeping the state (step 0
+    included) at each of them; one kept-state dict per state.
 
     A single state is stepped as its 1-D array.  Several are stacked to shape
     (rows, n/2+1) and stepped together; a row leaves the stack after its last
     step, so no row steps past it.  Only the requested states are stored, so
     memory follows the kept steps, not the steps taken.  Raises
     BlowupDetected, naming the row when there are several, as soon as a
-    coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1.
+    coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1
+    for the largest max|phi| of the rows that step.
     """
-    grid, dt = params.grid, params.dt
-    minus_phi, max_phi = _minus_phi(grid, params.alpha)
+    phis = [_minus_phi(grid, alpha) for alpha in alphas]
     wanted = [set(s) for s in steps]
     lasts = [max(w) for w in wanted]
-    if max(lasts) > 0:
-        _warn_if_unstable(dt, max_phi, stacklevel=4)
     kept = [{0: u0} for u0 in u0s]
     live = [row for row, last in enumerate(lasts) if last > 0]
+    if live:
+        _warn_if_unstable(dt, max(phis[row][1] for row in live), stacklevel=4)
     rows = [u0s[row].coeffs for row in live]
     first = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
-            # the live rows, stacked; a lone row stays 1-D
-            coeffs = rows[0] if len(rows) == 1 else np.stack(rows)
-            # -phi in the stack's shape, so that no multiply broadcasts
-            stack_phi = (minus_phi if coeffs.ndim == 1
-                         else np.broadcast_to(minus_phi, coeffs.shape).copy())
+            # the live rows and their -phi, stacked, so that no multiply
+            # broadcasts; a lone row stays 1-D
+            if len(rows) == 1:
+                coeffs, stack_phi = rows[0], phis[live[0]][0]
+            else:
+                coeffs = np.stack(rows)
+                stack_phi = np.stack([phis[row][0] for row in live])
             work = _workspace(coeffs.shape, grid, dt)
             modulus = work[5][..., :coeffs.shape[-1]]  # samples are free between steps
             stop = min(lasts[row] for row in live)
@@ -451,7 +452,8 @@ def simulate(
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
     steps = _sample_steps(_step_count(params.t_end, params.dt), sample_every)
     times = [step * params.dt for step in steps]
-    (kept,) = _march([zero_nyquist(u0)], params, [steps])
+    (kept,) = _march([zero_nyquist(u0)], [params.alpha], [steps], params.grid,
+                     params.dt)
     states = [kept[step] for step in steps]
     with _overflow_guard("the energy"):
         reports = [norm_report(s, weight, params.alpha) for s in states]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gevrey_bbm import analytics, evolution
+from gevrey_bbm import analytics, evolution, norms
 from gevrey_bbm.analytics import (
     Calibration,
     calibrate_bilinear_constant,
@@ -32,6 +32,7 @@ from gevrey_bbm.multipliers import (
     ModelParams,
     apply_I,
     apply_phi,
+    phi_symbol,
     semigroup,
 )
 from gevrey_bbm.norms import LOG_DOMAIN_CROSSOVER, energy, gevrey_norm, hs_norm
@@ -158,8 +159,7 @@ class TestMeasureDefect:
     def test_sigma_zero_below_discretization_floor(self):
         grid = Grid(128)
         u0 = gaussian_data(grid, 0.5, 4.0)
-        params = ModelParams(2.0, grid, 2e-3, 1.0)
-        (report,) = measure_defects(u0, [(0.0, 1.0)], params)
+        ((report,),) = measure_defects([(u0, 2.0, [(0.0, 1.0)])], grid, 2e-3)
         assert report.defect_abs < 1e-8 * energy(u0, 0.0, 2.0)
         assert report.bound_satisfied
 
@@ -167,8 +167,8 @@ class TestMeasureDefect:
         grid = Grid(128)
         cal = default_calibration()
         u0 = gaussian_data(grid, 0.5, 4.0)
-        params = ModelParams(2.0, grid, 2e-3, 1.0)
-        (report,) = measure_defects(u0, [(0.1, 2.0)], params, c_cal=cal.c2)
+        ((report,),) = measure_defects([(u0, 2.0, [(0.1, 2.0)])], grid, 2e-3,
+                                       c_cal=cal.c2)
         assert report.defect_abs > 0
         assert report.bound_satisfied
 
@@ -176,17 +176,17 @@ class TestMeasureDefect:
         # doubling sigma quadruples the defect while the sigma^2 term leads
         grid = Grid(128)
         u0 = gaussian_data(grid, 0.5, 4.0)
-        params = ModelParams(2.0, grid, 2e-3, 1.0)
-        small = measure_defects(u0, [(0.02, 1.0)], params)[0].defect_abs
-        large = measure_defects(u0, [(0.04, 1.0)], params)[0].defect_abs
+        small = measure_defects([(u0, 2.0, [(0.02, 1.0)])], grid, 2e-3)[0][0]
+        large = measure_defects([(u0, 2.0, [(0.04, 1.0)])], grid, 2e-3)[0][0]
+        small, large = small.defect_abs, large.defect_abs
         assert 3.5 <= large / small <= 4.5
 
     def test_delta_validated(self, grid64):
-        params = ModelParams(2.0, grid64, 1e-2, 1.0)
         # 4e-3 is under half a step: it would take no step at all
         for delta in (0.0, np.inf, np.nan, 4e-3):
             with pytest.raises(InvalidInput):
-                measure_defects(zero_field(grid64), [(0.1, delta)], params)
+                measure_defects([(zero_field(grid64), 2.0, [(0.1, delta)])],
+                                grid64, 1e-2)
 
     def test_one_trajectory_serves_every_sigma(self, grid64):
         # sigma does not enter the flow: the defects read off the shared
@@ -195,7 +195,8 @@ class TestMeasureDefect:
         u0 = gaussian_data(grid64, 0.5, 4.0)
         params = ModelParams(2.0, grid64, 1e-2, 2.0)
         sigmas = [0.0, 0.05, 0.2]
-        reports = measure_defects(u0, [(sigma, 2.0) for sigma in sigmas], params)
+        windows = [(sigma, 2.0) for sigma in sigmas]
+        (reports,) = measure_defects([(u0, 2.0, windows)], grid64, 1e-2)
         for sigma, report in zip(sigmas, reports):
             traj = simulate(u0, params, GevreyWeight(sigma), sample_every=5)
             energies = np.array([r.energy for r in traj.reports])
@@ -211,16 +212,17 @@ class TestMeasureDefect:
 
     def test_windows_match_one_window_calls(self, grid64):
         u0 = gaussian_data(grid64, 0.5, 4.0)
-        params = ModelParams(2.0, grid64, 1e-2, 1.0)
-        reports = measure_defects(u0, self.WINDOWS, params, c_cal=0.01)
-        assert reports == [measure_defects(u0, [window], params, c_cal=0.01)[0]
+        (reports,) = measure_defects([(u0, 2.0, self.WINDOWS)], grid64, 1e-2,
+                                     c_cal=0.01)
+        assert reports == [measure_defects([(u0, 2.0, [window])], grid64, 1e-2,
+                                           c_cal=0.01)[0][0]
                            for window in self.WINDOWS]
 
     def test_one_run_keeps_only_the_union_of_sample_steps(self, grid64, monkeypatch):
         runs, steps = [], []
 
-        def counting_march(u0s, params, wanted):
-            runs.append(evolution._march(u0s, params, wanted))
+        def counting_march(*args):
+            runs.append(evolution._march(*args))
             return runs[-1]
 
         def counting_rk4(*args):
@@ -231,7 +233,7 @@ class TestMeasureDefect:
         monkeypatch.setattr(analytics, "_march", counting_march)
         monkeypatch.setattr(evolution, "_rk4", counting_rk4)
         u0 = gaussian_data(grid64, 0.5, 4.0)
-        measure_defects(u0, self.WINDOWS, ModelParams(2.0, grid64, 1e-2, 1.0))
+        measure_defects([(u0, 2.0, self.WINDOWS)], grid64, 1e-2)
         union = set()
         for n_steps in (93, 127, 205):
             union |= set(range(0, n_steps + 1, n_steps // 40)) | {n_steps}
@@ -250,7 +252,7 @@ class TestMeasureDefect:
 
         monkeypatch.setattr(analytics, "_march", keeping_march)
         u0 = gaussian_data(grid64, 0.5, 4.0)
-        measure_defects(u0, self.WINDOWS[:3], ModelParams(2.0, grid64, 1e-2, 1.0))
+        measure_defects([(u0, 2.0, self.WINDOWS[:3])], grid64, 1e-2)
         ((kept,),) = runs
         arrays = [kept[step].coeffs for step in sorted(kept)]
         for i, a in enumerate(arrays):
@@ -269,8 +271,8 @@ class TestMeasureDefect:
         assert 96.0 * np.max(grid64.wavenumbers) > LOG_DOMAIN_CROSSOVER
         windows = self.WINDOWS + [(96.0, 0.93)]
         window_steps = analytics._window_steps(windows, 1e-2)
-        (kept,) = evolution._march([u0], ModelParams(2.0, grid64, 1e-2, 1.0),
-                                   [set().union(*window_steps)])
+        (kept,) = evolution._march([u0], [2.0], [set().union(*window_steps)],
+                                   grid64, 1e-2)
         reports = analytics._defect_reports(u0, windows, window_steps, kept,
                                             2.0, 0.01)
         assert len(reports) == len(windows)
@@ -280,10 +282,35 @@ class TestMeasureDefect:
             assert report.defect == float(np.max(energies - energies[0]))
             assert report.defect_abs == float(np.max(np.abs(energies - energies[0])))
 
+    def test_runs_equal_one_run_calls_in_one_march(self, grid64, monkeypatch):
+        # data, alphas and windows differ per run; a run with no window
+        # keeps its place in the batch
+        runs = [(gaussian_data(grid64, 0.5, 4.0), 2.0, self.WINDOWS),
+                (sech2_data(grid64, 0.5, 3.0), 3.0, self.WINDOWS[:2]),
+                (gaussian_data(grid64, 0.5, 4.0), 1.5, []),
+                (gaussian_data(grid64, 1.0, 2.0), 2.5, [(0.1, 0.5)])]
+        singles = [measure_defects([run], grid64, 1e-2, c_cal=0.01)[0]
+                   for run in runs]
+        calls = []
+
+        def counting_march(*args):
+            calls.append(args)
+            return evolution._march(*args)
+
+        monkeypatch.setattr(analytics, "_march", counting_march)
+        assert measure_defects(runs, grid64, 1e-2, c_cal=0.01) == singles
+        assert len(calls) == 1 and singles[2] == []
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_dt_validated(self, grid64, dt):
+        with pytest.raises(InvalidInput, match="dt must be finite and positive"):
+            measure_defects([(gaussian_data(grid64), 2.0, [(0.1, 1.0)])],
+                            grid64, dt)
+
     def test_no_window_takes_no_step(self, grid64, monkeypatch):
         monkeypatch.setattr(analytics, "_march", None)
-        assert measure_defects(zero_field(grid64), [],
-                               ModelParams(2.0, grid64, 1e-2, 1.0)) == []
+        assert measure_defects([(zero_field(grid64), 2.0, [])], grid64,
+                               1e-2) == [[]]
 
 
 class TestScalingFit:
@@ -344,6 +371,40 @@ class TestBilinearCalibration:
     def test_sample_budget_validated(self, grid64):
         with pytest.raises(InvalidInput):
             calibrate_bilinear_constant(50, GevreyWeight(0.1), 2.0, grid64)
+
+    def test_shipped_c1_lies_in_its_bracket(self):
+        # C1 is the largest ratio over 200 random pairs: a lower estimate of
+        # the supremum of ||phi I(uv)|| / (||Iu|| ||Iv||) in H^{alpha/2} over
+        # the alias-free band.  One structured field already reaches 5.5x
+        # it; cosh(a + b) <= 2 cosh(a) cosh(b) and Cauchy-Schwarz bound it
+        # by 2 sqrt(sup_j M_j^2 K_j / L)
+        cal = default_calibration()
+        grid = Grid(cal.n_points, cal.domain_length)
+        sigma, alpha, s = cal.sigma_ref, cal.alpha, cal.alpha / 2.0
+        band = analytics._active_band(grid)
+        assert (grid.n_points, grid.domain_length, sigma, alpha, band) == (
+            128, 64.0, 0.1, 2.0, 42)
+        xi = grid.wavenumbers
+        u = SpectralField(grid, np.where(grid.mode_numbers <= band,
+                                         (1.0 + xi) ** -2 / np.cosh(sigma * xi),
+                                         0.0).astype(complex))
+        # the ratio as calibrate_bilinear_constant takes it
+        product = dealias(forward_transform(inverse_transform(u) ** 2, grid))
+        numerator = norms._hs_norms(grid, apply_phi(
+            apply_I(product, GevreyWeight(sigma)), alpha).coeffs, s)
+        ratio = numerator / norms._gevrey_norms(grid, u.coeffs,
+                                                GevreyWeight(sigma, s)) ** 2
+        # M_j = (1+|xi_j|)^(alpha/2) |phi(xi_j)| and
+        # K_j = sum_m (1+|xi_m|)^-alpha (1+|xi_{j-m}|)^-alpha, over the band
+        xi_band = 2.0 * np.pi * np.arange(-band, band + 1) / grid.domain_length
+        decay = (1.0 + np.abs(xi_band)) ** -alpha
+        k = np.convolve(decay, decay)[band:3 * band + 1]
+        m = (1.0 + np.abs(xi_band)) ** s * np.abs(phi_symbol(xi_band, alpha))
+        bound = 2.0 * math.sqrt(np.max(m**2 * k) / grid.domain_length)
+        assert cal.c1 == pytest.approx(0.03673, abs=1e-5)
+        assert ratio == pytest.approx(0.2028, abs=1e-4)
+        assert bound == pytest.approx(0.5411, abs=1e-4)
+        assert cal.c1 <= ratio <= bound
 
     def test_random_fields_are_real_and_band_limited(self, grid128, rng):
         field = random_band_limited_field(grid128, rng)
@@ -628,7 +689,7 @@ class TestRunCalibration:
         monkeypatch.setattr(evolution, "_rk4", counting_rk4)
         analytics.run_calibration()
         # one batched run of the three data, each to its longest sigma window
-        (((u0s, _, wanted), kept),) = runs
+        (((u0s, _, wanted, _, _), kept),) = runs
         assert len(u0s) == len(wanted) == len(kept) == 3
         assert len(steps) == 1367
         assert [max(states) for states in kept] == [1259, 751, 1367]

@@ -204,6 +204,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and argv[1][2:] in err
 
+    @pytest.mark.parametrize("command", ["sweep", "conservation"])
+    @pytest.mark.parametrize("dt", ["0", "-1e-3"])
+    def test_non_positive_dt_exits_2(self, command, dt):
+        done = run_child("-m", "gevrey_bbm.cli", command, "--dt", dt,
+                         "--n_points", "64")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("config error: ") and "dt" in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("argv", [
         ["conservation", "--amplitude", "0"],
         ["sweep", "--amplitude", "0"],
@@ -457,7 +466,9 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "repeats" in err
 
-    def test_simulates_once_per_alpha(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("alpha_grid", ["2.0", "2.0,3.0"])
+    def test_simulates_once(self, alpha_grid, tmp_path, monkeypatch):
+        # every alpha is a row of one batched run
         calls = []
 
         def counting_march(*args):
@@ -466,9 +477,9 @@ class TestSweep:
 
         monkeypatch.setattr(analytics, "_march", counting_march)
         code, payload = run(tmp_path, "sweep", n_points=64, dt=5e-3,
-                            delta=0.5, alpha_grid="2.0")
+                            delta=0.5, alpha_grid=alpha_grid)
         assert code == 0
-        assert len(payload["results"]) == 6
+        assert len(payload["results"]) == 6 * len(alpha_grid.split(","))
         assert len(calls) == 1
 
     def test_cosine_matches_conservation(self, tmp_path):

@@ -178,9 +178,9 @@ def test_no_run_calls_the_np_fft_wrapper(grid64, monkeypatch):
     params = ModelParams(2.0, grid64, 0.05, 0.2)
     simulate(u0, params, GevreyWeight(0.1))
     u0s = [u0, sech2_data(grid64, 0.5, 3.0), cosine_data(grid64, 0.3, 2)]
-    kept = evolution._march(u0s, params, [{0, 2}, {4}, {1, 3}])
+    kept = evolution._march(u0s, [2.0] * 3, [{0, 2}, {4}, {1, 3}], grid64, 0.05)
     assert [sorted(k) for k in kept] == [[0, 2], [0, 4], [0, 1, 3]]
-    measure_defects(u0, [(0.1, 0.2)], params)
+    measure_defects([(u0, 2.0, [(0.1, 0.2)])], grid64, 0.05)
     picard_solve(u0, 0.2, 2.0, GevreyWeight(0.1), n_nodes=8)
 
 
@@ -534,17 +534,19 @@ class TestBatchedMarch:
 
     @pytest.mark.parametrize("n", [64, 96])  # 96: the inverse's n/L multiply
     def test_rows_equal_single_runs_bitwise(self, n):
+        # one alpha for every row, then an alpha per row: each row steps
+        # under its own -phi, whichever rows share the stack with it
         grid = Grid(n)
-        params = ModelParams(2.0, grid, 0.05, 1.0)
         u0s = self.data(grid)
-        batched = evolution._march(u0s, params, self.STEPS)
-        assert len(batched) == len(u0s)
-        assert batched[2] == {0: u0s[2]}
-        for u0, steps, kept in zip(u0s, self.STEPS, batched):
-            (single,) = evolution._march([u0], params, [steps])
-            assert sorted(kept) == sorted(single) == sorted(set(steps) | {0})
-            for step, state in single.items():
-                assert kept[step].coeffs.tobytes() == state.coeffs.tobytes()
+        for alphas in [2.0] * 5, [2.0, 3.0, 2.0, 1.5, 2.5]:
+            batched = evolution._march(u0s, alphas, self.STEPS, grid, 0.05)
+            assert len(batched) == len(u0s)
+            assert batched[2] == {0: u0s[2]}
+            for u0, alpha, steps, kept in zip(u0s, alphas, self.STEPS, batched):
+                (single,) = evolution._march([u0], [alpha], [steps], grid, 0.05)
+                assert sorted(kept) == sorted(single) == sorted(set(steps) | {0})
+                for step, state in single.items():
+                    assert kept[step].coeffs.tobytes() == state.coeffs.tobytes()
 
     def test_kept_states_share_no_memory(self, grid64, monkeypatch):
         spaces = []
@@ -555,8 +557,8 @@ class TestBatchedMarch:
 
         workspace = evolution._workspace
         monkeypatch.setattr(evolution, "_workspace", recording_workspace)
-        params = ModelParams(2.0, grid64, 0.05, 1.0)
-        batched = evolution._march(self.data(grid64), params, self.STEPS)
+        batched = evolution._march(self.data(grid64), [2.0] * 5, self.STEPS,
+                                   grid64, 0.05)
         # a fresh workspace for the five-row stack and for the two rows that
         # step on past 11; the stage input has the stack's shape
         assert [space[2].shape for space in spaces] == [(4, 33), (2, 33)]
@@ -579,9 +581,8 @@ class TestBatchedMarch:
 
         rk4 = evolution._rk4
         monkeypatch.setattr(evolution, "_rk4", recording_rk4)
-        params = ModelParams(2.0, grid64, 0.05, 1.0)
-        (kept,) = evolution._march([gaussian_data(grid64, 0.5, 4.0)], params,
-                                   [{0, 4, 10}])
+        (kept,) = evolution._march([gaussian_data(grid64, 0.5, 4.0)], [2.0],
+                                   [{0, 4, 10}], grid64, 0.05)
         assert shapes == [(33,)] * 10
         assert [kept[step].coeffs.shape for step in (0, 4, 10)] == [(33,)] * 3
 
@@ -599,29 +600,42 @@ class TestBatchedMarch:
 
         rk4 = evolution._rk4
         monkeypatch.setattr(evolution, "_rk4", planting_rk4)
-        params = ModelParams(2.0, grid64, 0.05, 1.0)
         with pytest.raises(BlowupDetected) as info:
-            evolution._march(self.data(grid64)[:3], params, [{2}, {10}, {10}])
+            evolution._march(self.data(grid64)[:3], [2.0] * 3, [{2}, {10}, {10}],
+                             grid64, 0.05)
         assert info.value.row == 1 and info.value.time == 6 * 0.05
         assert str(info.value) == f"non-finite state detected at t={6 * 0.05} in row 1"
 
     def test_single_state_blowup_names_no_row(self, grid64):
         coeffs = gaussian_data(grid64, 0.5, 4.0).coeffs.copy()
         coeffs[3] = np.nan
-        params = ModelParams(2.0, grid64, 1e-2, 1.0)
         with pytest.raises(BlowupDetected) as info:
-            evolution._march([SpectralField(grid64, coeffs)], params, [{5}])
+            evolution._march([SpectralField(grid64, coeffs)], [2.0], [{5}],
+                             grid64, 1e-2)
         assert info.value.row is None
         assert str(info.value) == "non-finite state detected at t=0.01"
 
     def test_unstable_dt_warns_once_per_batch(self, grid64):
         u0s = [gaussian_data(grid64, 0.01, 4.0), cosine_data(grid64, 0.01, 1)]
-        params = ModelParams(2.0, grid64, 2.5, 50.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            evolution._march(u0s, params, [{20}, {5, 12}])
+            evolution._march(u0s, [2.0] * 2, [{20}, {5, 12}], grid64, 2.5)
         assert len(caught) == 1
         assert "dt*max|phi|" in str(caught[0].message)
+
+    def test_only_the_unstable_rows_margin_is_warned(self, grid64):
+        # max|phi| is 0.4999 at alpha = 2 and 0.5291 at 1.5 on this grid:
+        # at dt = 1.95 only the second row, the lower alpha, is past 1
+        u0s = [gaussian_data(grid64, 0.01, 4.0), cosine_data(grid64, 0.01, 1)]
+        margins = [1.95 * evolution._minus_phi(grid64, alpha)[1]
+                   for alpha in (2.0, 1.5)]
+        assert margins[0] < 1.0 <= margins[1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolution._march(u0s, [2.0, 1.5], [{5}, {3}], grid64, 1.95)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(
+            f"dt*max|phi| = {margins[1]:.3g} >= 1")
 
 
 class CountingNumpy:
@@ -669,8 +683,7 @@ class TestOperationCounts:
                 return _function(*args)
             monkeypatch.setattr(evolution, name, counted)
         u0s = [gaussian_data(grid64, 0.5, 4.0)] * rows
-        evolution._march(u0s, ModelParams(2.0, grid64, 0.05, 1.0),
-                         [{0, 4, 9}] * rows)
+        evolution._march(u0s, [2.0] * rows, [{0, 4, 9}] * rows, grid64, 0.05)
         assert calls.count("_rfft") == calls.count("_to_samples") == 4 * 9
 
     @pytest.mark.parametrize("n, calls", [(64, 22), (96, 26)])
@@ -703,7 +716,7 @@ class TestOperationCounts:
         counting = CountingNumpy()
         monkeypatch.setattr(evolution, "np", counting)
         monkeypatch.setattr(spectral, "np", counting)
-        evolution._march(u0s, ModelParams(2.0, grid, 0.05, 1.0), [{3}] * rows)
+        evolution._march(u0s, [2.0] * rows, [{3}] * rows, grid, 0.05)
         assert len(counting.calls) == 3 * (22 if n == 64 else 26)
         return counting.operands
 
@@ -730,14 +743,13 @@ class TestOperationCounts:
         # ndarray.max (numpy's Python _amax); a helper call per stage and
         # _amax made 18
         u0 = gaussian_data(grid64, 0.5, 4.0)
-        params = ModelParams(2.0, grid64, 0.05, 1.0)
-        evolution._march([u0], params, [{1}])  # fill the caches first
+        evolution._march([u0], [2.0], [{1}], grid64, 0.05)  # fill the caches first
 
         def python_calls(steps):
             calls = []
             sys.setprofile(lambda frame, event, arg: calls.append(event))
             try:
-                evolution._march([u0], params, [{steps}])
+                evolution._march([u0], [2.0], [{steps}], grid64, 0.05)
             finally:
                 sys.setprofile(None)
             return calls.count("call")
@@ -800,17 +812,16 @@ class TestOperationCounts:
     def test_march_memory_does_not_grow_with_the_steps(self):
         grid = Grid(1024, 256.0)
         u0 = gaussian_data(grid, 0.5, 4.0)
-        params = ModelParams(2.0, grid, 0.02, 20.0)
-        evolution._march([u0], params, [{1}])  # fill the caches first
+        evolution._march([u0], [2.0], [{1}], grid, 0.02)  # fill the caches first
         peaks = {}
         for steps in (10, 1000):
             tracemalloc.start()
             try:
-                evolution._march([u0], params, [{steps}])
+                evolution._march([u0], [2.0], [{steps}], grid, 0.02)
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        work = evolution._workspace(u0.coeffs.shape, grid, params.dt)
+        work = evolution._workspace(u0.coeffs.shape, grid, 0.02)
         workspace = sum(a.nbytes for a in work
                         if isinstance(a, np.ndarray) and a.base is None)
         state = u0.coeffs.nbytes
