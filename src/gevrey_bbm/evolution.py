@@ -396,8 +396,12 @@ def _march(u0s: list[SpectralField], alphas, steps, grid: Grid,
     memory follows the kept steps, not the steps taken.  Raises
     BlowupDetected, naming the row when there are several, as soon as a
     coefficient exceeds BLOWUP_CAP or is NaN; warns once when dt*max|phi| >= 1
-    for the largest max|phi| of the rows that step.
+    for the largest max|phi| of the rows that step.  Raises InvalidInput,
+    naming both grids, for a state that lives on a grid other than grid.
     """
+    for u0 in u0s:
+        if u0.grid != grid:
+            raise InvalidInput(f"initial state on {u0.grid} cannot step on {grid}")
     phis = [_minus_phi(grid, alpha) for alpha in alphas]
     wanted = [set(s) for s in steps]
     lasts = [max(w) for w in wanted]

@@ -181,6 +181,13 @@ class TestMeasureDefect:
         small, large = small.defect_abs, large.defect_abs
         assert 3.5 <= large / small <= 4.5
 
+    def test_a_datum_on_another_grid_is_refused(self, grid64):
+        # it would step on grid but be measured on its own grid
+        u0 = gaussian_data(Grid(64, 50.0), 0.5, 4.0)
+        with pytest.raises(InvalidInput, match=r"domain_length=50\.0.*"
+                           r"domain_length=64\.0"):
+            measure_defects([(u0, 2.0, [(0.1, 1.0)])], grid64, 1e-2)
+
     def test_delta_validated(self, grid64):
         # 4e-3 is under half a step: it would take no step at all
         for delta in (0.0, np.inf, np.nan, 4e-3):

@@ -615,10 +615,11 @@ def test_every_error_class_has_an_exit_code(error, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify-identities", "--fab_samples", "1000000000000000"],
     ["radius", "--n_points", "1000000000000000"],
+    ["verify-identities", "--coordinate_range", "1000000000000000"],
 ])
 def test_a_size_too_large_to_allocate_is_one_line_exit_2(argv):
     # numpy refuses an array of 10^15 elements at once, using no memory; it
-    # was exit 1 with a traceback
+    # was exit 1 with a traceback, and a scan of 3*10^30 triads never ends
     done = run_child("-m", "gevrey_bbm.cli", *argv)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("config error: ")

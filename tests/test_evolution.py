@@ -457,6 +457,14 @@ class TestSimulate:
         traj = simulate(u0, params, GevreyWeight(0.0))
         assert len(traj.states) == 1 and traj.times[0] == 0.0
 
+    def test_a_datum_on_another_grid_is_refused(self, grid64):
+        # its states would come back relabelled as states on params.grid
+        u0 = gaussian_data(Grid(64, 50.0), 0.5, 4.0)
+        params = ModelParams(2.0, grid64, 1e-2, 0.1)
+        with pytest.raises(InvalidInput, match=r"domain_length=50\.0.*"
+                           r"domain_length=64\.0"):
+            simulate(u0, params, GevreyWeight(0.0))
+
     def test_solitary_profile_stays_bounded(self):
         grid = Grid(256)
         u0 = sech2_data(grid, 0.5, 4.0)

@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,7 +93,9 @@ class TestVerifyFactorIdentity:
         report = verify_factor_identity(1, 3, 1)
         assert report.all_equal and report.max_defect == 0
         assert type(report.max_defect) is int
-        assert report.triads_tested > 0
+        for r in range(1, 13):
+            report = verify_factor_identity(1, r, 0)
+            assert report.triads_tested == 3 * r * r + 3 * r + 1
 
     def test_the_proof_finds_a_planted_error(self, monkeypatch):
         # prod_{s=0..2k} (xi1 - s xi2) is homogeneous of the sides' degree
@@ -112,16 +116,23 @@ class TestVerifyFactorIdentity:
             t, k, power_sum(t, k), factored(t, k) + math.factorial(2 * k + 1))
 
     def test_the_scan_stops_at_the_first_planted_error(self, monkeypatch):
-        # the scan runs triad by triad with k inside, so (-2, 1, 1) at k = 3
-        # comes before (-1, -1, 2) at k = 1, and nothing after it is looked at
+        # the scan runs k by k over all triads, so (-1, -1, 2) fails at k = 1
+        # before (-2, 1, 1) fails at k = 3; the report is still the first
+        # failing triad in xi1-then-xi2 order, here rows 1 and 3 of the scan
+        # in two blocks of two
+        monkeypatch.setattr(identities, "SCAN_BLOCK", 2)
         carried = identities._carried_sides
         planted = {((-1, -1, 2), 1), ((-2, 1, 1), 3)}
-        seen = []
+        failed = []
 
-        def corrupted(t, k_max):
-            for k, left, right in carried(t, k_max):
-                seen.append(((t.xi1, t.xi2, t.xi3), k))
-                yield k, left, right + (seen[-1] in planted)
+        def corrupted(values, i1, i2, i3, i13, i23, k_max):
+            for k, rows, left, right in carried(values, i1, i2, i3, i13, i23,
+                                                k_max):
+                triads = list(zip(values[i1[rows]], values[i2[rows]],
+                                  values[i3[rows]]))
+                failed.extend((t, k) for t in triads if (t, k) in planted)
+                hits = [int((t, k) in planted) for t in triads]
+                yield k, rows, left, right + np.array(hits, dtype=object)
 
         monkeypatch.setattr(identities, "_carried_sides", corrupted)
         with pytest.raises(IdentityViolation) as caught:
@@ -129,8 +140,20 @@ class TestVerifyFactorIdentity:
         t = Triad(-2, 1, 1)
         assert caught.value.counterexample == (
             t, 3, power_sum(t, 3), factored_form(t, 3) + 1)
-        assert seen[-1] == ((-2, 1, 1), 3)
-        assert ((-1, -1, 2), 1) not in seen
+        assert failed == [((-1, -1, 2), 1), ((-2, 1, 1), 3)]
+
+    def test_the_scan_builds_no_triad_per_point(self, monkeypatch):
+        # a loop over the 331 triads would build one Triad each
+        built = []
+
+        class Counted(Triad):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(identities, "Triad", Counted)
+        assert verify_factor_identity(20, 10, 0).all_equal
+        assert built == []
 
     def test_symbolic_expansion_to_k3(self, monkeypatch):
         # the scan never calls power_sum, the proof calls it once per point:
@@ -156,18 +179,53 @@ class TestVerifyFactorIdentity:
             verify_factor_identity(1, 2, symbolic_k_max=-3)
 
 
+def _scanned(values, i1, i2, i3, i13, i23, k_max):
+    """Every (triad, k, left, right) the carried pass yields, in its order."""
+    return [((values[i1[t]], values[i2[t]], values[i3[t]]), k, left[j], right[j])
+            for k, rows, left, right
+            in identities._carried_sides(values, i1, i2, i3, i13, i23, k_max)
+            for j, t in enumerate(range(*rows.indices(i1.size)))]
+
+
 class TestCarriedSides:
+    @pytest.mark.parametrize("block", [5, identities.SCAN_BLOCK])
+    def test_matches_the_definitions_on_every_small_integer_triad(
+            self, block, monkeypatch):
+        # in blocks of 5, a triad's pairs (xi1, xi3) and (xi2, xi3) mostly
+        # lie in other blocks than its own
+        monkeypatch.setattr(identities, "SCAN_BLOCK", block)
+        for r in range(1, 4):
+            values = np.arange(-r, r + 1).astype(object)
+            sides = _scanned(values, *identities._hyperplane(r), 12)
+            triads = [(a, b, -a - b) for a in range(-r, r + 1)
+                      for b in range(-r, r + 1) if abs(a + b) <= r]
+            assert [(t, k) for t, k, _, _ in sides] == [
+                (t, k) for k in range(1, 13) for t in triads]
+            for t, k, left, right in sides:
+                triad = Triad(*t)
+                assert (left, right) == (power_sum(triad, k),
+                                         factored_form(triad, k))
+
     @settings(max_examples=100, deadline=None)
     @given(a=st.fractions(-20, 20, max_denominator=60),
            b=st.fractions(-20, 20, max_denominator=60))
     def test_matches_the_definitions_on_rational_triads(self, a, b):
         # neither the integer scan nor the proof reaches a non-integer
-        # triad; the carried pass must hold there too
-        t = Triad(a, b, -a - b)
-        sides = list(identities._carried_sides(t, 12))
-        assert [k for k, _, _ in sides] == list(range(1, 13))
-        for k, left, right in sides:
-            assert left == power_sum(t, k) and right == factored_form(t, k)
+        # triad; the carried pass must hold there too.  The permutations of
+        # a triad are closed under its pairs: (xi1, xi3) of one is (xi1, xi2)
+        # of another
+        triads = sorted(set(itertools.permutations((a, b, -a - b))))
+        values = sorted(set(triads[0]))
+        index = {x: i for i, x in enumerate(values)}
+        row = {(x, y): t for t, (x, y, _) in enumerate(triads)}
+        arrays = [np.array([index[t[i]] for t in triads]) for i in range(3)]
+        arrays += [np.array([row[t[i], t[2]] for t in triads]) for i in (0, 1)]
+        sides = _scanned(np.array(values, dtype=object), *arrays, 12)
+        assert [k for _, k, _, _ in sides] == [
+            k for k in range(1, 13) for _ in triads]
+        for t, k, left, right in sides:
+            triad = Triad(*t)
+            assert left == power_sum(triad, k) and right == factored_form(triad, k)
             assert left == right
 
 
