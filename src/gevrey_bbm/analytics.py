@@ -51,6 +51,7 @@ DEFECT_SAMPLES = 40  # energy samples per defect window
 RANDOM_FIELD_DECAY = 0.5  # e^(-decay |xi|) envelope of the random fields
 CALIBRATION_SAMPLES = 200  # random pairs behind C1
 CALIBRATION_DT = 2e-3  # RK4 step of the defect suite behind C2
+TRIAD_BLOCK = 2 ** 14  # triads per block of the triad route
 
 
 # --- energy defect rate: two independent routes ----------------------------
@@ -76,39 +77,62 @@ def _defect_rate_physical(field: SpectralField, sigma: float) -> tuple[float, fl
 
 
 def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
-    """(i L / 6) * sum over grid triads of the symmetrized weight series."""
+    """(i L / 6) * sum over grid triads of the symmetrized weight series.
+
+    Once per conjugate pair: the field is real, a(-j) = conj a(j), and the
+    series is odd in xi, so the triads (j1, j2, j3) and (-j1, -j2, -j3) add
+    the same real part, -(L/6) * series * Im(a1 a2 a3).  The sum runs over
+    the rows j1 >= 1 and is doubled: (T - 2b - 1) / 2 of the
+    T = (2b+1)^2 - b(b+1) triads of the band |j| <= b.  Row j1 = 0, its own
+    mirror image, adds nothing: its triads (0, j, -j) have series 0 and a
+    real a(0)|a(j)|^2.  The rows are walked in blocks of at most TRIAD_BLOCK
+    triads (one row at least), so every temporary is O(max(TRIAD_BLOCK, b)),
+    not O(b^2); the blocks' partial sums are added in row order, so reruns
+    are bitwise identical.  The series is evaluated by symmetrized_weight on
+    each block's triads, which raises OverflowRisk; no transform is made.
+    """
     grid = field.grid
-    n = grid.n_points
     L = grid.domain_length
     band = _active_band(grid)
     if sigma == 0.0:
         return 0.0  # empty series: exact conservation
-    # Fourier-series coefficients of every mode, in FFT order
-    c = field.coeffs
-    a = np.concatenate([c, np.conj(c[-2:0:-1])]) / L
-    j = np.arange(-band, band + 1)
-    j1, j2 = np.meshgrid(j, j, indexing="ij")
-    j3 = -j1 - j2
-    valid = np.abs(j3) <= band
-    j1, j2, j3 = j1[valid], j2[valid], j3[valid]
-    scale = 2.0 * np.pi / L
-    series = symmetrized_weight(scale * j1, scale * j2, scale * j3, sigma)
-    total = np.sum(series * a[j1 % n] * a[j2 % n] * a[j3 % n])
-    return float(np.real(1j * L / 6.0 * total))
+    # Fourier-series coefficients a(j) and wavenumbers of |j| <= band, at j + band
+    c = field.coeffs[:band + 1] / L
+    a = np.concatenate([np.conj(c[:0:-1]), c])
+    x = 2.0 * np.pi / L * np.arange(-band, band + 1)
+    width = 2 * band + 1  # row j1 >= 0 holds j2 = -band .. band - j1
+    rows_per_block = max(1, TRIAD_BLOCK // width)
+    total = 0.0
+    for first in range(1, band + 1, rows_per_block):
+        rows = np.arange(first, min(first + rows_per_block, band + 1))
+        lengths = width - rows
+        starts = np.cumsum(lengths) - lengths
+        i1 = np.repeat(rows + band, lengths)
+        i2 = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+        i3 = 3 * band - i1 - i2  # j3 = -j1 - j2
+        series = symmetrized_weight(x[i1], x[i2], x[i3], sigma)
+        total += float(np.sum(series * (a[i1] * a[i2] * a[i3]).imag))
+    return -L / 3.0 * total
 
 
 def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
                           rtol: float = 1e-6) -> float:
     """dE/dt of the I-weighted energy, computed two independent ways.
 
-    Route (a) evaluates -2*int(u u_x I^2 u) dx in physical space; route (b)
-    sums the symmetrized weight series over all on-grid frequency triads.
-    The field is dealiased first so the quadrature in (a) is exact.  Returns
-    the physical-space value after asserting agreement; the rate does not
-    depend on alpha (the dispersive term cancels exactly in the energy).
+    Route (a) evaluates -2*int(u u_x I^2 u) dx in physical space, with three
+    inverse transforms; route (b) sums the symmetrized weight series over
+    every on-grid frequency triad, once per conjugate pair, in blocks of at
+    most TRIAD_BLOCK triads: O(b^2) time in the band b, O(max(TRIAD_BLOCK,
+    b)) memory (see _defect_rate_triads).  The field is dealiased first so
+    the quadrature in (a) is exact.  Returns the physical-space value after
+    asserting agreement; the rate does not depend on alpha (the dispersive
+    term cancels exactly in the energy).  A non-finite or negative sigma
+    and a NaN or negative rtol are InvalidInput.
     """
-    if sigma < 0:
-        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
+    if not rtol >= 0:
+        raise InvalidInput(f"rtol must be >= 0, got {rtol}")
     coeffs = field.coeffs.copy()
     coeffs[_active_band(field.grid) + 1:] = 0.0
     field = field.with_coeffs(coeffs)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ from gevrey_bbm.spectral import (
     zero_field,
     zero_nyquist,
 )
+
+
+def _full_plane_triads(field, sigma):
+    """The triad route as one sum over the whole (2b+1)^2 plane of triads,
+    every triad on its own: the oracle of the conjugate-pair blocked sum."""
+    grid = field.grid
+    n, L = grid.n_points, grid.domain_length
+    band = analytics._active_band(grid)
+    c = field.coeffs
+    a = np.concatenate([c, np.conj(c[-2:0:-1])]) / L
+    j = np.arange(-band, band + 1)
+    j1, j2 = np.meshgrid(j, j, indexing="ij")
+    j3 = -j1 - j2
+    valid = np.abs(j3) <= band
+    j1, j2, j3 = j1[valid], j2[valid], j3[valid]
+    scale = 2.0 * np.pi / L
+    series = symmetrized_weight(scale * j1, scale * j2, scale * j3, sigma)
+    total = np.sum(series * a[j1 % n] * a[j2 % n] * a[j3 % n])
+    return float(np.real(1j * L / 6.0 * total))
 
 
 class TestTrilinearDefectRate:
@@ -125,6 +145,60 @@ class TestTrilinearDefectRate:
     def test_negative_sigma_rejected(self, random_field):
         with pytest.raises(InvalidInput):
             trilinear_defect_rate(random_field, -0.1, 2.0)
+
+    @pytest.mark.parametrize("name, value", [("sigma", math.nan),
+                                             ("sigma", math.inf),
+                                             ("rtol", math.nan),
+                                             ("rtol", -1.0)])
+    def test_bad_sigma_and_rtol_rejected(self, random_field, name, value):
+        # an input error, not a cross-check failure or an overflow
+        args = {"sigma": 0.1, "rtol": 1e-6, name: value}
+        with np.errstate(all="raise"), pytest.raises(InvalidInput, match=name):
+            trilinear_defect_rate(random_field, args["sigma"], 2.0,
+                                  rtol=args["rtol"])
+
+    @pytest.mark.parametrize("n", [64, 96, 128, 256, 1024])
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
+    def test_blocked_route_equals_the_full_plane_sum(self, rng, n, sigma):
+        # n = 96 has the band cutoff - 1; n = 1024 spans several blocks
+        field = random_band_limited_field(Grid(n), rng)
+        oracle = _full_plane_triads(field, sigma)
+        assert analytics._defect_rate_triads(field, sigma) == pytest.approx(
+            oracle, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [64, 96, 1024])
+    def test_triad_route_sums_half_the_triads_and_no_transform(self, rng,
+                                                               monkeypatch, n):
+        grid = Grid(n)
+        field = random_band_limited_field(grid, rng)
+        band = analytics._active_band(grid)
+        plane = (2 * band + 1) ** 2 - band * (band + 1)
+        evaluated = []
+
+        def counting(x1, x2, x3, sigma):
+            evaluated.append(np.size(x1))
+            return symmetrized_weight(x1, x2, x3, sigma)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the triad route made a transform")
+
+        monkeypatch.setattr(analytics, "symmetrized_weight", counting)
+        for name in ("inverse_transform", "_to_samples", "_rfft"):
+            monkeypatch.setattr(analytics, name, no_transform)
+        analytics._defect_rate_triads(field, 0.1)
+        assert 0 < sum(evaluated) <= (plane + 2 * band + 1) // 2
+        assert max(evaluated) <= max(analytics.TRIAD_BLOCK, 2 * band + 1)
+
+    def test_triad_route_memory_is_bounded(self, rng):
+        # O(block), not O(band^2): the full plane at n = 2048 peaks near 98 MiB
+        field = random_band_limited_field(Grid(2048), rng)
+        tracemalloc.start()
+        try:
+            analytics._defect_rate_triads(field, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_closed_form_matches_the_series(self, sigma):
