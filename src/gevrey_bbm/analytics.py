@@ -50,6 +50,7 @@ POINTWISE_SLACK = 0.99
 DEFECT_SAMPLES = 40  # energy samples per defect window
 RANDOM_FIELD_DECAY = 0.5  # e^(-decay |xi|) envelope of the random fields
 CALIBRATION_SAMPLES = 200  # random pairs behind C1
+CALIBRATION_BLOCK = 32  # pairs per block of calibrate_bilinear_constant
 CALIBRATION_DT = 2e-3  # RK4 step of the defect suite behind C2
 TRIAD_BLOCK = 2 ** 14  # triads per block of the triad route
 
@@ -126,13 +127,16 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
     b)) memory (see _defect_rate_triads).  The field is dealiased first so
     the quadrature in (a) is exact.  Returns the physical-space value after
     asserting agreement; the rate does not depend on alpha (the dispersive
-    term cancels exactly in the energy).  A non-finite or negative sigma
-    and a NaN or negative rtol are InvalidInput.
+    term cancels exactly in the energy).  A non-finite or negative sigma,
+    a NaN or negative rtol and a field with a non-finite coefficient are
+    InvalidInput, raised before either route runs.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
     if not rtol >= 0:
         raise InvalidInput(f"rtol must be >= 0, got {rtol}")
+    if not np.isfinite(field.coeffs).all():
+        raise InvalidInput("field has a non-finite coefficient")
     coeffs = field.coeffs.copy()
     coeffs[_active_band(field.grid) + 1:] = 0.0
     field = field.with_coeffs(coeffs)
@@ -317,34 +321,44 @@ def calibrate_bilinear_constant(samples: int, weight: GevreyWeight,
     lifespan formula.  Only weight.sigma enters: I is cosh(sigma D) in the
     numerator and both denominators.
 
-    The pairs are drawn as 2*samples fields, u then v of each pair, and
-    measured in one array pass: one inverse transform of the us and one of
-    the vs, one forward transform of their products, and one batched norm
-    for each of the numerator and the two denominators (gevrey_norm's).  A
-    pair with a zero denominator is skipped.
+    The pairs are drawn and measured in blocks of at most CALIBRATION_BLOCK
+    pairs, u then v of each pair, so memory does not grow with samples:
+    consecutive draws consume the generator as one draw of 2*samples fields
+    would.  A block is one array pass: one inverse transform of its us and
+    one of its vs, one forward transform of their products, and one batched
+    norm for each of the numerator and the two denominators (gevrey_norm's).
+    Every ratio is measured per row, so the largest of the blocks' maxima
+    does not depend on the block size.  A pair with a zero denominator is
+    skipped.
     """
     if samples < 100:
         raise InvalidInput(f"samples must be >= 100, got {samples}")
     rng = np.random.default_rng(seed)
     s = alpha / 2.0
     xi = grid.wavenumbers
-    fields = _random_fields(grid, rng, 2 * samples)
-    us, vs = fields[0::2], fields[1::2]
     norm_weight = GevreyWeight(weight.sigma, s)
-    nu = _gevrey_norms(grid, us, norm_weight)
-    nv = _gevrey_norms(grid, vs, norm_weight)
-    # the arithmetic of inverse_transform(u) * inverse_transform(v), its
-    # transform with L/n as the kernel's factor, dealias, apply_I and apply_phi
+    i_symbol = GevreyWeight(weight.sigma).symbol(xi)
+    symbol = phi_symbol(xi, alpha)
     scales = _scales(grid)
-    product = _to_samples(us, scales)
-    product *= _to_samples(vs, scales)
-    product = _rfft(product, None, scales.forward)
-    product[:, grid.dealias_cutoff + 1:] = 0.0
-    product = product * GevreyWeight(weight.sigma).symbol(xi)
-    num = _hs_norms(grid, product * phi_symbol(xi, alpha), s)
-    usable = (nu != 0.0) & (nv != 0.0)
-    ratios = num[usable] / (nu[usable] * nv[usable])
-    return float(np.max(ratios, initial=0.0))
+    peaks = []
+    for first in range(0, samples, CALIBRATION_BLOCK):
+        pairs = min(CALIBRATION_BLOCK, samples - first)
+        fields = _random_fields(grid, rng, 2 * pairs)
+        us, vs = fields[0::2], fields[1::2]
+        nu = _gevrey_norms(grid, us, norm_weight)
+        nv = _gevrey_norms(grid, vs, norm_weight)
+        # the arithmetic of inverse_transform(u) * inverse_transform(v), its
+        # transform with L/n as the kernel's factor, dealias, apply_I and
+        # apply_phi
+        product = _to_samples(us, scales)
+        product *= _to_samples(vs, scales)
+        product = _rfft(product, None, scales.forward)
+        product[:, grid.dealias_cutoff + 1:] = 0.0
+        product = product * i_symbol
+        num = _hs_norms(grid, product * symbol, s)
+        usable = (nu != 0.0) & (nv != 0.0)
+        peaks.append(np.max(num[usable] / (nu[usable] * nv[usable]), initial=0.0))
+    return float(np.max(peaks))
 
 
 # --- analytic-radius estimation ---------------------------------------------

@@ -21,9 +21,11 @@ stepping loop: it keeps a ``SpectralField`` only at a given set of steps.
 ``simulate`` runs it on every ``sample_every``-th step (at most MAX_SAMPLES
 of them) and ``analytics.measure_defects`` on the union of each run's
 window sample steps; neither takes more than MAX_STEPS steps.
-``picard_solve`` squares every time node in one batched ``_square`` call
-and sums the trapezoid over the nodes as one cumulative sum in the
-interaction picture, so an iteration has no loop over its nodes.
+``picard_solve`` walks its time nodes in blocks of PICARD_BLOCK steps: one
+batched ``_square`` per block into scratch sized for the block, and the
+trapezoid as a cumulative sum in the interaction picture, seeded with the
+previous block's last sum, so an iteration has no loop over single nodes
+and holds only the flow and the iterate at every node.
 
 ``_march`` has a batch axis: it takes several initial states on one grid,
 each with its own alpha and step set.  A single state is stepped as its 1-D
@@ -63,12 +65,12 @@ The square and the stage combinations are in-place ufuncs with ``out``
 given positionally (cheaper than as a keyword); a tail is cleared by
 ``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on the middle rows
 and one ``np.add.reduce`` over the stages, which adds the rows in order.
-``_march`` makes one workspace per stack, and ``rhs`` and ``picard_solve``
-one per call.  ``step_rk4`` keeps the workspace of its last call as the
-idle one, keyed by (shape, grid, dt): a call with that key takes it out and
-puts it back only after its step, so a re-entrant or concurrent call finds
-no spare and builds its own, and a call with another key replaces it.  At
-most one idle workspace is held.  The ufuncs take their operands in the
+``_march`` makes one workspace per stack, and ``rhs`` one per call.
+``step_rk4`` keeps the workspace of its last call as the idle one, keyed by
+(shape, grid, dt): a call with that key takes it out and puts it back only
+after its step, so a re-entrant or concurrent call finds no spare and
+builds its own, and a call with another key replaces it.  At most one idle
+workspace is held.  The ufuncs take their operands in the
 order of the plain expressions, and each folded factor rounds as the
 separate multiplies did: a factor 1/2, or a power of two n in 1/n times
 n/L, commutes with rounding outside the subnormal range (below about
@@ -107,6 +109,7 @@ from .spectral import (
 BLOWUP_CAP = 1e12
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
+PICARD_BLOCK = 64  # steps dtau (nodes past node 0) per block of picard_solve
 MAX_SAMPLES = 10**6  # _sample_steps builds the sample set before stepping
 # _step_count's cap: 10-20 hours of _march at the fastest step measured,
 # 35-70 us at n = 8-64 on 2 cores (the host's core speed drifts)
@@ -141,9 +144,9 @@ class PicardDiagnostics:
 
 def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
     """Scratch for RK4 on half-spectra of the given shape, built once per run
-    (per stack of _march, per rhs or picard_solve call, and per change of
-    step_rk4's idle workspace) so that a step makes no array but its new
-    state and converts no Python float.
+    (per stack of _march, per rhs call, and per change of step_rk4's idle
+    workspace) so that a step makes no array but its new state and converts
+    no Python float.
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
@@ -310,16 +313,27 @@ def picard_solve(
 
         J_k = S(t_k) dtau (sum_{m<=k} g_m - (g_0 + g_k)/2),
 
-    so an iteration costs O(n_nodes * n): one batched u^2 over every node,
-    then one cumulative sum over the nodes.
+    so an iteration costs O(n_nodes * n).  It walks the nodes in order, in
+    blocks of PICARD_BLOCK steps dtau (the first block holds node 0 too, so
+    the default n_nodes is one block): one batched u^2 per block, the
+    block's running sums seeded with the previous block's last, and the
+    block of the new iterate written over the old one.  Node k of the new
+    iterate depends only on nodes <= k of the old, so the overwrite is
+    safe, and only the flow S(t_k) and the iterate are held at every node.
+    Each ufunc takes its operands in the order of the formula above with
+    every temporary named, so every state and distance is bit for bit what
+    that formula gives (a plain expression on arrays from about 256 KiB up
+    may reuse a temporary in place with the operands of a product swapped,
+    which can move the last bit).
     Successive iterates are compared in the sup-in-time H^{alpha/2} norm of
     the difference weighted by cosh(sigma D), the metric of the contraction
     argument; only weight.sigma enters.  Stops when the distance drops below
     PICARD_TOL.  Raises NoConvergence after PICARD_MAX_ITER iterations, or as
-    soon as an iterate has a coefficient above BLOWUP_CAP or NaN.
+    soon as an iterate has a coefficient above BLOWUP_CAP or NaN.  A delta
+    that is not finite and positive is InvalidInput.
     """
-    if not delta > 0:
-        raise InvalidInput(f"delta must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidInput(f"delta must be finite and positive, got {delta}")
     if n_nodes < 1:
         raise InvalidInput(f"n_nodes must be >= 1, got {n_nodes}")
     grid = u0.grid
@@ -327,26 +341,53 @@ def picard_solve(
     symbol = phi_symbol(xi, alpha)
     times = np.linspace(0.0, delta, n_nodes + 1)
     dtau = times[1] - times[0]
-    flow = np.exp(-np.outer(times, symbol))  # S(t_k) at every node
-    back = np.conj(flow) * symbol  # S(-t_k) phi
-    free = flow * u0.coeffs[None, :]  # free flow S(t_k) u0
-    iterate = free
+    flow = np.outer(times, symbol)
+    np.exp(np.negative(flow, flow), flow)  # S(t_k) at every node
+    iterate = flow * u0.coeffs  # the free flow S(t_k) u0
     i_symbol = GevreyWeight(weight.sigma).symbol(xi)
-    work = _workspace(free.shape, grid)
+    # per block: _square's slots of a workspace, g and the running sums
+    bounds = [0, *range(PICARD_BLOCK + 1, len(times), PICARD_BLOCK), len(times)]
+    size = min(PICARD_BLOCK + 1, len(times))
+    square, g, sums = np.empty((3, size, len(xi)), dtype=np.complex128)
+    samples, scales = np.empty((size, grid.n_points)), _scales(grid)
+    blocks = []
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = stop - start
+        work = (None, None, None, (square[:rows],),
+                (square[:rows, grid.dealias_cutoff + 1:],), samples[:rows],
+                scales)
+        blocks.append((slice(start, stop), work, g[:rows], sums[:rows]))
+    first, carry = np.empty((2, len(xi)), dtype=np.complex128)
+    node_distances = np.empty(len(times))
     distances: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(PICARD_MAX_ITER):
-            g = back * _square(iterate, work, 0)  # S(-t_k) phi(D)(u^2) at every node
-            sums = np.cumsum(g, axis=0)
-            sums -= 0.5 * (g[0] + g)
-            new = free - 0.5 * (flow * (dtau * sums))
-            if not np.abs(new).max() <= BLOWUP_CAP:  # and NaN
-                raise NoConvergence(
-                    f"Picard iterate {len(distances) + 1} exceeds the blowup cap",
-                    diagnostics=_picard_diagnostics(distances))
-            weighted = (new - iterate) * i_symbol
-            distances.append(float(np.max(_hs_norms(grid, weighted, alpha / 2.0))))
-            iterate = new
+            for nodes, work, g, sums in blocks:
+                old, f = iterate[nodes], flow[nodes]
+                np.multiply(np.conj(f, g), symbol, g)  # S(-t_k) phi
+                np.multiply(g, _square(old, work, 0), g)  # S(-t_k) phi(D)(u^2)
+                np.copyto(sums, g)
+                if nodes.start == 0:
+                    np.copyto(first, g[0])
+                else:  # np.cumsum's order: carry + g[start] first
+                    np.add(carry, sums[0], sums[0])
+                np.cumsum(sums, 0, None, sums)
+                np.copyto(carry, sums[-1])
+                np.multiply(0.5, np.add(first, g, g), g)  # (g_0 + g_k)/2
+                np.subtract(sums, g, sums)
+                # new = free - 0.5 * (flow * (dtau * sums)), into g
+                np.multiply(dtau, sums, sums)
+                np.multiply(f, sums, sums)
+                np.multiply(0.5, sums, sums)
+                new = np.subtract(np.multiply(f, u0.coeffs, g), sums, g)
+                if not np.abs(new).max() <= BLOWUP_CAP:  # and NaN
+                    raise NoConvergence(
+                        f"Picard iterate {len(distances) + 1} exceeds the blowup cap",
+                        diagnostics=_picard_diagnostics(distances))
+                weighted = np.multiply(np.subtract(new, old, sums), i_symbol, sums)
+                node_distances[nodes] = _hs_norms(grid, weighted, alpha / 2.0)
+                old[...] = new
+            distances.append(float(np.max(node_distances)))
             if distances[-1] < PICARD_TOL:
                 break
     diagnostics = _picard_diagnostics(distances)

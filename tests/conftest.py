@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,13 @@ def rng():
 @pytest.fixture
 def random_field(grid128, rng):
     return random_band_limited_field(grid128, rng)
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc's peak of the memory allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,9 +1,9 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 from gevrey_bbm import analytics, evolution, norms
 from gevrey_bbm.analytics import (
@@ -157,6 +157,24 @@ class TestTrilinearDefectRate:
             trilinear_defect_rate(random_field, args["sigma"], 2.0,
                                   rtol=args["rtol"])
 
+    @pytest.mark.parametrize("mode, value", [(0, math.nan), (0, -math.inf),
+                                             (3, math.nan),
+                                             (3, complex(1.0, math.inf)),
+                                             (60, math.inf)])
+    def test_non_finite_field_rejected_before_either_route(
+            self, random_field, monkeypatch, mode, value):
+        # mode 60 lies past the band, where the field is cleared before
+        # the routes run; an input error, not a cross-check failure
+        def no_route(*args, **kwargs):
+            raise AssertionError("a defect-rate route ran")
+
+        for name in ("_defect_rate_physical", "_defect_rate_triads"):
+            monkeypatch.setattr(analytics, name, no_route)
+        coeffs = random_field.coeffs.copy()
+        coeffs[mode] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            trilinear_defect_rate(random_field.with_coeffs(coeffs), 0.1, 2.0)
+
     @pytest.mark.parametrize("n", [64, 96, 128, 256, 1024])
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_blocked_route_equals_the_full_plane_sum(self, rng, n, sigma):
@@ -192,13 +210,8 @@ class TestTrilinearDefectRate:
     def test_triad_route_memory_is_bounded(self, rng):
         # O(block), not O(band^2): the full plane at n = 2048 peaks near 98 MiB
         field = random_band_limited_field(Grid(2048), rng)
-        tracemalloc.start()
-        try:
-            analytics._defect_rate_triads(field, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak_bytes(lambda: analytics._defect_rate_triads(field, 0.1)) \
+            < 4 * 2 ** 20
 
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_closed_form_matches_the_series(self, sigma):
@@ -542,9 +555,11 @@ class TestBilinearCalibration:
         assert sigma * np.max(grid64.wavenumbers) > LOG_DOMAIN_CROSSOVER
         c1 = calibrate_bilinear_constant(100, GevreyWeight(sigma), 2.0, grid64)
         assert 0.0 < c1 < math.inf
-        assert len(calls) == 2  # the us and the vs, 100 rows each
+        # the us and the vs of each block of pairs: 32, 32, 32 and 4 rows
+        assert analytics.CALIBRATION_BLOCK == 32
+        assert [len(norms) for _, _, norms in calls] == [32] * 6 + [4] * 2
         for coeffs, weight, norms in calls:
-            assert weight == GevreyWeight(sigma, 1.0) and len(norms) == 100
+            assert weight == GevreyWeight(sigma, 1.0)
             assert list(norms) == [gevrey_norm(SpectralField(grid64, row), weight)
                                    for row in coeffs]
 
@@ -558,7 +573,15 @@ class TestBilinearCalibration:
                 return _function(*args)
             monkeypatch.setattr(analytics, name, counted)
         calibrate_bilinear_constant(samples, GevreyWeight(0.1), 2.0, grid64)
-        assert sorted(calls) == ["_rfft", "_to_samples", "_to_samples"]
+        blocks = -(-samples // analytics.CALIBRATION_BLOCK)
+        assert calls == ["_to_samples", "_to_samples", "_rfft"] * blocks
+
+    def test_memory_does_not_grow_with_the_pairs(self, grid128):
+        # O(CALIBRATION_BLOCK) pairs at a time: all 200 at once peak near
+        # 2.7 MiB here
+        weight = GevreyWeight(0.1)
+        assert peak_bytes(lambda: calibrate_bilinear_constant(
+            200, weight, 2.0, grid128)) <= 2 ** 20
 
 
 class TestEstimateRadius:

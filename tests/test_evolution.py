@@ -1,15 +1,16 @@
 import math
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 from gevrey_bbm import evolution, spectral
 from gevrey_bbm.analytics import (
     DEFAULT_NOISE_FLOOR,
     default_band,
+    default_calibration,
     estimate_radius,
     measure_defects,
 )
@@ -321,6 +322,77 @@ class TestLifespan:
             lifespan(zero_field(grid64), GevreyWeight(0.0), 2.0, 0.0)
 
 
+def c05_datum():
+    """c05's datum, window and weight: a Gaussian on Grid(256) scaled to
+    ||I u0||_{H^1} = 0.1, over half its lifespan under the shipped C1."""
+    grid, weight = Grid(256), GevreyWeight(0.1)
+    raw = gaussian_data(grid, 0.5, 4.0)
+    u0 = raw.with_coeffs(0.1 / hs_norm(apply_I(raw, weight), 1.0) * raw.coeffs)
+    return u0, 0.5 * lifespan(u0, weight, 2.0, default_calibration().c1), weight
+
+
+def sup_distance(grid, weighted, alpha):
+    return max(hs_norm(SpectralField(grid, row), alpha / 2.0) for row in weighted)
+
+
+def whole_array_picard(u0, delta, alpha, weight, n_nodes, iterations):
+    """picard_solve's iteration on every node at once, as the plain
+    expressions evaluate; from about 256 KiB up, numpy reuses a temporary
+    in place and so computes flow * (dtau * sums) as (dtau * sums) * flow,
+    which can differ in the last bit.  The final iterate and the distances."""
+    grid = u0.grid
+    symbol = phi_symbol(grid.wavenumbers, alpha)
+    times = np.linspace(0.0, delta, n_nodes + 1)
+    dtau = times[1] - times[0]
+    flow = np.exp(-np.outer(times, symbol))
+    back = np.conj(flow) * symbol
+    free = flow * u0.coeffs[None, :]
+    i_symbol = GevreyWeight(weight.sigma).symbol(grid.wavenumbers)
+    iterate, distances = free, []
+    for _ in range(iterations):
+        # the trapezoid as a cumulative sum of g_m = S(-t_m) phi u_m^2
+        g = back * square(iterate, grid)
+        sums = np.cumsum(g, axis=0)
+        sums -= 0.5 * (g[0] + g)
+        new = free - 0.5 * (flow * (dtau * sums))
+        distances.append(sup_distance(grid, (new - iterate) * i_symbol, alpha))
+        iterate = new
+    return iterate, distances
+
+
+def named_formula_picard(u0, delta, alpha, weight, n_nodes, iterations):
+    """whole_array_picard with every temporary named, so that numpy reuses
+    none in place: the written formula, operand for operand."""
+    grid = u0.grid
+    symbol = phi_symbol(grid.wavenumbers, alpha)
+    times = np.linspace(0.0, delta, n_nodes + 1)
+    dtau = times[1] - times[0]
+    outer = np.outer(times, symbol)
+    exponent = -outer
+    flow = np.exp(exponent)
+    conj = np.conj(flow)
+    back = conj * symbol
+    free = flow * u0.coeffs[None, :]
+    i_symbol = GevreyWeight(weight.sigma).symbol(grid.wavenumbers)
+    iterate, distances = free, []
+    for _ in range(iterations):
+        squared = square(iterate, grid)
+        g = back * squared
+        sums = np.cumsum(g, axis=0)
+        ends = g[0] + g
+        half_ends = 0.5 * ends
+        trapezoid = sums - half_ends
+        scaled = dtau * trapezoid
+        flowed = flow * scaled
+        halved = 0.5 * flowed
+        new = free - halved
+        difference = new - iterate
+        weighted = difference * i_symbol
+        distances.append(sup_distance(grid, weighted, alpha))
+        iterate = new
+    return iterate, distances
+
+
 class TestPicardSolve:
     def test_zero_data_converges_immediately(self, grid64):
         traj, diag = picard_solve(zero_field(grid64), 1.0, 2.0, GevreyWeight(0.0))
@@ -368,24 +440,31 @@ class TestPicardSolve:
         weight = GevreyWeight(0.1)
         u0 = gaussian_data(grid, 0.3, 4.0)
         _, diag = picard_solve(u0, 2.0, 2.0, weight, n_nodes=n_nodes)
-        # picard_solve's iteration, with one hs_norm per time node
-        symbol = phi_symbol(grid.wavenumbers, 2.0)
-        times = np.linspace(0.0, 2.0, n_nodes + 1)
-        dtau = times[1] - times[0]
-        flow = np.exp(-np.outer(times, symbol))
-        free = flow * u0.coeffs[None, :]
-        i_symbol = weight.symbol(grid.wavenumbers)
-        iterate, distances = free, []
-        for _ in diag.iterate_distances:
-            # the trapezoid as a cumulative sum of g_m = S(-t_m) phi u_m^2
-            g = np.conj(flow) * symbol * square(iterate, grid)
-            sums = np.cumsum(g, axis=0) - 0.5 * (g[0] + g)
-            new = free - 0.5 * (flow * (dtau * sums))
-            weighted = (new - iterate) * i_symbol
-            distances.append(max(hs_norm(SpectralField(grid, row), 1.0)
-                                 for row in weighted))
-            iterate = new
+        _, distances = whole_array_picard(u0, 2.0, 2.0, weight, n_nodes,
+                                          len(diag.iterate_distances))
         assert len(distances) > 3
+        assert distances == diag.iterate_distances
+
+    def test_equals_the_whole_array_iteration_at_c05(self):
+        u0, delta, weight = c05_datum()
+        traj, diag = picard_solve(u0, delta, 2.0, weight)
+        iterate, distances = whole_array_picard(u0, delta, 2.0, weight, 64,
+                                                len(diag.iterate_distances))
+        assert np.array([s.coeffs for s in traj.states]).tobytes() == \
+            iterate.tobytes()
+        assert distances == diag.iterate_distances
+
+    @pytest.mark.parametrize("n_nodes", [8, 63, 64, 65, 128, 256, 300])
+    def test_equals_the_named_formula_bitwise(self, n_nodes):
+        # blocks of 64 steps after node 0: one partial block, one full
+        # block (64 nodes), a last block of 1 node, and 2 to 4 full blocks
+        # with and without a partial one after them
+        u0, delta, weight = c05_datum()
+        traj, diag = picard_solve(u0, delta, 2.0, weight, n_nodes=n_nodes)
+        iterate, distances = named_formula_picard(
+            u0, delta, 2.0, weight, n_nodes, len(diag.iterate_distances))
+        assert np.array([s.coeffs for s in traj.states]).tobytes() == \
+            iterate.tobytes()
         assert distances == diag.iterate_distances
 
     def test_one_batched_square_per_iteration(self, monkeypatch):
@@ -402,9 +481,41 @@ class TestPicardSolve:
         assert len(diag.iterate_distances) > 3
         assert calls == [(33, 65)] * len(diag.iterate_distances)
 
+    def test_one_square_per_block_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting_square(*args):
+            calls.append(args[0].shape)
+            return square(*args)
+
+        square = evolution._square
+        monkeypatch.setattr(evolution, "_square", counting_square)
+        u0 = gaussian_data(Grid(128), 0.3, 4.0)
+        _, diag = picard_solve(u0, 2.0, 2.0, GevreyWeight(0.1), n_nodes=200)
+        assert evolution.PICARD_BLOCK == 64
+        blocks = [(65, 65), (64, 65), (64, 65), (8, 65)]  # 201 nodes
+        assert calls == blocks * len(diag.iterate_distances)
+
+    def test_memory_is_bounded_by_the_blocks(self):
+        # flow and iterate at every node plus O(PICARD_BLOCK) scratch: the
+        # whole-array iteration peaks near 8.2 MiB here
+        u0, delta, weight = c05_datum()
+        assert peak_bytes(lambda: picard_solve(u0, delta, 2.0, weight,
+                                               n_nodes=256)) <= 2.5 * 2 ** 20
+
     def test_rejects_nonpositive_window(self, grid64):
         with pytest.raises(InvalidInput):
             picard_solve(zero_field(grid64), 0.0, 2.0, GevreyWeight(0.0))
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_window_before_building_arrays(
+            self, grid64, monkeypatch, delta):
+        def no_symbol(*args, **kwargs):
+            raise AssertionError("picard_solve built the symbol")
+
+        monkeypatch.setattr(evolution, "phi_symbol", no_symbol)
+        with pytest.raises(InvalidInput, match="delta"):
+            picard_solve(zero_field(grid64), delta, 2.0, GevreyWeight(0.0))
 
     @pytest.mark.parametrize("n_nodes, alpha", [(0, 2.0), (-3, 2.0), (16, 1.0)])
     def test_inputs_checked_before_iterating(self, grid64, monkeypatch,
@@ -821,14 +932,9 @@ class TestOperationCounts:
         grid = Grid(1024, 256.0)
         u0 = gaussian_data(grid, 0.5, 4.0)
         evolution._march([u0], [2.0], [{1}], grid, 0.02)  # fill the caches first
-        peaks = {}
-        for steps in (10, 1000):
-            tracemalloc.start()
-            try:
-                evolution._march([u0], [2.0], [{steps}], grid, 0.02)
-                peaks[steps] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {steps: peak_bytes(lambda: evolution._march(
+                     [u0], [2.0], [{steps}], grid, 0.02))
+                 for steps in (10, 1000)}
         work = evolution._workspace(u0.coeffs.shape, grid, 0.02)
         workspace = sum(a.nbytes for a in work
                         if isinstance(a, np.ndarray) and a.base is None)
