@@ -12,9 +12,12 @@ Two solvers are provided:
 
 Both run on one private kernel over raw half-spectrum arrays (the last
 axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
-rule; linear multipliers need no dealiasing) and ``_rk4`` one step.
-``rhs`` (``_square``, then its add and multiply) and ``step_rk4`` are thin
-``SpectralField`` wrappers over it.  ``_minus_phi`` builds -phi and
+rule; linear multipliers need no dealiasing), written into the buffers its
+caller passes or into fresh ones, and ``_rk4`` is one step, with the same
+square written inline, in the scratch of a ``_workspace``.  These two are
+the only code that knows the workspace's layout.  ``rhs`` (``_square``
+into fresh arrays, then its add and multiply) and ``step_rk4`` are thin
+``SpectralField`` wrappers over the kernel.  ``_minus_phi`` builds -phi and
 max|phi| once per (grid, alpha) and caches them read-only; ``_march``,
 ``step_rk4`` and ``rhs`` all read that cache.  ``_march`` is the one
 stepping loop: it keeps a ``SpectralField`` only at a given set of steps.
@@ -22,7 +25,8 @@ stepping loop: it keeps a ``SpectralField`` only at a given set of steps.
 of them) and ``analytics.measure_defects`` on the union of each run's
 window sample steps; neither takes more than MAX_STEPS steps.
 ``picard_solve`` walks its time nodes in blocks of PICARD_BLOCK steps: one
-batched ``_square`` per block into scratch sized for the block, and the
+batched ``_square`` per block into the block's rows of a square and a
+samples buffer sized for the largest block, and the
 trapezoid as a cumulative sum in the interaction picture, seeded with the
 previous block's last sum, so an iteration has no loop over single nodes
 and holds only the flow and the iterate at every node.
@@ -65,7 +69,7 @@ The square and the stage combinations are in-place ufuncs with ``out``
 given positionally (cheaper than as a keyword); a tail is cleared by
 ``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on the middle rows
 and one ``np.add.reduce`` over the stages, which adds the rows in order.
-``_march`` makes one workspace per stack, and ``rhs`` one per call.
+``_march`` makes one workspace per stack, and
 ``step_rk4`` keeps the workspace of its last call as the idle one, keyed by
 (shape, grid, dt): a call with that key takes it out and puts it back only
 after its step, so a re-entrant or concurrent call finds no spare and
@@ -98,6 +102,7 @@ from .norms import NormReport, _hs_norms, gevrey_norm, norm_report
 from .spectral import (
     Grid,
     SpectralField,
+    _index,
     _read_only,
     _rfft,
     _scales,
@@ -142,18 +147,18 @@ class PicardDiagnostics:
     contraction_factor: float
 
 
-def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
-    """Scratch for RK4 on half-spectra of the given shape, built once per run
-    (per stack of _march, per rhs call, and per change of step_rk4's idle
-    workspace) so that a step makes no array but its new state and converts
-    no Python float.
+def _workspace(shape: tuple[int, ...], grid: Grid, dt: float) -> tuple:
+    """Scratch for RK4 steps of size dt on half-spectra of the given shape,
+    built once per run (per stack of _march, and per change of step_rk4's
+    idle workspace) so that a step makes no array but its new state and
+    converts no Python float.  Only _rk4 reads it.
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
     (modes j > n/3); the real samples of u; the grid's spectral._scales;
     the forward scale halved, a float64 0-d array (the real samples' fct);
     and dt/2, dt, 2 and dt/6 as complex128 0-d arrays, the dtype of the
-    states they multiply.  A lone _square or rhs needs no dt.
+    states they multiply.
     """
     scales = _scales(grid)
     stages = np.empty((4, *shape), dtype=np.complex128)
@@ -166,20 +171,21 @@ def _workspace(shape: tuple[int, ...], grid: Grid, dt: float = 0.0) -> tuple:
             *(np.array(s, np.complex128) for s in scalars))
 
 
-def _square(coeffs: np.ndarray, work: tuple, k: int,
-            scale: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased u^2 of half-spectra along the last axis (the shape of work),
-    written into stage k of work; scale is the forward transform's, the
-    grid's L/n when None.
+def _square(coeffs: np.ndarray, grid: Grid, scale: np.ndarray | None = None,
+            out: np.ndarray | None = None,
+            samples: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased u^2 of half-spectra along the last axis, written into out
+    through the real samples of u in samples (fresh arrays when None); scale
+    is the forward transform's, the grid's L/n when None.
 
     The same arithmetic as forward_transform(inverse_transform(u)**2)
     followed by dealias (which clears the Nyquist mode too), on raw arrays.
     """
-    rows, tails, samples, scales = work[3:7]
-    _to_samples(coeffs, scales, samples)
+    scales = _scales(grid)
+    samples = _to_samples(coeffs, scales, samples)
     np.multiply(samples, samples, samples)
-    square = _rfft(samples, rows[k], scales.forward if scale is None else scale)
-    tails[k].fill(0.0)
+    square = _rfft(samples, out, scales.forward if scale is None else scale)
+    square[..., grid.dealias_cutoff + 1:].fill(0.0)
     return square
 
 
@@ -231,12 +237,13 @@ def _warn_if_unstable(dt: float, max_phi: float, stacklevel: int = 3) -> None:
 
 def rhs(field: SpectralField, alpha: float) -> SpectralField:
     """-phi(D)(u + u^2/2), the full spectral right-hand side."""
-    minus_phi, _ = _minus_phi(field.grid, alpha)
-    work = _workspace(field.coeffs.shape, field.grid)
-    value = _square(field.coeffs, work, 0, work[7])  # 0.5 * u^2, by L/(2n)
+    grid = field.grid
+    minus_phi, _ = _minus_phi(grid, alpha)
+    # 0.5 * u^2, by L/(2n)
+    value = _square(field.coeffs, grid, 0.5 * _scales(grid).forward)
     np.add(field.coeffs, value, value)  # u + 0.5 * u^2
     np.multiply(minus_phi, value, value)  # -phi * (u + 0.5 * u^2)
-    return field.with_coeffs(value.copy())
+    return field.with_coeffs(value)
 
 
 # The workspace of the last step_rk4 call as [((shape, grid, dt), work)];
@@ -330,11 +337,12 @@ def picard_solve(
     argument; only weight.sigma enters.  Stops when the distance drops below
     PICARD_TOL.  Raises NoConvergence after PICARD_MAX_ITER iterations, or as
     soon as an iterate has a coefficient above BLOWUP_CAP or NaN.  A delta
-    that is not finite and positive is InvalidInput.
+    that is not finite and positive, or an n_nodes that is not an integer
+    >= 1, is InvalidInput.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise InvalidInput(f"delta must be finite and positive, got {delta}")
-    if n_nodes < 1:
+    if _index(n_nodes, "n_nodes") < 1:
         raise InvalidInput(f"n_nodes must be >= 1, got {n_nodes}")
     grid = u0.grid
     xi = grid.wavenumbers
@@ -345,27 +353,24 @@ def picard_solve(
     np.exp(np.negative(flow, flow), flow)  # S(t_k) at every node
     iterate = flow * u0.coeffs  # the free flow S(t_k) u0
     i_symbol = GevreyWeight(weight.sigma).symbol(xi)
-    # per block: _square's slots of a workspace, g and the running sums
+    # per block: the square, its real samples, g and the running sums
     bounds = [0, *range(PICARD_BLOCK + 1, len(times), PICARD_BLOCK), len(times)]
     size = min(PICARD_BLOCK + 1, len(times))
     square, g, sums = np.empty((3, size, len(xi)), dtype=np.complex128)
-    samples, scales = np.empty((size, grid.n_points)), _scales(grid)
-    blocks = []
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = stop - start
-        work = (None, None, None, (square[:rows],),
-                (square[:rows, grid.dealias_cutoff + 1:],), samples[:rows],
-                scales)
-        blocks.append((slice(start, stop), work, g[:rows], sums[:rows]))
+    samples = np.empty((size, grid.n_points))
+    blocks = [(slice(start, stop),
+               *(a[:stop - start] for a in (square, samples, g, sums)))
+              for start, stop in zip(bounds, bounds[1:])]
     first, carry = np.empty((2, len(xi)), dtype=np.complex128)
     node_distances = np.empty(len(times))
     distances: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(PICARD_MAX_ITER):
-            for nodes, work, g, sums in blocks:
+            for nodes, square, samples, g, sums in blocks:
                 old, f = iterate[nodes], flow[nodes]
-                np.multiply(np.conj(f, g), symbol, g)  # S(-t_k) phi
-                np.multiply(g, _square(old, work, 0), g)  # S(-t_k) phi(D)(u^2)
+                # S(-t_k) phi, then S(-t_k) phi(D)(u^2)
+                np.multiply(np.conj(f, g), symbol, g)
+                np.multiply(g, _square(old, grid, None, square, samples), g)
                 np.copyto(sums, g)
                 if nodes.start == 0:
                     np.copyto(first, g[0])

@@ -45,8 +45,10 @@ class GevreyWeight:
     kind: SymbolKind = SymbolKind.COSH
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidInput(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidInput(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not math.isfinite(self.s):
+            raise InvalidInput(f"s must be finite, got {self.s}")
 
     def symbol(self, xi: np.ndarray) -> np.ndarray:
         """Weight values at the given wavenumbers (linear scale)."""

@@ -27,6 +27,7 @@ integral(u^2 + u_x^2) dx at alpha = 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +102,8 @@ def _energies(grid: Grid, mags: np.ndarray, sigma: float,
     axis of mags."""
     if not alpha > 1:
         raise InvalidInput(f"alpha must be > 1, got {alpha}")
-    if sigma < 0:
-        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
     xi = grid.wavenumbers
     if sigma * np.max(xi) <= LOG_DOMAIN_CROSSOVER:
         return _weighted_sums(grid, mags,

@@ -57,6 +57,8 @@ well away from the boundary of its effective support.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -72,6 +74,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _index(value, name: str) -> int:
+    """value as an int (operator.index, so numpy integers pass); a value
+    that is not an integer, such as 128.0, is InvalidInput naming name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with n_points collocation points on [0, L)."""
@@ -80,10 +91,17 @@ class Grid:
     domain_length: float = 64.0
 
     def __post_init__(self):
-        if self.n_points % 2 != 0 or self.n_points < 8:
-            raise InvalidInput(f"n_points must be even and >= 8, got {self.n_points}")
-        if not self.domain_length > 0:
-            raise InvalidInput(f"domain_length must be positive, got {self.domain_length}")
+        n, length = _index(self.n_points, "n_points"), self.domain_length
+        if n % 2 != 0 or n < 8:
+            raise InvalidInput(f"n_points must be even and >= 8, got {n}")
+        if not (math.isfinite(length) and length > 0):
+            raise InvalidInput(
+                f"domain_length must be finite and positive, got {length}")
+        # the largest wavenumber, pi n / L, in Python floats (no numpy warning)
+        if not math.isfinite(math.pi * n / float(length)):
+            raise InvalidInput(
+                f"domain_length {length} is too small for {n} points: "
+                "the largest wavenumber overflows")
 
     @property
     def dx(self) -> float:

@@ -275,6 +275,13 @@ class TestMeasureDefect:
                            r"domain_length=64\.0"):
             measure_defects([(u0, 2.0, [(0.1, 1.0)])], grid64, 1e-2)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, grid64, sigma):
+        # a NaN sigma gave a window whose defect and bound were nan
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        with pytest.raises(InvalidInput, match="sigma must be finite"):
+            measure_defects([(u0, 2.0, [(sigma, 0.1)])], grid64, 1e-2)
+
     def test_delta_validated(self, grid64):
         # 4e-3 is under half a step: it would take no step at all
         for delta in (0.0, np.inf, np.nan, 4e-3):
@@ -466,6 +473,12 @@ class TestBilinearCalibration:
         with pytest.raises(InvalidInput):
             calibrate_bilinear_constant(50, GevreyWeight(0.1), 2.0, grid64)
 
+    def test_nan_sigma_rejected(self, grid64):
+        # C1 came out nan
+        with pytest.raises(InvalidInput, match="sigma must be finite"):
+            calibrate_bilinear_constant(100, GevreyWeight(math.nan), 2.0,
+                                        grid64)
+
     def test_shipped_c1_lies_in_its_bracket(self):
         # C1 is the largest ratio over 200 random pairs: a lower estimate of
         # the supremum of ||phi I(uv)|| / (||Iu|| ||Iv||) in H^{alpha/2} over
@@ -505,12 +518,18 @@ class TestBilinearCalibration:
         high = np.abs(grid128.mode_numbers) > grid128.dealias_cutoff
         assert np.all(field.coeffs[high] == 0)
 
-    @pytest.mark.parametrize("n", [64, 128, 256, 512])
-    def test_batched_draws_equal_single_draws(self, n):
+    @pytest.mark.parametrize("n, count", [
+        *(pytest.param(n, 5, id=str(n)) for n in (64, 128, 256, 512)),
+        # (64, 513) complex is 525 KiB, past the 256 KiB from which numpy
+        # may reuse a temporary in place with a product's operands swapped
+        pytest.param(1024, 64, id="1024-64"),
+    ])
+    def test_batched_draws_equal_single_draws(self, n, count):
         grid = Grid(n)
         batch_rng, single_rng = (np.random.default_rng(7) for _ in range(2))
-        batch = analytics._random_fields(grid, batch_rng, 5)
-        singles = [random_band_limited_field(grid, single_rng) for _ in range(5)]
+        batch = analytics._random_fields(grid, batch_rng, count)
+        singles = [random_band_limited_field(grid, single_rng)
+                   for _ in range(count)]
         assert batch.tobytes() == np.array([f.coeffs for f in singles]).tobytes()
         # and both leave the generator in the same state
         assert batch_rng.random() == single_rng.random()

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -18,12 +19,14 @@ from gevrey_bbm import analytics, errors, evolution
 from gevrey_bbm.cli import (
     COMMANDS,
     EXIT_CONFIG,
+    _parse,
     apply_overrides,
     load_config,
     main,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def run_child(*args):
@@ -288,6 +291,19 @@ class TestSimulate:
         assert len(lines) == 1
         assert lines[0].startswith("simulation failure: non-finite state")
         assert json.loads(done.stdout)["error"] == "blowup"
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+    def test_overflowing_wavenumbers_exit_2_with_one_line(self, flags):
+        # at L = 1e-320, pi n / L overflows: the grid is a config error, not
+        # three RuntimeWarnings and a non-finite state (exit 3)
+        done = run_child(*flags, "-m", "gevrey_bbm.cli", "simulate",
+                         "--n_points", "64", "--t_end", "0.01",
+                         "--domain_length", "1e-320")
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: domain_length")
+        assert done.stdout == ""
 
 
 class TestVerifyIdentities:
@@ -624,3 +640,22 @@ def test_a_size_too_large_to_allocate_is_one_line_exit_2(argv):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("config error: ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def readme_examples():
+    """The argument lists of the `gevrey-bbm ...` examples in README's
+    "Command line" section, with `\\` continuations joined; the synopsis,
+    whose command is a `<simulate|...>` placeholder, is skipped."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("gevrey-bbm ") and "<" not in line]
+
+
+def test_every_readme_example_resolves():
+    # a key renamed or removed in the program cannot stay in the examples:
+    # each one resolves through the CLI's own override and value readers
+    examples = readme_examples()
+    assert {command for command, *_ in examples} == set(COMMANDS)
+    for command, *flags in examples:
+        _parse(apply_overrides(load_config(None), flags))

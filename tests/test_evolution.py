@@ -38,8 +38,8 @@ from gevrey_bbm.spectral import (
 
 
 def square(coeffs, grid):
-    """evolution._square into a fresh workspace."""
-    return evolution._square(coeffs, evolution._workspace(coeffs.shape, grid), 0)
+    """evolution._square into fresh arrays."""
+    return evolution._square(coeffs, grid)
 
 
 class TestNonlinearTerm:
@@ -321,6 +321,12 @@ class TestLifespan:
         with pytest.raises(InvalidInput):
             lifespan(zero_field(grid64), GevreyWeight(0.0), 2.0, 0.0)
 
+    def test_nan_sigma_rejected(self, grid64):
+        # the window came out nan
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        with pytest.raises(InvalidInput, match="sigma must be finite"):
+            lifespan(u0, GevreyWeight(math.nan), 2.0, 0.03)
+
 
 def c05_datum():
     """c05's datum, window and weight: a Gaussian on Grid(256) scaled to
@@ -528,6 +534,14 @@ class TestPicardSolve:
             picard_solve(zero_field(grid64), 1.0, alpha, GevreyWeight(0.0),
                          n_nodes=n_nodes)
 
+    @pytest.mark.parametrize("n_nodes", [2.5, 64.0])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, grid64,
+                                                         n_nodes):
+        # 2.5 raised TypeError from inside numpy
+        with pytest.raises(InvalidInput, match="n_nodes must be an integer"):
+            picard_solve(zero_field(grid64), 1.0, 2.0, GevreyWeight(0.0),
+                         n_nodes=n_nodes)
+
     @pytest.mark.parametrize("amplitude, delta", [(2.0, 10.0), (3.0, 40.0)])
     def test_a_non_finite_iterate_is_no_convergence(self, amplitude, delta):
         # a NaN row is never the max of the per-node distances, so without
@@ -547,6 +561,20 @@ class TestPicardSolve:
         with pytest.raises(NoConvergence) as info:
             picard_solve(u0, 0.01, 2.0, GevreyWeight(0.1), n_nodes=16)
         assert info.value.diagnostics.iterate_distances == []
+
+
+def test_only_rk4_steps_build_a_workspace(monkeypatch):
+    # rhs, the dealiased square and picard_solve square through their own
+    # buffers; the RK4 workspace is _rk4's alone
+    def refuse(*args):
+        raise AssertionError("an RK4 workspace was built")
+
+    monkeypatch.setattr(evolution, "_workspace", refuse)
+    u0, delta, weight = c05_datum()
+    rhs(u0, 2.0)
+    square(u0.coeffs, u0.grid)
+    for n_nodes in (64, 200):
+        picard_solve(u0, delta, 2.0, weight, n_nodes=n_nodes)
 
 
 class TestSimulate:

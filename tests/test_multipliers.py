@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -84,6 +85,14 @@ class TestGevreyWeight:
     def test_rejects_negative_sigma(self):
         with pytest.raises(InvalidInput):
             GevreyWeight(-0.1)
+
+    @pytest.mark.parametrize("sigma, s", [(math.nan, 0.0), (math.inf, 0.0),
+                                          (0.1, math.nan), (0.1, math.inf),
+                                          (0.1, -math.inf)])
+    def test_rejects_a_non_finite_sigma_or_s(self, sigma, s):
+        # a NaN sigma passed sigma < 0, and its norms came out nan
+        with pytest.raises(InvalidInput, match="must be finite"):
+            GevreyWeight(sigma, s)
 
     def test_sigma_zero_cosh_is_identity(self, random_field):
         out = apply_I(random_field, GevreyWeight(0.0))

@@ -73,6 +73,11 @@ class TestSobolevNorms:
 
 
 class TestGevreyNorm:
+    def test_infinite_sigma_rejected(self, random_field):
+        # it gave nan after RuntimeWarnings
+        with pytest.raises(InvalidInput, match="sigma must be finite"):
+            gevrey_norm(random_field, GevreyWeight(math.inf))
+
     def test_sigma_zero_is_l2(self, random_field):
         weight = GevreyWeight(0.0, s=0.0)
         assert gevrey_norm(random_field, weight) == pytest.approx(
@@ -198,6 +203,12 @@ class TestEnergy:
         expected = grid.dx * np.sum(u**2 + ux**2)
         assert energy(random_field, 0.0, 2.0) == pytest.approx(expected,
                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, random_field, sigma):
+        # a NaN sigma gave a nan energy, and so a nan defect for its window
+        with pytest.raises(InvalidInput, match="sigma must be finite"):
+            energy(random_field, sigma, 2.0)
 
     @pytest.mark.parametrize("alpha", [1.0, math.nan])
     def test_alpha_above_one_only(self, grid64, alpha):

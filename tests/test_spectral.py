@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -37,6 +38,24 @@ class TestGrid:
             Grid(4)
         with pytest.raises(InvalidInput):
             Grid(64, domain_length=0.0)
+
+    @pytest.mark.parametrize("n", [128.0, "128", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        # Grid(128.0) was accepted, and building data on it raised TypeError
+        with pytest.raises(InvalidInput, match="n_points must be an integer"):
+            Grid(n)
+
+    def test_numpy_integer_sizes_pass(self):
+        assert Grid(np.int64(128)) == Grid(128)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 1e-320, 5e-324])
+    def test_rejects_a_length_that_is_not_finite_or_overflows_xi(self, length):
+        # Grid(64, inf) gave NaN data; at 1e-320, pi n / L overflows
+        with pytest.raises(InvalidInput, match="domain_length"):
+            Grid(64, length)
+
+    def test_a_tiny_length_with_finite_wavenumbers_passes(self):
+        assert np.all(np.isfinite(Grid(64, 1e-300).wavenumbers))
 
     def test_geometry(self, grid64):
         assert grid64.dx == 1.0
