@@ -280,9 +280,12 @@ def lifespan(u0: SpectralField, weight: GevreyWeight, alpha: float, c: float) ->
     """Local-existence window 1/(8c ||I u0||_{H^{alpha/2}}); only weight.sigma enters.
 
     Returns +inf for zero initial data and raises OverflowRisk only when the
-    norm itself exceeds double range.  The constant c is never given
-    numerically by the theory; feed the calibrated bilinear constant.
+    norm itself exceeds double range; an alpha that is not finite and > 1 is
+    InvalidInput.  The constant c is never given numerically by the theory;
+    feed the calibrated bilinear constant.
     """
+    if not 1 < alpha < math.inf:
+        raise InvalidInput(f"alpha must be finite and > 1, got {alpha}")
     if not c > 0:
         raise InvalidInput(f"c must be positive, got {c}")
     with _overflow_guard("||I u0||"):

@@ -5,18 +5,20 @@ xi1*xi2*xi3 whenever xi1 + xi2 + xi3 = 0; this module verifies that
 factorization exactly, never in floating point: by an exhaustive scan of
 integer triads, and for k <= symbolic_k_max by a proof by evaluation at
 2k+2 points.  The scan takes one exact array pass per k over all triads,
-held as object arrays of Python ints, and carries each side over from k-1
-once per distinct input: the powers once per coordinate value, the complete
-sums h_m(x, -y) once per pair (x, y) in one table that serves all three
-pairs of every triad.  Its memory grows as the 3r^2+3r+1 triads of
-r = coordinate_range; it compares them in blocks of SCAN_BLOCK.  power_sum
-and factored_form are the per-k definitions it is tested against, and the
-ones the proof evaluates.  Integer triads stay plain int, so the exhaustive
-check and the defect it reports are int; a Triad turns only non-integer
-input into Fraction.  The weighted series built from the power sums,
-sum_k (2 sigma)^{2k}/(2k)! * (power sum), has the closed form
-2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight); check_fab_bound
-measures its empirical constant against the sigma^{3/2} envelope.
+held as int64 while every intermediate of the step provably fits (k <= 8
+at r = 10), then as object arrays of Python ints, and carries each side
+over from k-1 once per distinct input: the powers once per coordinate
+value, the complete sums h_m(x, -y) once per pair (x, y) in one table that
+serves all three pairs of every triad.  Its memory grows as the
+3r^2+3r+1 triads of r = coordinate_range; it compares them in blocks of
+SCAN_BLOCK.  power_sum and factored_form are the per-k definitions it is
+tested against, and the ones the proof evaluates.  Integer triads stay
+plain int, so the exhaustive check and the defect it reports are int; a
+Triad turns only non-integer input into Fraction.  The weighted series
+built from the power sums, sum_k (2 sigma)^{2k}/(2k)! * (power sum), has
+the closed form 2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight);
+check_fab_bounds measures its empirical constant against the sigma^{3/2}
+envelope for several sigma on one seeded draw of triads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import IdentityViolation, InvalidInput, _overflow_guard
 
 FAB_COORDINATE_RANGE = 20.0  # check_fab_bound samples xi1, xi2 on [-R, R]
 SCAN_BLOCK = 4096  # triads compared at once, so the per-k temporaries stay bounded
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,23 @@ def _hyperplane(r: int) -> tuple[np.ndarray, ...]:
     return i1, i2, i3, row(i1, i3), row(i2, i3)
 
 
+def _int64_steps(values: np.ndarray, k_max: int) -> int:
+    """The number of steps k = 1, 2, ... of _carried_sides that int64
+    holds exactly: those with B(k) = 3(2k-1) M^(2k+1) <= INT64_MAX, where
+    M = max|value|.  0 unless every value is a Python int.
+
+    B(k) bounds every intermediate of step k: |left| <= 3 M^(2k+1),
+    |h_m| <= (m+1) M^m with m = 2k-2, and |products * sum h| <= B(k).
+    """
+    if not all(type(x) is int for x in values):
+        return 0
+    m = max((abs(x) for x in values), default=0)
+    k = 0
+    while k < k_max and 3 * (2 * k + 1) * m ** (2 * k + 3) <= INT64_MAX:
+        k += 1
+    return k
+
+
 def _carried_sides(values: np.ndarray, i1, i2, i3, i13, i23, k_max: int):
     """Yield (k, rows, power sums, factored forms) over the triads
     (values[i1], values[i2], values[i3]) for k = 1..k_max, SCAN_BLOCK
@@ -114,18 +134,29 @@ def _carried_sides(values: np.ndarray, i1, i2, i3, i13, i23, k_max: int):
     h_m(x, -y) = sum_{i+j=m} x^i (-y)^j by h_m = x h_{m-1} + (-y)^m once per
     pair, two steps per k since m = 2k-2.  The factored form is
     xi1 xi2 xi3 (h_m(xi1, -xi2) + h_m(xi1, -xi3) + h_m(xi2, -xi3)).  Every
-    value is exact: the arrays hold Python numbers, never floats.
+    value is exact, never a float: Python int values are carried as int64
+    while the bound of _int64_steps fits, and all carried arrays turn into
+    object arrays of Python ints at once before the first k past it;
+    Fraction values stay in object arrays throughout.
     """
     blocks = [slice(start, start + SCAN_BLOCK)
               for start in range(0, i1.size, SCAN_BLOCK)]
+    exact_steps = _int64_steps(values, k_max)
+    if exact_steps:
+        values = values.astype(np.int64)
     minus, squares = -values, values * values
-    powers = values                                   # x^(2k-1)
-    signed = np.full(values.size, 1, dtype=object)    # (-y)^m, m = 0
-    h = np.full(i1.size, 1, dtype=object)             # h_0
-    products = np.empty(i1.size, dtype=object)
+    powers = values                                    # x^(2k-1)
+    signed = np.full(values.size, 1, dtype=values.dtype)  # (-y)^m, m = 0
+    h = np.full(i1.size, 1, dtype=values.dtype)        # h_0
+    products = np.empty(i1.size, dtype=values.dtype)
     for rows in blocks:
         products[rows] = values[i1[rows]] * values[i2[rows]] * values[i3[rows]]
     for k in range(1, k_max + 1):
+        if exact_steps and k == exact_steps + 1:
+            values, minus, squares, powers, signed = (
+                a.astype(object) for a in (values, minus, squares, powers, signed))
+            h = h.astype(object)  # one triad-long int64 copy alive at a time
+            products = products.astype(object)
         if k > 1:
             odd = signed * minus                      # (-y)^(m-1)
             signed = odd * minus
@@ -156,13 +187,16 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
     |xi_i| <= r = coordinate_range on the hyperplane for k = 1..k_max, one
     exact array pass per k (_carried_sides); the proof evaluates power_sum
     and factored_form themselves at the 2k+2 triads (t, 1, -t-1),
-    t = 0..2k+1.  Both are exact.  Memory grows as r^2: the h table of one
-    exact int per triad, the triad products and five index arrays; the
-    per-k temporaries are SCAN_BLOCK triads long.  At k_max = 20 the scan
-    takes about 3 ms at r = 10 and 3 s at a 73 MB peak RSS at r = 300
-    (2-core machine).  Raises IdentityViolation with the counterexample
-    (triad, k, left, right) first in the order xi1, then xi2, then k; a
-    range too large to allocate raises MemoryError.
+    t = 0..2k+1.  Both are exact: the scan runs in int64 while its bound
+    fits and in Python ints after, never in floats.  Memory grows as r^2:
+    the h table of one exact int per triad, the triad products and five
+    index arrays; the per-k temporaries are SCAN_BLOCK triads long.  At
+    k_max = 20 the scan takes about 1.6 ms at r = 10 (int64 to k = 8;
+    2.1 ms in Python ints throughout) and 1.7 s at a 75 MB peak RSS at
+    r = 300 (int64 to k = 3) on a 2-core machine.  Raises IdentityViolation
+    with the counterexample (triad, k, left, right), its sides Python ints,
+    first in the order xi1, then xi2, then k; a range too large to allocate
+    raises MemoryError.
     """
     if k_max < 1:
         raise InvalidInput(f"k_max must be >= 1, got {k_max}")
@@ -177,7 +211,8 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
     for k, rows, left, right in _carried_sides(values, i1, i2, i3, i13, i23, k_max):
         bad = np.flatnonzero(left != right)
         if bad.size and (first is None or rows.start + bad[0] < first[0]):
-            first = (rows.start + int(bad[0]), k, left[bad[0]], right[bad[0]])
+            first = (rows.start + int(bad[0]), k, int(left[bad[0]]),
+                     int(right[bad[0]]))
     if first is not None:
         row, k, left, right = first
         triad = Triad(*(values[index[row]] for index in (i1, i2, i3)))
@@ -216,6 +251,52 @@ class FabBoundCalibration:
     max_ratio: float
 
 
+def _refuse_sigma(sigma: float) -> None:
+    if not sigma > 0:
+        raise InvalidInput(f"sigma must be positive, got {sigma}")
+
+
+def check_fab_bounds(samples: int, sigmas, seed: int = 20240823
+                     ) -> list[FabBoundCalibration]:
+    """check_fab_bound at each sigma in order, on one seeded draw: the
+    results == [check_fab_bound(samples, sigma, seed) for sigma in sigmas].
+
+    The draw, the usable triads' coordinates and the two sigma-free factors
+    |xi1 xi2 xi3|^{5/6} and sum|xi| are computed once; each sigma computes
+    only its series, its envelope and their largest ratio.  Each sigma
+    raises, in list order, what its check_fab_bound call raises.
+    """
+    if not sigmas:
+        return []
+    _refuse_sigma(sigmas[0])
+    if samples < 1:
+        raise InvalidInput(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(-FAB_COORDINATE_RANGE, FAB_COORDINATE_RANGE, samples)
+    x2 = rng.uniform(-FAB_COORDINATE_RANGE, FAB_COORDINATE_RANGE, samples)
+    x3 = -x1 - x2
+    product = np.abs(x1 * x2 * x3)
+    usable = product > 0
+    x1, x2, x3 = x1[usable], x2[usable], x3[usable]
+    scale = product[usable] ** (5.0 / 6.0)
+    total = np.abs(x1) + np.abs(x2) + np.abs(x3)
+    del product, usable
+    results = []
+    for sigma in sigmas:
+        _refuse_sigma(sigma)
+        series = symmetrized_weight(x1, x2, x3, sigma)
+        if np.any(np.abs(series) < np.finfo(np.float64).tiny):
+            raise InvalidInput(f"sigma = {sigma}: the series underflows")
+        with _overflow_guard("exp(sigma*sum|xi|) or the series/envelope ratio"):
+            envelope = sigma**1.5 * scale * np.exp(sigma * total)
+            if not np.all(envelope > 0):
+                raise InvalidInput(f"sigma = {sigma}: the envelope underflows to 0")
+            ratios = np.abs(series) / envelope
+        max_ratio = float(np.max(ratios)) if ratios.size else 0.0
+        results.append(FabBoundCalibration(usable=x1.size, max_ratio=max_ratio))
+    return results
+
+
 def check_fab_bound(samples: int, sigma: float,
                     seed: int = 20240823) -> FabBoundCalibration:
     """Measure max |series| / (sigma^{3/2} |xi1 xi2 xi3|^{5/6} e^{sigma*sum|xi|}).
@@ -226,32 +307,11 @@ def check_fab_bound(samples: int, sigma: float,
     and are excluded from the ratio statistics.  Raises OverflowRisk if the
     series, the envelope or their ratio overflows, and InvalidInput when the
     series of a usable triad underflows below the smallest normal double (a
-    sigma below about 1e-150) or the envelope underflows to 0.
+    sigma below about 1e-150) or the envelope underflows to 0.  The one-sigma
+    case of check_fab_bounds, which measures several sigma on one draw.
     """
-    if not sigma > 0:
-        raise InvalidInput(f"sigma must be positive, got {sigma}")
-    if samples < 1:
-        raise InvalidInput(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-FAB_COORDINATE_RANGE, FAB_COORDINATE_RANGE, samples)
-    x2 = rng.uniform(-FAB_COORDINATE_RANGE, FAB_COORDINATE_RANGE, samples)
-    x3 = -x1 - x2
-    product = np.abs(x1 * x2 * x3)
-    usable = product > 0
-    series = symmetrized_weight(x1[usable], x2[usable], x3[usable], sigma)
-    if np.any(np.abs(series) < np.finfo(np.float64).tiny):
-        raise InvalidInput(f"sigma = {sigma}: the series underflows")
-    with _overflow_guard("exp(sigma*sum|xi|) or the series/envelope ratio"):
-        envelope = (
-            sigma**1.5
-            * product[usable] ** (5.0 / 6.0)
-            * np.exp(sigma * (np.abs(x1) + np.abs(x2) + np.abs(x3))[usable])
-        )
-        if not np.all(envelope > 0):
-            raise InvalidInput(f"sigma = {sigma}: the envelope underflows to 0")
-        ratios = np.abs(series) / envelope
-    max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    return FabBoundCalibration(usable=int(np.sum(usable)), max_ratio=max_ratio)
+    (calibration,) = check_fab_bounds(samples, [sigma], seed)
+    return calibration
 
 
 def fractional_bound_exponents(alpha: float) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -340,6 +341,15 @@ class TestVerifyIdentities:
         assert "simulation failure" in err and "overflow" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fab_sigmas, code", [
+        ("0.1,20", 3), ("20,-1", 3), ("-1,20", 2), ("0.1,1e-200", 2)])
+    def test_each_sigma_is_checked_in_order(self, fab_sigmas, code, tmp_path,
+                                            capsys):
+        # one draw serves every sigma; the first failing sigma sets the code
+        assert run(tmp_path, "verify-identities", k_max=1, coordinate_range=2,
+                   symbolic_k_max=0, fab_sigmas=fab_sigmas) == (code, None)
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestConservation:
     def test_sigma_zero_below_floor(self, tmp_path):
@@ -607,6 +617,22 @@ def test_report_matches_golden_bytes(name, tmp_path, monkeypatch, capsys):
     assert (tmp_path / "run.csv").exists() == csv_golden.exists()
     if csv_golden.exists():
         assert (tmp_path / "run.csv").read_bytes() == csv_golden.read_bytes()
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("an ArgumentParser was built per call")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refused)
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        for name in ("verify-identities", "schedule"):
+            assert main(GOLDEN_CASES[name]) == 0
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    with pytest.raises(SystemExit) as caught:
+        main(["no-such-command"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
 
 
 def _error_classes(cls=errors.GevreyBBMError):

@@ -327,6 +327,13 @@ class TestLifespan:
         with pytest.raises(InvalidInput, match="sigma must be finite"):
             lifespan(u0, GevreyWeight(math.nan), 2.0, 0.03)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, math.nan, math.inf])
+    def test_alpha_validated(self, alpha, grid64):
+        # alpha = 1 gave a window of 3.40, and a NaN one a message naming s
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        with pytest.raises(InvalidInput, match="alpha must be finite and > 1"):
+            lifespan(u0, GevreyWeight(0.1), alpha, 0.03)
+
 
 def c05_datum():
     """c05's datum, window and weight: a Gaussian on Grid(256) scaled to

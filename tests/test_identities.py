@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevrey_bbm import identities
-from gevrey_bbm.errors import IdentityViolation, InvalidInput
+from gevrey_bbm.errors import IdentityViolation, InvalidInput, OverflowRisk
 from gevrey_bbm.identities import (
     Triad,
     check_fab_bound,
+    check_fab_bounds,
     factored_form,
     fractional_bound_exponents,
     power_sum,
@@ -155,6 +156,22 @@ class TestVerifyFactorIdentity:
         assert verify_factor_identity(20, 10, 0).all_equal
         assert built == []
 
+    def test_a_counterexample_holds_python_ints(self, monkeypatch):
+        # at r = 2 every side is int64; the report turns them into int
+        carried = identities._carried_sides
+
+        def corrupted(*args):
+            for k, rows, left, right in carried(*args):
+                assert right.dtype == np.int64
+                yield k, rows, left, right + 1
+
+        monkeypatch.setattr(identities, "_carried_sides", corrupted)
+        with pytest.raises(IdentityViolation) as caught:
+            verify_factor_identity(1, 2, symbolic_k_max=0)
+        triad, k, left, right = caught.value.counterexample
+        assert (triad, k, left, right) == (Triad(-2, 0, 2), 1, 0, 1)
+        assert type(left) is int and type(right) is int
+
     def test_symbolic_expansion_to_k3(self, monkeypatch):
         # the scan never calls power_sum, the proof calls it once per point:
         # (t, 1, -t-1) for t = 0..2k+1 at each k = 1..symbolic_k_max
@@ -205,6 +222,51 @@ class TestCarriedSides:
                 triad = Triad(*t)
                 assert (left, right) == (power_sum(triad, k),
                                          factored_form(triad, k))
+
+    def test_int64_exactly_while_the_bound_fits(self):
+        # at r = 10, B(k) = 3(2k-1) 10^(2k+1) <= 2^63-1 for k <= 8 only: a
+        # k = 9 in int64 wraps (10^19 > 2^63-1), so one step of promotion
+        # too late breaks the sides, and one too early only costs time
+        r = 10
+        values = np.arange(-r, r + 1).astype(object)
+        tables = identities._hyperplane(r)
+        assert identities._int64_steps(values, 20) == 8
+        triads = [(a, b, -a - b) for a in range(-r, r + 1)
+                  for b in range(-r, r + 1) if abs(a + b) <= r]
+        assert len(triads) == 331
+        ks = []
+        for k, rows, left, right in identities._carried_sides(values, *tables, 20):
+            ks.append(k)
+            assert rows == slice(0, identities.SCAN_BLOCK)
+            if k <= 8:
+                assert left.dtype == right.dtype == np.int64
+            else:
+                assert left.dtype == right.dtype == object
+                assert all(type(x) is int for x in (*left, *right))
+            for t, lk, rk in zip(triads, left, right, strict=True):
+                triad = Triad(*t)
+                assert lk == power_sum(triad, k) and rk == factored_form(triad, k)
+        assert ks == list(range(1, 21))
+
+    def test_the_int64_steps_are_those_whose_bound_fits(self):
+        top = round((identities.INT64_MAX / 3) ** (1 / 3))
+        while 3 * top**3 > identities.INT64_MAX:
+            top -= 1
+        while 3 * (top + 1) ** 3 <= identities.INT64_MAX:
+            top += 1
+        for m, steps in [(top, 1), (top + 1, 0), (10, 5), (1, 5), (0, 5)]:
+            values = np.array(sorted({-m, 0, m}), dtype=object)
+            assert identities._int64_steps(values, 5) == steps
+
+    def test_fraction_values_stay_object(self):
+        # an integer-valued Fraction is not an int: no int64 step
+        values = np.array([Fraction(x) for x in range(-2, 3)], dtype=object)
+        assert identities._int64_steps(values, 12) == 0
+        for k, rows, left, right in identities._carried_sides(
+                values, *identities._hyperplane(2), 12):
+            assert left.dtype == right.dtype == object
+            assert all(type(x) is Fraction for x in (*left, *right))
+            assert list(left) == list(right)
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.fractions(-20, 20, max_denominator=60),
@@ -275,6 +337,43 @@ class TestFabBound:
         with pytest.raises(InvalidInput, match="series underflows"):
             check_fab_bound(100, sigma)
         assert check_fab_bound(100, 1e-150).max_ratio > 0
+
+
+class TestFabBounds:
+    @pytest.mark.parametrize("seed", [0, 7, 20240823])
+    def test_equals_the_per_sigma_calls_on_one_draw(self, seed, monkeypatch):
+        sigmas = (0.01, 0.1, 0.5)
+        expected = [check_fab_bound(2000, sigma, seed) for sigma in sigmas]
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counted(*args):
+            draws.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        assert check_fab_bounds(2000, sigmas, seed) == expected
+        assert check_fab_bounds(2000, [0.1], seed) == [expected[1]]
+        assert draws == [(seed,), (seed,)]
+
+    def test_no_sigma_no_result(self):
+        assert check_fab_bounds(100, []) == []
+
+    @pytest.mark.parametrize("sigmas, error, match", [
+        ((0.1, 20.0), OverflowRisk, "overflows"),
+        ((20.0, -1.0), OverflowRisk, "overflows"),
+        ((-1.0, 20.0), InvalidInput, "sigma must be positive"),
+        ((0.1, 1e-200), InvalidInput, "series underflows"),
+    ])
+    def test_each_sigma_raises_in_list_order(self, sigmas, error, match):
+        with pytest.raises(error, match=match):
+            check_fab_bounds(100, sigmas)
+
+    def test_sigma_refused_before_samples(self):
+        with pytest.raises(InvalidInput, match="sigma must be positive"):
+            check_fab_bounds(0, [-1.0, 0.1])
+        with pytest.raises(InvalidInput, match="samples must be >= 1"):
+            check_fab_bounds(0, [0.1, -1.0])
 
 
 class TestFractionalExponents:
