@@ -183,10 +183,13 @@ def measure_defects(runs, grid: Grid, dt: float,
     magnitude used for scaling fits, since the signed defect can vanish when
     the energy only decreases).  The bound check uses the calibrated c_cal:
     defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
-    An energy or a bound that overflows raises OverflowRisk.
+    An energy or a bound that overflows raises OverflowRisk; a dt or c_cal
+    that is not finite and positive raises InvalidInput before any step.
     """
     if not 0 < dt < math.inf:
         raise InvalidInput(f"dt must be finite and positive, got {dt}")
+    if not 0 < c_cal < math.inf:
+        raise InvalidInput(f"c_cal must be finite and positive, got {c_cal}")
     runs = [(u0, alpha, list(windows)) for u0, alpha, windows in runs]
     run_steps = [_window_steps(windows, dt) for _, _, windows in runs]
     if not any(run_steps):

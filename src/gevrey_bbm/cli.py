@@ -8,9 +8,10 @@ Config files are flat ``key = value`` lines (``analytics.read_key_values``:
 blank lines, ``#`` comments and ``[section]`` headers are skipped, a later key
 wins, any other line is a config error).  Every key can also be overridden
 on the command line by a flag of the same name; keys are case-sensitive and
-one not in COMMON_DEFAULTS is a config error.  Every value is read by its
-key's type before the command runs: a number must be finite, and an empty
-C1, C2 or delta means its default.  So a bad value is a config error
+one not in KEYS, the table of every key's default text and reader, is a
+config error.  Every value is read by its key's reader before the command
+runs: a number must be finite; an empty C1, C2 or delta means its
+default, and one given must be > 0.  So a bad value is a config error
 whatever the command, and so is an output path that cannot be written: one
 that names a directory or lies in a missing directory is refused before the
 run, one that breaks during the run when it is written.
@@ -46,45 +47,14 @@ EXIT_IDENTITY = 4
 EXIT_DATA = 5
 EXIT_CROSSCHECK = 6
 
-COMMON_DEFAULTS = {
-    "n_points": "256",
-    "domain_length": "64.0",
-    "alpha": "2.0",
-    "dt": "1e-3",
-    "t_end": "10.0",
-    "sigma": "0.1",
-    "data": "gaussian",
-    "amplitude": "0.5",
-    "width": "4.0",
-    "sample_every": "100",
-    "seed": "20240823",
-    "noise_floor": "1e-14",
-    "output_csv": "",
-    "output_json": "",
-    "sigma_grid": "0.01,0.0207,0.0429,0.0889,0.1842,0.3",
-    "alpha_grid": "2.0",
-    "k_max": "20",
-    "coordinate_range": "10",
-    "symbolic_k_max": "6",
-    "fab_samples": "10000",
-    "fab_sigmas": "0.01,0.1,0.5",
-    "T": "100.0",
-    "sigma0": "1.0",
-    "C1": "",
-    "C2": "",
-    "u0_norm": "1.0",
-    "delta": "",
-}
-
-
 def _check_key(key: str) -> str:
-    if key not in COMMON_DEFAULTS:
+    if key not in KEYS:
         raise errors.InvalidInput(f"unknown config key {key!r}")
     return key
 
 
 def load_config(path: str | None) -> dict[str, str]:
-    resolved = dict(COMMON_DEFAULTS)
+    resolved = {key: default for key, (default, _) in KEYS.items()}
     if path:
         try:
             entries = analytics.read_key_values(path)
@@ -131,37 +101,62 @@ def _data_name(text: str) -> str:
 
 
 def _optional(text: str) -> float | None:
-    """Empty for the default: the calibration's constant, or the lifespan."""
-    return _finite(text) if text else None
+    """Empty for the default: the calibration's constant, or the lifespan.
+    A value given must be > 0."""
+    if not text:
+        return None
+    value = _finite(text)
+    if not value > 0:
+        raise errors.InvalidInput("must be > 0")
+    return value
 
 
-# How each key's text is read; a key not named here is a finite float.
-_PARSERS = {
-    **dict.fromkeys(["n_points", "sample_every", "seed", "k_max",
-                     "coordinate_range", "symbolic_k_max", "fab_samples"], int),
-    **dict.fromkeys(["sigma_grid", "alpha_grid", "fab_sigmas"], _grid_values),
-    **dict.fromkeys(["C1", "C2", "delta"], _optional),
-    "data": _data_name,
-    **dict.fromkeys(["output_csv", "output_json"], str),
+# Every config key: its default text and the reader of that text.
+KEYS = {
+    "n_points": ("256", int),
+    "domain_length": ("64.0", _finite),
+    "alpha": ("2.0", _finite),
+    "dt": ("1e-3", _finite),
+    "t_end": ("10.0", _finite),
+    "sigma": ("0.1", _finite),
+    "data": ("gaussian", _data_name),
+    "amplitude": ("0.5", _finite),
+    "width": ("4.0", _finite),
+    "sample_every": ("100", int),
+    "seed": ("20240823", int),
+    "noise_floor": ("1e-14", _finite),
+    "output_csv": ("", str),
+    "output_json": ("", str),
+    "sigma_grid": ("0.01,0.0207,0.0429,0.0889,0.1842,0.3", _grid_values),
+    "alpha_grid": ("2.0", _grid_values),
+    "k_max": ("20", int),
+    "coordinate_range": ("10", int),
+    "symbolic_k_max": ("6", int),
+    "fab_samples": ("10000", int),
+    "fab_sigmas": ("0.01,0.1,0.5", _grid_values),
+    "T": ("100.0", _finite),
+    "sigma0": ("1.0", _finite),
+    "C1": ("", _optional),
+    "C2": ("", _optional),
+    "u0_norm": ("1.0", _finite),
+    "delta": ("", _optional),
 }
 
 
 def _parse(config: dict[str, str]) -> dict:
-    """Every key of config read by its parser; a bad value is InvalidInput."""
+    """Every key of config read by its reader; a bad value is InvalidInput."""
     values = {}
     for key, text in config.items():
         try:
-            values[key] = _PARSERS.get(key, _finite)(text)
+            values[key] = KEYS[key][1](text)
         except (errors.InvalidInput, ValueError) as exc:
             raise errors.InvalidInput(f"{key} = {text!r}: {exc}") from None
     return values
 
 
-def _grid(v) -> Grid:
-    return Grid(v["n_points"], v["domain_length"])
-
-
-def _initial_data(v, grid: Grid):
+def _initial_data(v):
+    """The datum named by data, on the grid of n_points and domain_length."""
+    grid = Grid(v["n_points"], v["domain_length"])
     name = v["data"]
     factory = evolution.INITIAL_DATA[name]
     with errors._overflow_guard("the initial data"):
@@ -179,18 +174,21 @@ def _calibration(v) -> analytics.Calibration:
 
 def _trajectory(v, sigma: float) -> evolution.Trajectory:
     """The run behind simulate and radius; sigma weights its reports' energy."""
-    grid = _grid(v)
-    params = ModelParams(v["alpha"], grid, v["dt"], v["t_end"])
-    u0 = _initial_data(v, grid)
+    u0 = _initial_data(v)
+    params = ModelParams(v["alpha"], u0.grid, v["dt"], v["t_end"])
     return evolution.simulate(u0, params, GevreyWeight(sigma),
                               sample_every=v["sample_every"])
 
 
 def _window(v, u0, alpha: float, c1: float) -> float:
-    """The defect window: --delta when given, else the lifespan of u0."""
+    """The defect window: --delta when given, else the lifespan of u0,
+    which is infinite for a zero datum."""
     if v["delta"] is not None:
         return v["delta"]
-    return evolution.lifespan(u0, GevreyWeight(v["sigma"]), alpha, c1)
+    delta = evolution.lifespan(u0, GevreyWeight(v["sigma"]), alpha, c1)
+    if delta == math.inf:
+        raise errors.InvalidInput("zero data has an infinite lifespan: set delta")
+    return delta
 
 
 def _check_output_paths(v: dict) -> None:
@@ -260,19 +258,18 @@ def cmd_verify_identities(v: dict) -> dict:
 
 
 def cmd_conservation(v: dict) -> dict:
-    grid = _grid(v)
     cal = _calibration(v)
     alpha = v["alpha"]
-    u0 = _initial_data(v, grid)
+    u0 = _initial_data(v)
     delta = _window(v, u0, alpha, cal.c1)
     sigmas = v["sigma_grid"]
     if len(sigmas) == 1:
         (reports,) = analytics.measure_defects(
-            [(u0, alpha, [(sigmas[0], delta)])], grid, v["dt"], c_cal=cal.c2)
+            [(u0, alpha, [(sigmas[0], delta)])], u0.grid, v["dt"], c_cal=cal.c2)
         slope = None
     else:
         slope, reports = analytics.defect_scaling_fit(
-            u0, sigmas, delta, ModelParams(alpha, grid, v["dt"], delta),
+            u0, sigmas, delta, ModelParams(alpha, u0.grid, v["dt"], delta),
             c_cal=cal.c2)
     return {
         "delta": delta,
@@ -298,14 +295,13 @@ def cmd_schedule(v: dict) -> dict:
 
 
 def cmd_sweep(v: dict) -> dict:
-    grid = _grid(v)
     cal = _calibration(v)
-    u0 = _initial_data(v, grid)
+    u0 = _initial_data(v)
     alphas = v["alpha_grid"]
     deltas = [_window(v, u0, alpha, cal.c1) for alpha in alphas]
     runs = [(u0, alpha, [(sigma, delta) for sigma in v["sigma_grid"]])
             for alpha, delta in zip(alphas, deltas)]
-    reports = analytics.measure_defects(runs, grid, v["dt"], c_cal=cal.c2)
+    reports = analytics.measure_defects(runs, u0.grid, v["dt"], c_cal=cal.c2)
     results = {f"alpha={alpha!r},sigma={r.sigma!r}":
                {"alpha": alpha, **_fields(r)}
                for alpha, run in zip(alphas, reports) for r in run}

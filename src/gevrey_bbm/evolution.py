@@ -14,9 +14,11 @@ Both run on one private kernel over raw half-spectrum arrays (the last
 axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
 rule; linear multipliers need no dealiasing), written into the buffers its
 caller passes or into fresh ones, and ``_rk4`` is one step, with the same
-square written inline, in the scratch of a ``_workspace``.  These two are
-the only code that knows the workspace's layout.  ``rhs`` (``_square``
-into fresh arrays, then its add and multiply) and ``step_rk4`` are thin
+square written inline, in the scratch of a ``_workspace``.  ``_workspace``
+and ``_rk4`` know the workspace's whole layout; ``_march`` knows one slot of
+it, the real samples (slot 5), which are free between steps and into which
+it takes the modulus of its blowup check.  ``rhs`` (``_square`` into fresh
+arrays, then its add and multiply) and ``step_rk4`` are thin
 ``SpectralField`` wrappers over the kernel.  ``_minus_phi`` builds -phi and
 max|phi| once per (grid, alpha) and caches them read-only; ``_march``,
 ``step_rk4`` and ``rhs`` all read that cache.  ``_march`` is the one
@@ -151,7 +153,8 @@ def _workspace(shape: tuple[int, ...], grid: Grid, dt: float) -> tuple:
     """Scratch for RK4 steps of size dt on half-spectra of the given shape,
     built once per run (per stack of _march, and per change of step_rk4's
     idle workspace) so that a step makes no array but its new state and
-    converts no Python float.  Only _rk4 reads it.
+    converts no Python float.  _rk4 reads it all; _march reads only the
+    real samples (slot 5), as the buffer of its blowup modulus between steps.
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
     rows k2, k3; the stage input; the rows k1..k4 and their dealias tails

@@ -23,6 +23,7 @@ envelope for several sigma on one seeded draw of triads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,8 +322,8 @@ def fractional_bound_exponents(alpha: float) -> tuple[float, float, float]:
     beta = 3(alpha-1)/2 below the knee alpha = 7/3, else 2;
     mu = 1/beta, i.e. 2/(3(alpha-1)) below the knee, else 1/2.
     """
-    if not alpha > 1:
-        raise InvalidInput(f"alpha must be > 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise InvalidInput(f"alpha must be finite and > 1, got {alpha}")
     epsilon0 = min(alpha / 2.0 - 1.0 / 6.0, 1.0)
     if alpha < 7.0 / 3.0:
         beta = 1.5 * (alpha - 1.0)

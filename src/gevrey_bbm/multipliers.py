@@ -73,8 +73,8 @@ class GevreyWeight:
 
 def phi_symbol(xi, alpha: float):
     """Dispersive symbol i*xi / (1 + |xi|^alpha) of d_x(1 + D^alpha)^{-1}."""
-    if not alpha > 1:
-        raise InvalidInput(f"alpha must be > 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise InvalidInput(f"alpha must be finite and > 1, got {alpha}")
     xi = np.asarray(xi, dtype=np.float64)
     # |xi|^alpha past the double range is inf, and phi there is 0, its limit
     with np.errstate(over="ignore"):
@@ -92,8 +92,8 @@ class ModelParams:
     t_end: float
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise InvalidInput(f"alpha must be > 1, got {self.alpha}")
+        if not 1 < self.alpha < math.inf:
+            raise InvalidInput(f"alpha must be finite and > 1, got {self.alpha}")
         if not 0 < self.dt < math.inf:
             raise InvalidInput(f"dt must be finite and positive, got {self.dt}")
         if not 0 <= self.t_end < math.inf:

@@ -100,8 +100,8 @@ def _energies(grid: Grid, mags: np.ndarray, sigma: float,
               alpha: float) -> np.ndarray:
     """energy of each half-spectrum whose moduli |coeffs| lie along the last
     axis of mags."""
-    if not alpha > 1:
-        raise InvalidInput(f"alpha must be > 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise InvalidInput(f"alpha must be finite and > 1, got {alpha}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
     xi = grid.wavenumbers

@@ -289,6 +289,22 @@ class TestMeasureDefect:
                 measure_defects([(zero_field(grid64), 2.0, [(0.1, delta)])],
                                 grid64, 1e-2)
 
+    @pytest.mark.parametrize("c_cal", [math.nan, math.inf, 0.0, -1.0])
+    def test_c_cal_validated_before_any_step(self, grid64, c_cal, monkeypatch):
+        # a nan c_cal gave a nan bound and -1 a negative one, each reported
+        # as a bound that does not hold, not refused
+        def no_step(*args):
+            raise AssertionError("stepped before refusing c_cal")
+
+        monkeypatch.setattr(analytics, "_march", no_step)
+        u0 = gaussian_data(grid64, 0.5, 4.0)
+        with pytest.raises(InvalidInput, match="c_cal"):
+            measure_defects([(u0, 2.0, [(0.1, 0.1)])], grid64, 1e-2,
+                            c_cal=c_cal)
+        with pytest.raises(InvalidInput, match="c_cal"):
+            defect_scaling_fit(u0, [0.05, 0.1], 0.1,
+                               ModelParams(2.0, grid64, 1e-2, 0.1), c_cal=c_cal)
+
     def test_one_trajectory_serves_every_sigma(self, grid64):
         # sigma does not enter the flow: the defects read off the shared
         # trajectory equal those of a run that carries the weight itself.

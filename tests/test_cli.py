@@ -208,6 +208,32 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and argv[1][2:] in err
 
+    @pytest.mark.parametrize("command", ["conservation", "sweep", "schedule"])
+    @pytest.mark.parametrize("key", ["C1", "C2", "delta"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_constant_or_window_exits_2(self, command, key, value,
+                                                     capsys):
+        # a C2 <= 0 once gave a bound <= 0 that the defect could not meet,
+        # and with delta given a C1 <= 0 was echoed as the calibration's c1;
+        # the key's own flag comes last, so it wins over the delta given
+        argv = [command, "--n_points", "64", "--sigma_grid", "0.1",
+                "--delta", "0.1", f"--{key}", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key} = {value!r}: must be > 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["conservation", "--sigma_grid", "0.1"],
+        ["conservation"],
+        ["sweep"],
+    ])
+    def test_zero_datum_asks_for_delta(self, argv, capsys):
+        # its lifespan is infinite; the error once named t_end, which the
+        # user never set, or an infinite delta, which the user never gave
+        assert main([*argv, "--amplitude", "0", "--n_points", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: zero data has an infinite lifespan: set delta\n")
+
     @pytest.mark.parametrize("command", ["sweep", "conservation"])
     @pytest.mark.parametrize("dt", ["0", "-1e-3"])
     def test_non_positive_dt_exits_2(self, command, dt):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from gevrey_bbm.analytics import random_band_limited_field
 from gevrey_bbm.errors import InvalidInput, OverflowRisk
+from gevrey_bbm.evolution import gaussian_data
+from gevrey_bbm.identities import fractional_bound_exponents
 from gevrey_bbm.multipliers import (
     GevreyWeight,
     ModelParams,
@@ -16,8 +18,8 @@ from gevrey_bbm.multipliers import (
     phi_symbol,
     semigroup,
 )
-from gevrey_bbm.norms import gevrey_norm, hs_norm, l2_norm
-from gevrey_bbm.spectral import SpectralField, forward_transform, zero_field
+from gevrey_bbm.norms import energy, gevrey_norm, hs_norm, l2_norm
+from gevrey_bbm.spectral import Grid, SpectralField, forward_transform, zero_field
 
 
 class TestPhiSymbol:
@@ -154,3 +156,16 @@ class TestModelParams:
     def test_non_finite_dt_rejected_by_name(self, grid64, dt):
         with pytest.raises(InvalidInput, match=r"^dt must be finite"):
             ModelParams(2.0, grid64, dt, 1.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda alpha: phi_symbol(1.0, alpha),
+    lambda alpha: ModelParams(alpha, Grid(64), 1e-2, 1.0),
+    lambda alpha: energy(gaussian_data(Grid(64), 0.5, 4.0), 0.1, alpha),
+    lambda alpha: fractional_bound_exponents(alpha),
+], ids=["phi_symbol", "ModelParams", "energy", "fractional_bound_exponents"])
+def test_infinite_alpha_is_refused(entry):
+    # each once tested only alpha > 1: ModelParams was built, and stepping
+    # or measuring it raised OverflowRisk; energy warned of an invalid value
+    with pytest.raises(InvalidInput, match=r"^alpha must be finite and > 1"):
+        entry(math.inf)
