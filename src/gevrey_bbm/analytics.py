@@ -39,8 +39,8 @@ from .spectral import (
     _rfft,
     _scales,
     _to_samples,
+    dealias,
     inverse_transform,
-    zero_nyquist,
 )
 
 DEFAULT_NOISE_FLOOR = 1e-14
@@ -175,7 +175,9 @@ def measure_defects(runs, grid: Grid, dt: float,
     (u0, alpha, windows) on grid; one report list per run.
 
     sigma does not enter the flow, so each run is one row of a single
-    batched RK4 march (evolution._march) to its longest window.  A window of
+    batched RK4 march (evolution._march) to its longest window, from the
+    projection of its u0 onto the modes j <= n/3 (spectral.dealias), the
+    Galerkin flow that simulate steps.  A window of
     n_steps = round(delta/dt) steps is sampled every n_steps // DEFECT_SAMPLES
     steps and at its last step, and only these states are kept.
 
@@ -194,7 +196,7 @@ def measure_defects(runs, grid: Grid, dt: float,
     run_steps = [_window_steps(windows, dt) for _, _, windows in runs]
     if not any(run_steps):
         return [[] for _ in runs]
-    kept = _march([zero_nyquist(u0) for u0, _, _ in runs],
+    kept = _march([dealias(u0) for u0, _, _ in runs],
                   [alpha for _, alpha, _ in runs],
                   [{0}.union(*steps) for steps in run_steps], grid, dt)
     return [_defect_reports(u0, windows, steps, states, alpha, c_cal)

@@ -10,10 +10,22 @@ Two solvers are provided:
   on a uniform time sub-grid with composite trapezoidal quadrature.  Used
   for verification over a single local-existence window, not for long runs.
 
-Both run on one private kernel over raw half-spectrum arrays (the last
-axis holds the modes j = 0..n/2): ``_square`` is the dealiased u^2 (2/3
-rule; linear multipliers need no dealiasing), written into the buffers its
-caller passes or into fresh ones, and ``_rk4`` is one step, with the same
+The flow is the Galerkin truncation of the equation onto the modes
+|j| <= n/3 that the 2/3 rule keeps: ``simulate``, ``step_rk4``,
+``picard_solve``, ``analytics.measure_defects`` and the data factories all
+project onto them (``spectral.dealias``, which clears j = n/2 too).  On
+that band u^2 is computed without aliasing, and J = -d(1 + D^alpha)^-1 is
+skew and commutes with the projection, so the mass, the quadratic
+invariant energy(u, 0, alpha) and the Hamiltonian are invariants of the
+semi-discrete flow for every datum, left only to the time stepper's error.
+Stepped with its modes in (n/3, n/2), a datum that is not resolved there
+aliases them into u^2 and loses all three.
+
+Both solvers run on one private kernel over raw arrays: ``_square`` is the
+dealiased u^2 of half-spectra (the last axis holds the modes j = 0..n/2;
+linear multipliers need no dealiasing), written into the buffers its
+caller passes or into fresh ones, and ``_rk4`` is one step on the band
+alone (the last axis holds j = 0..n/3, ``_band`` of them), with the same
 square written inline, in the scratch of a ``_workspace``.  ``_workspace``
 and ``_rk4`` know the workspace's whole layout; ``_march`` knows one slot of
 it, the real samples (slot 5), which are free between steps and into which
@@ -21,8 +33,9 @@ it takes the modulus of its blowup check.  ``rhs`` (``_square`` into fresh
 arrays, then its add and multiply) and ``step_rk4`` are thin
 ``SpectralField`` wrappers over the kernel.  ``_minus_phi`` builds -phi and
 max|phi| once per (grid, alpha) and caches them read-only; ``_march``,
-``step_rk4`` and ``rhs`` all read that cache.  ``_march`` is the one
-stepping loop: it keeps a ``SpectralField`` only at a given set of steps.
+``step_rk4`` and ``rhs`` all read that cache, the first two only its band.
+``_march`` is the one stepping loop: it keeps a ``SpectralField`` only at a
+given set of steps, its band padded back to n/2+1 modes with zeros.
 ``simulate`` runs it on every ``sample_every``-th step (at most MAX_SAMPLES
 of them) and ``analytics.measure_defects`` on the union of each run's
 window sample steps; neither takes more than MAX_STEPS steps.
@@ -35,7 +48,7 @@ and holds only the flow and the iterate at every node.
 
 ``_march`` has a batch axis: it takes several initial states on one grid,
 each with its own alpha and step set.  A single state is stepped as its 1-D
-array.  Several are stacked to shape (rows, n/2+1), with each row's -phi
+band.  Several are stacked to shape (rows, band), with each row's -phi
 stacked beside them, and stepped as one array, which the kernel handles
 unchanged, because it works along the last axis and batched real FFTs give
 each row bit for bit its single-row result.  Each row stops at its own last
@@ -44,15 +57,22 @@ takes a step past its own.  A blowup names the first failing row.
 
 The kernel allocates nothing it does not return, and at small n a step
 pays for its arithmetic, not for numpy's set-up of its calls or for Python
-frames: 8 FFTs, 4 tail fills and 22 ufunc calls on a power-of-two grid, 26
-on any other.  ``_rk4`` runs its four stages as one flat loop with the
-dealiased square written inline, and ``_march`` checks for blowup with
-``np.maximum.reduce``, not ``ndarray.max`` (which enters numpy's Python
-``_amax``), so a ``_march`` step makes 9 Python calls: ``_rk4`` and the
+frames: 8 FFTs and 22 ufunc calls on a power-of-two grid, 26 on any other,
+each complex one over the band only, so the modes above n/3 are never
+stored, cleared or stepped (``_rk4`` says why that keeps every bit).
+``_rk4`` runs its four stages as one flat loop with the dealiased square
+written inline.  ``_march``
+screens for blowup with the sum of |c|^2 over the stack, one
+``np.vecdot``, and takes the exact max|c| with ``np.maximum.reduce`` only
+when the screen fails (as a NaN, an inf or an overflow does), so what
+raises, and when, is what the max alone decides.  Both are ufuncs, where
+``np.dot`` and ``ndarray.max`` enter Python functions (numpy's dispatcher
+and ``_amax``), so a ``_march`` step makes 9 Python calls: ``_rk4`` and the
 transforms' 4 ``_to_samples`` and 4 ``_rfft``.  A
 ``_workspace`` is built once per run with what every step would otherwise
 rebuild: the four RK4 stages as one (4, ...) array, the stage input, the
-real samples, prebuilt views of the stages' rows and dealias tails, the
+forward transform's full-length buffer and a view of its band, the real
+samples, prebuilt views of the stages' rows, the
 grid's transform scalings (``spectral._scales``) and every scalar of a
 step as a 0-d array of the dtype of the call's output: a ufunc converts a
 Python float on every call, and casts a float64 0-d array against a
@@ -60,7 +80,7 @@ complex128 state (at n = 128 on 2 cores a multiply took 0.72 us with the
 float64 scalar and 0.45 with a complex128 one).  So dt/2, dt, 2 and dt/6
 are complex128, and only the halved forward scale, the real FFT's
 ``fct``, is float64.  For the same reason a stack's -phi has the stack's
-(rows, n/2+1) shape: broadcasting a 1-D -phi cost 3.2 us a multiply at
+(rows, band) shape: broadcasting a 1-D -phi cost 3.2 us a multiply at
 3 x 65 modes against 1.0.  Neither moves a bit: numpy multiplies a
 complex array by a float s as by (s + 0j), and broadcasting does not
 change any element's product.
@@ -68,15 +88,16 @@ The FFTs write into it: the inverse ones through ``spectral._to_samples``,
 and the forward ones through ``spectral._rfft`` with L/n as the kernel's
 own factor, or L/(2n) in a stage, which folds in the 1/2 of u^2/2.
 The square and the stage combinations are in-place ufuncs with ``out``
-given positionally (cheaper than as a keyword); a tail is cleared by
-``fill`` on its view.  k1 + 2 k2 + 2 k3 + k4 is one x2 on the middle rows
-and one ``np.add.reduce`` over the stages, which adds the rows in order.
-``_march`` makes one workspace per stack, and
+given positionally (cheaper than as a keyword).  k1 + 2 k2 + 2 k3 + k4 is
+one x2 on the middle rows and one ``np.add.reduce`` over the stages, which
+adds the rows in order.  ``_march`` makes one workspace per stack, and
 ``step_rk4`` keeps the workspace of its last call as the idle one, keyed by
 (shape, grid, dt): a call with that key takes it out and puts it back only
 after its step, so a re-entrant or concurrent call finds no spare and
 builds its own, and a call with another key replaces it.  At most one idle
-workspace is held.  The ufuncs take their operands in the
+workspace is held.  ``step_rk4`` writes the step into the band of a zeroed
+full-length array, so a lone step pays no copy.  The ufuncs take their
+operands in the
 order of the plain expressions, and each folded factor rounds as the
 separate multiplies did: a factor 1/2, or a power of two n in 1/n times
 n/L, commutes with rounding outside the subnormal range (below about
@@ -85,7 +106,7 @@ gives, with one exception that compares equal: the kernel scales each
 real component, where a complex array times a real scalar is a complex
 multiply by (s + 0j), so an exactly zero component can come out -0.0
 where the formula gives +0.0, or the reverse.  The new state of a step is
-the one fresh array, and a batched row is kept as a copy of its row, so no
+the one fresh array, and a kept state is a fresh full-length array, so no
 kept state shares memory with the workspace or with another kept state.
 """
 
@@ -109,8 +130,8 @@ from .spectral import (
     _rfft,
     _scales,
     _to_samples,
+    dealias,
     forward_transform,
-    zero_nyquist,
 )
 
 BLOWUP_CAP = 1e12
@@ -149,28 +170,36 @@ class PicardDiagnostics:
     contraction_factor: float
 
 
+def _band(grid: Grid) -> int:
+    """The number of modes j = 0..n/3 that the 2/3 rule keeps: the length
+    of the last axis that _rk4 steps."""
+    return grid.dealias_cutoff + 1
+
+
 def _workspace(shape: tuple[int, ...], grid: Grid, dt: float) -> tuple:
-    """Scratch for RK4 steps of size dt on half-spectra of the given shape,
-    built once per run (per stack of _march, and per change of step_rk4's
-    idle workspace) so that a step makes no array but its new state and
-    converts no Python float.  _rk4 reads it all; _march reads only the
-    real samples (slot 5), as the buffer of its blowup modulus between steps.
+    """Scratch for RK4 steps of size dt on band half-spectra of the given
+    shape (the last axis holds the modes j <= n/3, see _band), built once
+    per run (per stack of _march, and per change of step_rk4's idle
+    workspace) so that a step makes no array but its new state and converts
+    no Python float.  _rk4 reads it all; _march reads only the real samples
+    (slot 5), as the buffer of its blowup modulus between steps.
 
     In order: the stages k1..k4 as one (4, *shape) array and its middle
-    rows k2, k3; the stage input; the rows k1..k4 and their dealias tails
-    (modes j > n/3); the real samples of u; the grid's spectral._scales;
-    the forward scale halved, a float64 0-d array (the real samples' fct);
-    and dt/2, dt, 2 and dt/6 as complex128 0-d arrays, the dtype of the
-    states they multiply.
+    rows k2, k3; the stage input; the rows k1..k4; the forward transform's
+    full half-spectra (modes j <= n/2, which the real FFT writes); the real
+    samples of u; the band of the forward half-spectra; the grid's
+    spectral._scales; the forward scale halved, a float64 0-d array (the
+    real samples' fct); and dt/2, dt, 2 and dt/6 as complex128 0-d arrays,
+    the dtype of the states they multiply.
     """
     scales = _scales(grid)
     stages = np.empty((4, *shape), dtype=np.complex128)
-    rows = tuple(stages)
-    tails = tuple(k[..., grid.dealias_cutoff + 1:] for k in rows)
+    forward = np.empty(shape[:-1] + (grid.n_points // 2 + 1,),
+                       dtype=np.complex128)
     scalars = (0.5 * dt, dt, 2.0, dt / 6.0)
-    return (stages, stages[1:3], np.empty(shape, dtype=np.complex128), rows,
-            tails, np.empty(shape[:-1] + (grid.n_points,)), scales,
-            np.array(0.5 * scales.forward),
+    return (stages, stages[1:3], np.empty(shape, dtype=np.complex128),
+            tuple(stages), forward, np.empty(shape[:-1] + (grid.n_points,)),
+            forward[..., :shape[-1]], scales, np.array(0.5 * scales.forward),
             *(np.array(s, np.complex128) for s in scalars))
 
 
@@ -188,37 +217,42 @@ def _square(coeffs: np.ndarray, grid: Grid, scale: np.ndarray | None = None,
     samples = _to_samples(coeffs, scales, samples)
     np.multiply(samples, samples, samples)
     square = _rfft(samples, out, scales.forward if scale is None else scale)
-    square[..., grid.dealias_cutoff + 1:].fill(0.0)
+    square[..., _band(grid):].fill(0.0)
     return square
 
 
-def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple) -> np.ndarray:
-    """One classical RK4 step of size dt on raw half-spectra, with the
-    scratch arrays and the dt of work.  Returns a new array.  minus_phi
-    broadcasts to coeffs; it is fastest in coeffs' own shape.
+def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """One classical RK4 step of size dt on band half-spectra (modes
+    j <= n/3), with the scratch arrays and the dt of work.  Returns the new
+    state, written into out (a fresh array when None).  minus_phi is -phi on
+    the band and broadcasts to coeffs; it is fastest in coeffs' own shape.
 
     Stage k is -phi(D)(u + u^2/2) at its input u, written into row k: the
-    dealiased square of _square, inline, with the forward scale L/(2n)."""
-    (stages, middle, stage, rows, tails, samples, scales, half_forward,
-     half_dt, dt, two, sixth_dt) = work
+    dealiased square, inline.  The inverse FFT reads the band and takes
+    every mode above it as zero; the forward FFT, with the scale L/(2n),
+    writes the full half-spectrum, and only its band is read.  So no ufunc
+    touches a mode above n/3, and each band mode is bit for bit what the
+    full-length step gives a state whose modes above n/3 are zero."""
+    (stages, middle, stage, rows, forward, samples, band, scales,
+     half_forward, half_dt, dt, two, sixth_dt) = work
     u = coeffs
-    for row, tail, scale in zip(rows, tails, (None, half_dt, half_dt, dt)):
+    for row, scale in zip(rows, (None, half_dt, half_dt, dt)):
         if scale is not None:  # u = coeffs + scale * the previous stage
             np.multiply(scale, previous, stage)
             np.add(coeffs, stage, stage)
             u = stage
         _to_samples(u, scales, samples)
         np.multiply(samples, samples, samples)
-        _rfft(samples, row, half_forward)  # 0.5 * u^2, by L/(2n)
-        tail.fill(0.0)
-        np.add(u, row, row)  # u + 0.5 * u^2
+        _rfft(samples, forward, half_forward)  # 0.5 * u^2, by L/(2n)
+        np.add(u, band, row)  # u + 0.5 * u^2
         np.multiply(minus_phi, row, row)  # -phi * (u + 0.5 * u^2)
         previous = row
     np.multiply(two, middle, middle)  # 2*k2, 2*k3
     # the rows in order: ((k1 + 2*k2) + 2*k3) + k4
     np.add.reduce(stages, 0, None, stage)
     np.multiply(sixth_dt, stage, stage)
-    return np.add(coeffs, stage)
+    return np.add(coeffs, stage, out)
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,8 +289,10 @@ _idle: list[tuple[tuple, tuple]] = []
 
 
 def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
-    """One classical RK4 step of the spectral ODE system; warns when
-    dt*max|phi| >= 1.
+    """One classical RK4 step of the spectral ODE system from the projection
+    of field onto the modes j <= n/3 (spectral.dealias): the Galerkin flow
+    that simulate steps.  The new state's modes above n/3 are zero, and a dt
+    of 0 returns field as it is.  Warns when dt*max|phi| >= 1.
 
     A call takes the idle workspace out when its (shape, grid, dt) match,
     and leaves its own as the idle one after its step, so a re-entrant or
@@ -265,16 +301,19 @@ def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
         raise InvalidInput(f"dt must be finite and >= 0, got {dt}")
     if dt == 0:
         return field
-    minus_phi, max_phi = _minus_phi(field.grid, alpha)
+    grid = field.grid
+    minus_phi, max_phi = _minus_phi(grid, alpha)
     _warn_if_unstable(dt, max_phi)
-    key = (field.coeffs.shape, field.grid, dt)
+    band = _band(grid)
+    key = (field.coeffs.shape, grid, dt)
     try:
         idle_key, work = _idle.pop()
     except IndexError:
         idle_key = None
     if idle_key != key:
-        work = _workspace(*key)
-    new = _rk4(field.coeffs, minus_phi, work)
+        work = _workspace((band,), grid, dt)
+    new = np.zeros(key[0], np.complex128)  # the step is written into its band
+    _rk4(field.coeffs[:band], minus_phi[:band], work, new[:band])
     _idle[:] = [(key, work)]
     return field.with_coeffs(new)
 
@@ -319,7 +358,9 @@ def picard_solve(
     """Iterate the Duhamel map to a fixed point on [0, delta].
 
     Gamma(u)(t) = S(t) u0 - (1/2) int_0^t S(t-tau) phi(D)(u(tau)^2) dtau,
-    with composite trapezoidal quadrature on n_nodes+1 uniform tau nodes.
+    with composite trapezoidal quadrature on n_nodes+1 uniform tau nodes,
+    from the projection of u0 onto the modes j <= n/3 (spectral.dealias):
+    the Galerkin flow that the RK4 route steps, by an independent route.
     phi is imaginary, so S(t) = exp(-t*phi) is unimodular and
     S(-t) = conj(S(t)); with g_m = S(-t_m) phi(D)(u_m^2) the trapezoid at
     node k is one cumulative sum in the interaction picture,
@@ -350,6 +391,7 @@ def picard_solve(
         raise InvalidInput(f"delta must be finite and positive, got {delta}")
     if _index(n_nodes, "n_nodes") < 1:
         raise InvalidInput(f"n_nodes must be >= 1, got {n_nodes}")
+    u0 = dealias(u0)
     grid = u0.grid
     xi = grid.wavenumbers
     symbol = phi_symbol(xi, alpha)
@@ -440,10 +482,13 @@ def _march(u0s: list[SpectralField], alphas, steps, grid: Grid,
            dt: float) -> list[dict[int, SpectralField]]:
     """RK4 from each initial state in u0s, under its own alpha, to the
     largest step of its own step set in steps, keeping the state (step 0
-    included) at each of them; one kept-state dict per state.
+    included) at each of them; one kept-state dict per state.  Only each
+    state's band j <= n/3 is stepped, so callers pass projected states
+    (spectral.dealias); step 0 is kept as given, and every later kept state
+    is zero above n/3.
 
-    A single state is stepped as its 1-D array.  Several are stacked to shape
-    (rows, n/2+1) and stepped together; a row leaves the stack after its last
+    A single state is stepped as its 1-D band.  Several are stacked to shape
+    (rows, band) and stepped together; a row leaves the stack after its last
     step, so no row steps past it.  Only the requested states are stored, so
     memory follows the kept steps, not the steps taken.  Raises
     BlowupDetected, naming the row when there are several, as soon as a
@@ -454,6 +499,7 @@ def _march(u0s: list[SpectralField], alphas, steps, grid: Grid,
     for u0 in u0s:
         if u0.grid != grid:
             raise InvalidInput(f"initial state on {u0.grid} cannot step on {grid}")
+    band, size = _band(grid), grid.n_points // 2 + 1
     phis = [_minus_phi(grid, alpha) for alpha in alphas]
     wanted = [set(s) for s in steps]
     lasts = [max(w) for w in wanted]
@@ -461,33 +507,42 @@ def _march(u0s: list[SpectralField], alphas, steps, grid: Grid,
     live = [row for row, last in enumerate(lasts) if last > 0]
     if live:
         _warn_if_unstable(dt, max(phis[row][1] for row in live), stacklevel=4)
-    rows = [u0s[row].coeffs for row in live]
+    rows = [u0s[row].coeffs[:band] for row in live]
+    # a sum of squares at most this bounds every modulus by BLOWUP_CAP/sqrt(2)
+    screen = BLOWUP_CAP * BLOWUP_CAP / 2.0
     first = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
             # the live rows and their -phi, stacked, so that no multiply
             # broadcasts; a lone row stays 1-D
             if len(rows) == 1:
-                coeffs, stack_phi = rows[0], phis[live[0]][0]
+                coeffs, stack_phi = rows[0], phis[live[0]][0][:band]
             else:
                 coeffs = np.stack(rows)
-                stack_phi = np.stack([phis[row][0] for row in live])
+                stack_phi = np.stack([phis[row][0][:band] for row in live])
             work = _workspace(coeffs.shape, grid, dt)
-            modulus = work[5][..., :coeffs.shape[-1]]  # samples are free between steps
+            modulus = work[5][..., :band]  # samples are free between steps
             stop = min(lasts[row] for row in live)
             for step in range(first, stop + 1):
                 coeffs = _rk4(coeffs, stack_phi, work)
-                # a max per row costs about 2% of a step at n = 1024, so it is
-                # taken only to name the row once the max over the stack
-                # fails; np.maximum.reduce, since ndarray.max enters a Python
-                # function (numpy's _amax) on every call
-                peak = np.maximum.reduce(np.abs(coeffs, modulus), None)
-                if not peak <= BLOWUP_CAP:  # and NaN
-                    row = live[int(np.argmin(modulus.max(axis=-1) <= BLOWUP_CAP))]
-                    raise BlowupDetected(step * dt, row if len(u0s) > 1 else None)
+                # sum |c|^2 over the stack screens the exact max: a NaN, an
+                # inf or an overflow fails the screen, and only the max
+                # decides what raises.  The max per row is taken only to name
+                # the row once the max over the stack fails.  np.vecdot and
+                # np.maximum.reduce are ufuncs, where np.dot and ndarray.max
+                # enter a Python function on every call
+                flat = coeffs.reshape(-1)
+                if not np.vecdot(flat, flat).real <= screen:
+                    peak = np.maximum.reduce(np.abs(coeffs, modulus), None)
+                    if not peak <= BLOWUP_CAP:  # and NaN
+                        row = live[int(np.argmin(
+                            modulus.max(axis=-1) <= BLOWUP_CAP))]
+                        raise BlowupDetected(step * dt,
+                                             row if len(u0s) > 1 else None)
                 for i, row in enumerate(live):
                     if step in wanted[row]:
-                        state = coeffs if coeffs.ndim == 1 else coeffs[i].copy()
+                        state = np.zeros(size, np.complex128)
+                        state[:band] = coeffs if coeffs.ndim == 1 else coeffs[i]
                         kept[row][step] = SpectralField(grid, state)
             stacked = coeffs if coeffs.ndim == 2 else [coeffs]
             rows = [state for state, row in zip(stacked, live) if lasts[row] > stop]
@@ -503,12 +558,14 @@ def simulate(
     sample_every: int = 1,
 ) -> Trajectory:
     """RK4 driver recording states and NormReports every sample_every steps
-    and at the last step; a report that overflows raises OverflowRisk."""
+    and at the last step, from the projection of u0 onto the modes j <= n/3
+    (spectral.dealias), which is the first state; a report that overflows
+    raises OverflowRisk."""
     if sample_every < 1:
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
     steps = _sample_steps(_step_count(params.t_end, params.dt), sample_every)
     times = [step * params.dt for step in steps]
-    (kept,) = _march([zero_nyquist(u0)], [params.alpha], [steps], params.grid,
+    (kept,) = _march([dealias(u0)], [params.alpha], [steps], params.grid,
                      params.dt)
     states = [kept[step] for step in steps]
     with _overflow_guard("the energy"):
@@ -517,6 +574,8 @@ def simulate(
 
 
 # --- initial-data library -------------------------------------------------
+# Each profile is sampled on the grid and projected onto the modes j <= n/3
+# (spectral.dealias), the band that the flow evolves.
 
 
 def gaussian_data(grid: Grid, amplitude: float = 1.0,
@@ -526,13 +585,17 @@ def gaussian_data(grid: Grid, amplitude: float = 1.0,
         raise InvalidInput(f"width must be positive, got {width}")
     x0 = grid.domain_length / 2.0
     samples = amplitude * np.exp(-((grid.points - x0) ** 2) / width**2)
-    return zero_nyquist(forward_transform(samples, grid))
+    return dealias(forward_transform(samples, grid))
 
 
 def cosine_data(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> SpectralField:
-    """a * cos(2*pi*mode*x / L)."""
+    """a * cos(2*pi*mode*x / L); a mode above n/3, which the 2/3 rule
+    projects to zero, is InvalidInput."""
+    if not abs(mode) <= grid.dealias_cutoff:
+        raise InvalidInput(f"mode must be at most n/3 = {grid.dealias_cutoff} "
+                           f"in magnitude, got {mode}")
     samples = amplitude * np.cos(2.0 * np.pi * mode * grid.points / grid.domain_length)
-    return zero_nyquist(forward_transform(samples, grid))
+    return dealias(forward_transform(samples, grid))
 
 
 def sech2_data(grid: Grid, amplitude: float = 1.0,
@@ -543,7 +606,7 @@ def sech2_data(grid: Grid, amplitude: float = 1.0,
         raise InvalidInput(f"width must be positive, got {width}")
     x0 = grid.domain_length / 2.0
     samples = amplitude / np.cosh((grid.points - x0) / width) ** 2
-    return zero_nyquist(forward_transform(samples, grid))
+    return dealias(forward_transform(samples, grid))
 
 
 INITIAL_DATA = {

@@ -66,9 +66,22 @@ def l2_norm(field: SpectralField) -> float:
 
 
 def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
-    """hs_norm of each half-spectrum along the last axis of coeffs."""
+    """hs_norm of each half-spectrum along the last axis of coeffs.
+
+    A row whose sum falls below the smallest normal double (moduli under
+    about 1e-154) is summed again with its moduli divided by their largest,
+    and its norm is that largest times the root; every other row keeps the
+    bits of the plain sum.  So a nonzero field's norm does not underflow to
+    0 while the norm itself is in double range."""
     weights = (1.0 + grid.wavenumbers) ** (2.0 * s)
-    return np.sqrt(_weighted_sums(grid, np.abs(coeffs), weights))
+    mags = np.abs(coeffs)
+    sums = _weighted_sums(grid, mags, weights)
+    low = sums < np.finfo(np.float64).tiny
+    if not np.any(low):
+        return np.sqrt(sums)
+    peak = np.max(mags, axis=-1, keepdims=True)
+    scaled = _weighted_sums(grid, mags / np.where(peak > 0.0, peak, 1.0), weights)
+    return np.where(low, peak[..., 0] * np.sqrt(scaled), np.sqrt(sums))
 
 
 def hs_norm(field: SpectralField, s: float) -> float:

@@ -17,7 +17,11 @@ and its mirror -j, so coefficient-space sums weight it by multiplicity 2
     integral |u|^2 dx  =  (1/L) * sum_j multiplicity(j) * |coeff(j)|^2.
 
 The mode j = n/2 has no partner on the grid and the inverse transform reads
-only its real part; it is forced to zero after every nonlinear evaluation.
+only its real part.  The flow (see the evolution module) lives on the modes
+j <= n/3 that the 2/3 rule keeps: ``dealias`` projects onto them, which
+clears j = n/2 too, and an inverse transform of a shorter, band-length
+half-spectrum reads every mode above it as zero, bit for bit as if it were
+padded with zeros.
 
 Every FFT of the package goes through ``_rfft`` and ``_to_samples``, which
 call numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly:
@@ -208,7 +212,9 @@ def _to_samples(coeffs: np.ndarray, scales: _Scales,
     scales.remainder when there is one.  Under _scales(grid) this is the L/n
     convention, and under np.fft's 1/n with no remainder it is bit for bit
     np.fft.irfft(coeffs, n).  The imaginary parts of j = 0 and j = n/2 are
-    ignored."""
+    ignored.  Half-spectra shorter than n/2 + 1 modes are read as if padded
+    with zeros, which the RK4 kernel relies on to step the band j <= n/3
+    alone."""
     if out is None:
         out = np.empty(coeffs.shape[:-1] + (scales.n,))
     _pocketfft_umath.irfft(coeffs, scales.inverse, out)
@@ -236,7 +242,8 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 
 
 def dealias(field: SpectralField) -> SpectralField:
-    """Zero all modes with j > n/3 (2/3 rule for the quadratic term)."""
+    """Zero all modes with j > n/3 (2/3 rule for the quadratic term): the
+    projection onto the band that the flow evolves."""
     coeffs = field.coeffs.copy()
     coeffs[field.grid.dealias_cutoff + 1:] = 0.0
     return field.with_coeffs(coeffs)

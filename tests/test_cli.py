@@ -390,19 +390,23 @@ class TestConservation:
 
     @pytest.mark.parametrize("command", ["conservation", "sweep"])
     def test_overflowing_window_exits_3(self, command, tmp_path, capsys):
-        # sigma * xi_max ~ 402: the energies overflow, which is no report
+        # a Gaussian of width 4 dx reaches |coeff| ~ 5e-9 at the band's
+        # largest xi, 33.5; at sigma = 12 its energy, about e^768, overflows,
+        # which is no report
         code, payload = run(tmp_path, command, n_points=1024, delta=0.05,
-                            sigma_grid=8)
+                            width=0.25, sigma_grid=12)
         err = capsys.readouterr().err
         assert code == 3 and payload is None
         assert "simulation failure" in err and "overflow" in err
 
     @pytest.mark.parametrize("sigma", [20])
     def test_overflowing_lifespan_exits_3(self, sigma, tmp_path, capsys):
-        # at sigma = 20 (sigma * xi_max ~ 1005) ||I u0|| itself exceeds
-        # double range, even summed in the log domain
+        # at sigma = 20 on L = 32 (sigma times the band's largest xi ~ 1340)
+        # a Gaussian of width 4 dx has ||I u0|| ~ e^1321, past double range
+        # even summed in the log domain
         code, payload = run(tmp_path, "conservation", sigma=sigma,
-                            n_points=1024, sigma_grid=0.1)
+                            n_points=1024, domain_length=32, width=0.125,
+                            sigma_grid=0.1)
         err = capsys.readouterr().err
         assert code == 3 and payload is None
         assert "simulation failure" in err and "Traceback" not in err
@@ -410,13 +414,24 @@ class TestConservation:
 
     def test_tiny_finite_lifespan_exits_2(self, tmp_path, capsys):
         # at sigma = 8 (sigma * xi_max ~ 402) the linear weights overflow but
-        # the norm, about 1.8e158, does not: the window is real and takes no
-        # step of dt, which is a config error, not an overflow
+        # the norm of a Gaussian of width 4 dx, about 7e107, does not: the
+        # window is real and takes no step of dt, which is a config error,
+        # not an overflow
         code, payload = run(tmp_path, "conservation", sigma=8, n_points=1024,
+                            width=0.25, sigma_grid=0.1)
+        err = capsys.readouterr().err
+        assert code == 2 and payload is None
+        assert "delta = 8.532" in err and "e-109 rounds to zero steps" in err
+
+
+    def test_tiny_data_is_not_zero_data(self, tmp_path, capsys):
+        # ||I u0|| of amplitude 1e-170 once underflowed to 0, so the
+        # datum was refused as zero data; its window is ~1.3e170
+        code, payload = run(tmp_path, "conservation", amplitude=1e-170,
                             sigma_grid=0.1)
         err = capsys.readouterr().err
         assert code == 2 and payload is None
-        assert "delta = 1.857" in err and "e-158 rounds to zero steps" in err
+        assert "zero data" not in err and "steps" in err
 
 
 class TestRadius:
@@ -548,14 +563,18 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("argv", [
-    ["conservation", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "5.5"],
-    ["sweep", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "5.5"],
+    ["conservation", "--n_points", "1024", "--delta", "0.05", "--width", "0.25",
+     "--sigma_grid", "8"],
+    ["sweep", "--n_points", "1024", "--delta", "0.05", "--width", "0.25",
+     "--sigma_grid", "8"],
     ["simulate", "--width", "1e308"],
     ["radius", "--width", "1e308"],
     ["conservation", "--width", "1e308"],
     ["sweep", "--width", "1e308"],
-    ["conservation", "--sigma", "20", "--n_points", "1024"],
-    ["conservation", "--n_points", "1024", "--delta", "0.05", "--sigma_grid", "8"],
+    ["conservation", "--sigma", "20", "--n_points", "1024", "--domain_length", "32",
+     "--width", "0.125"],
+    ["conservation", "--n_points", "1024", "--delta", "0.05", "--width", "0.25",
+     "--sigma_grid", "12"],
     ["conservation", "--n_points", "64", "--delta", "0.1", "--sigma_grid", "2.5",
      "--C2", "1e308"],
     ["simulate", "--n_points", "64", "--t_end", "0.1", "--sigma", "1e308"],

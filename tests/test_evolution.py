@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import warnings
@@ -31,6 +32,7 @@ from gevrey_bbm.norms import energy, gevrey_norm, hs_norm, l2_norm
 from gevrey_bbm.spectral import (
     Grid,
     SpectralField,
+    dealias,
     forward_transform,
     inverse_transform,
     zero_field,
@@ -109,9 +111,11 @@ def kernel_cases():
 
 
 def kernel_datum(grid, data):
-    """The initial datum of a kernel case, as its half-spectrum."""
+    """The initial datum of a kernel case, as its half-spectrum; the cosine
+    has mode 3, or n/3 where that is lower (mode 2 at n = 8)."""
+    mode = min(3, grid.dealias_cutoff)
     return {"gaussian": lambda: gaussian_data(grid, 0.5, 4.0),
-            "cosine": lambda: cosine_data(grid, 0.5, 3),
+            "cosine": lambda: cosine_data(grid, 0.5, mode),
             "zero": lambda: zero_field(grid)}[data]().coeffs
 
 
@@ -120,18 +124,22 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("rows", [None, 3])
     def test_rk4_matches_the_allocating_formula_bitwise(self, n, length, rows,
                                                         data):
-        # one workspace reused for 50 steps, as in a run, on a half-spectrum
-        # or on a (nodes x modes) stack
+        # one workspace reused for 50 steps, as in a run, on a band
+        # half-spectrum or on a (nodes x modes) stack: the full-length
+        # formula keeps the modes above n/3 zero, and the band kernel gives
+        # its band bit for bit
         grid = Grid(n, length)
+        band = evolution._band(grid)
         u0 = kernel_datum(grid, data)
         coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
         symbol = phi_symbol(grid.wavenumbers, 2.0)
-        work = evolution._workspace(coeffs.shape, grid, 0.05)
-        got = want = coeffs
+        work = evolution._workspace(coeffs[..., :band].shape, grid, 0.05)
+        got, want = coeffs[..., :band], coeffs
         for _ in range(50):
-            got = evolution._rk4(got, -symbol, work)
+            got = evolution._rk4(got, -symbol[:band], work)
             want = allocating_rk4(want, 0.05, grid, symbol)
-            assert got.tobytes() == want.tobytes()
+            assert np.all(want[..., band:] == 0)
+            assert got.tobytes() == want[..., :band].tobytes()
             assert not any(np.shares_memory(got, buffer) for buffer in work)
 
 
@@ -714,8 +722,9 @@ class TestBatchedMarch:
         batched = evolution._march(self.data(grid64), [2.0] * 5, self.STEPS,
                                    grid64, 0.05)
         # a fresh workspace for the five-row stack and for the two rows that
-        # step on past 11; the stage input has the stack's shape
-        assert [space[2].shape for space in spaces] == [(4, 33), (2, 33)]
+        # step on past 11; the stage input has the stack's shape, over the
+        # band j <= n/3
+        assert [space[2].shape for space in spaces] == [(4, 22), (2, 22)]
         buffers = [buffer for space in spaces for buffer in space
                    if isinstance(buffer, np.ndarray)]
         arrays = [state.coeffs for kept in batched for state in kept.values()]
@@ -737,7 +746,8 @@ class TestBatchedMarch:
         monkeypatch.setattr(evolution, "_rk4", recording_rk4)
         (kept,) = evolution._march([gaussian_data(grid64, 0.5, 4.0)], [2.0],
                                    [{0, 4, 10}], grid64, 0.05)
-        assert shapes == [(33,)] * 10
+        # the band j <= n/3 is stepped, and a kept state is a full one
+        assert shapes == [(22,)] * 10
         assert [kept[step].coeffs.shape for step in (0, 4, 10)] == [(33,)] * 3
 
     def test_blowup_names_its_row(self, grid64, monkeypatch):
@@ -848,9 +858,10 @@ class TestOperationCounts:
         # grid, 4 multiplies a step in spectral._to_samples; as separate
         # multiplies a step made 34
         grid = Grid(n)
-        u0 = gaussian_data(grid, 0.5, 4.0).coeffs
+        band = evolution._band(grid)
+        u0 = gaussian_data(grid, 0.5, 4.0).coeffs[:band]
         coeffs = u0 if rows is None else np.outer([0.1, 0.3, 0.5], u0)
-        minus_phi, _ = evolution._minus_phi(grid, 2.0)
+        minus_phi = evolution._minus_phi(grid, 2.0)[0][:band]
         work = evolution._workspace(coeffs.shape, grid, 0.05)
         counting = CountingNumpy()
         monkeypatch.setattr(evolution, "np", counting)
@@ -886,29 +897,61 @@ class TestOperationCounts:
     @pytest.mark.parametrize("n", [64, 96])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_march_step_broadcasts_no_operand(self, monkeypatch, n, rows):
-        # a stack is stepped with -phi in its (rows, n/2+1) shape, not the
+        # a stack is stepped with -phi in its (rows, band) shape, not the
         # cached (n/2+1,) one
         for inputs, output in self.march_operands(monkeypatch, n, rows):
             assert all(a.shape == output.shape for a in inputs if a.ndim)
 
+    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_march_step_passes_over_no_mode_above_the_band(self, monkeypatch,
+                                                           n, rows):
+        # every complex pass is over the modes j <= n/3; the real ones are
+        # the n samples' square and, off a power of two, their n/L
+        band = evolution._band(Grid(n))
+        for inputs, output in self.march_operands(monkeypatch, n, rows):
+            size = band if output.dtype == np.complex128 else n
+            assert output.shape[-1] == size
+            assert all(a.shape[-1] == size for a in inputs if a.ndim)
+
+    @staticmethod
+    def march_events(grid, steps):
+        """The profiler's events of one _march of a Gaussian to steps on
+        grid, with a call of ndarray.fill as "fill".  The collector is off:
+        a collection runs the callbacks other libraries register with gc."""
+        u0 = gaussian_data(grid, 0.5, 4.0)
+        events = []
+        gc.disable()
+        sys.setprofile(lambda frame, event, arg: events.append(
+            "fill" if event == "c_call" and arg.__name__ == "fill" else event))
+        try:
+            evolution._march([u0], [2.0], [{steps}], grid, 0.05)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return events
+
     def test_march_step_makes_nine_python_calls(self, grid64):
         # _rk4, and the transforms' 4 _to_samples and 4 _rfft: the stages run
-        # inline, and the blowup check calls np.maximum.reduce, not
-        # ndarray.max (numpy's Python _amax); a helper call per stage and
-        # _amax made 18
-        u0 = gaussian_data(grid64, 0.5, 4.0)
-        evolution._march([u0], [2.0], [{1}], grid64, 0.05)  # fill the caches first
+        # inline, and the blowup check calls np.vecdot and np.maximum.reduce,
+        # not np.dot or ndarray.max (numpy's Python dispatcher or _amax); a
+        # helper call per stage and _amax made 18
+        self.march_events(grid64, 1)  # fill the caches first
 
         def python_calls(steps):
-            calls = []
-            sys.setprofile(lambda frame, event, arg: calls.append(event))
-            try:
-                evolution._march([u0], [2.0], [{steps}], grid64, 0.05)
-            finally:
-                sys.setprofile(None)
-            return calls.count("call")
+            return self.march_events(grid64, steps).count("call")
 
         assert python_calls(20) - python_calls(10) == 9 * 10
+
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_march_step_clears_no_tail(self, n):
+        # the band kernel holds no mode above n/3 to clear: the full-length
+        # kernel made 4 tail fills a step
+        grid = Grid(n)
+        self.march_events(grid, 1)  # fill the caches first
+        fills = [self.march_events(grid, steps).count("fill")
+                 for steps in (10, 20)]
+        assert fills == [0, 0]
 
     def test_lone_steps_reuse_one_idle_workspace(self, grid64, monkeypatch):
         built = []
@@ -970,16 +1013,88 @@ class TestOperationCounts:
         peaks = {steps: peak_bytes(lambda: evolution._march(
                      [u0], [2.0], [{steps}], grid, 0.02))
                  for steps in (10, 1000)}
-        work = evolution._workspace(u0.coeffs.shape, grid, 0.02)
+        band = u0.coeffs[:evolution._band(grid)]
+        work = evolution._workspace(band.shape, grid, 0.02)
         workspace = sum(a.nbytes for a in work
                         if isinstance(a, np.ndarray) and a.base is None)
-        state = u0.coeffs.nbytes
+        state = band.nbytes
         # the same peak up to Python's small-integer bookkeeping (a kept
         # state per step would add 8 KiB each), and under the workspace plus
-        # three states: the peak is the workspace with a step's old and new
-        # states, so a state-sized temporary alive beside both crosses it
+        # two band states and a full one: the peak is the workspace with a
+        # step's old and new band states, or with the last one and its
+        # full-length kept copy, so a band-sized temporary alive beside
+        # either crosses it
         assert abs(peaks[1000] - peaks[10]) < 1024
-        assert peaks[1000] < workspace + 3 * state
+        assert peaks[1000] < workspace + 2 * state + u0.coeffs.nbytes
+
+
+def shifted(field, offset):
+    """field translated by offset: u(x - offset)."""
+    return field.with_coeffs(
+        field.coeffs * np.exp(-1j * field.grid.wavenumbers * offset))
+
+
+class TestGalerkinFlow:
+    """The flow is the Galerkin truncation onto the modes j <= n/3, so its
+    quadratic invariant and translation equivariance hold for any datum,
+    up to RK4's truncation error.  Stepped with the modes above n/3, a
+    narrow Gaussian drifted 3e-2 and commuted with a shift to 3e-3."""
+
+    GRID = Grid(128, 64.0)
+
+    def run(self, u0, alpha):
+        params = ModelParams(alpha, self.GRID, 1e-2, 20.0)
+        return simulate(u0, params, GevreyWeight(0.0), sample_every=100).states
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_under_resolved_data_conserve_the_quadratic_invariant(self, alpha):
+        u0 = gaussian_data(self.GRID, 0.8, 0.7)
+        energies = [energy(s, 0.0, alpha) for s in self.run(u0, alpha)]
+        assert max(abs(e - energies[0]) for e in energies) < 1e-10 * energies[0]
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_under_resolved_data_commute_with_a_shift(self, alpha):
+        u0 = gaussian_data(self.GRID, 0.8, 0.7)
+        offset = 0.37 * self.GRID.dx
+        for state, moved in zip(self.run(u0, alpha),
+                                self.run(shifted(u0, offset), alpha)):
+            peak = np.max(np.abs(inverse_transform(state)))
+            gap = inverse_transform(moved) - inverse_transform(
+                shifted(state, offset))
+            assert np.max(np.abs(gap)) < 1e-13 * peak
+
+    def test_step_rk4_steps_the_projection_bitwise(self, grid128, rng):
+        # a full half-spectrum, with modes above n/3 and a real Nyquist mode
+        coeffs = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+        coeffs[[0, 64]] = coeffs[[0, 64]].real
+        u = SpectralField(grid128, 0.1 * coeffs)
+        band = evolution._band(grid128)
+        for alpha in (1.5, 2.0):
+            got, want = step_rk4(u, 0.05, alpha), step_rk4(dealias(u), 0.05, alpha)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert np.all(got.coeffs[band:] == 0)
+
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_every_kept_state_has_a_zero_tail(self, n):
+        # a lone row and a stack; the datum with a tail above n/3 is
+        # stepped as its projection
+        grid = Grid(n)
+        band = evolution._band(grid)
+        tailed = forward_transform(np.exp(-((grid.points - 32.0) / 0.5) ** 2),
+                                   grid)
+        assert np.any(tailed.coeffs[band:] != 0)
+        u0s = [gaussian_data(grid, 0.8, 0.7), tailed, sech2_data(grid, 0.5, 1.0)]
+        steps = [{0, 3, 7}, {2, 5, 9}, {1, 4}]
+        for rows in (slice(0, 1), slice(None)):
+            kept = evolution._march(u0s[rows], [2.0, 3.0, 1.5][rows],
+                                    steps[rows], grid, 0.05)
+            for states in kept:
+                assert all(np.all(s.coeffs[band:] == 0)
+                           for step, s in states.items() if step)
+        (projected,) = evolution._march([dealias(tailed)], [3.0], [steps[1]],
+                                        grid, 0.05)
+        for step in steps[1]:
+            assert kept[1][step].coeffs.tobytes() == projected[step].coeffs.tobytes()
 
 
 class TestInitialData:
@@ -1003,6 +1118,20 @@ class TestInitialData:
         mags = np.abs(field.coeffs)
         live = set(grid64.mode_numbers[mags > 1e-10 * mags.max()].tolist())
         assert live == {3}
+
+    @pytest.mark.parametrize("mode", [22, 32, -22])
+    def test_cosine_above_the_band_is_refused(self, grid64, mode):
+        # the 2/3 rule would project it to zero data
+        with pytest.raises(InvalidInput, match="mode"):
+            cosine_data(grid64, 1.0, mode)
+
+    @pytest.mark.parametrize("factory", [gaussian_data, sech2_data, cosine_data])
+    def test_data_are_projected_onto_the_band(self, grid64, factory):
+        # the narrowest profile keeps a tail above n/3 before the projection
+        field = factory(grid64, 1.0, grid64.dealias_cutoff if factory is cosine_data
+                        else 0.7)
+        assert np.all(field.coeffs[evolution._band(grid64):] == 0)
+        assert np.any(field.coeffs[grid64.dealias_cutoff] != 0)
 
 
 class TestSolitaryWave:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevrey_bbm.errors import InvalidInput
+from gevrey_bbm.evolution import gaussian_data, lifespan
 from gevrey_bbm.multipliers import GevreyWeight, SymbolKind, apply_I
 from gevrey_bbm.norms import (
     LOG_DOMAIN_CROSSOVER,
+    _hs_norms,
     energy,
     gevrey_norm,
     hs_norm,
@@ -70,6 +72,42 @@ class TestSobolevNorms:
         # two modes of amplitude a, Parseval weight 1/L
         expected = a * (1.0 + xi0) * np.sqrt(2.0 / 64.0)
         assert hs_norm(field, 1.0) == pytest.approx(expected, rel=1e-13)
+
+
+class TestTinyData:
+    # |coeff|^2 underflows below about 1e-162, where the norms themselves
+    # are still far inside double range
+    NORMS = [pytest.param(lambda u: hs_norm(u, 0.0), id="l2"),
+             pytest.param(lambda u: hs_norm(u, 1.0), id="h1"),
+             pytest.param(lambda u: gevrey_norm(u, GevreyWeight(0.1, 1.0)),
+                          id="gevrey")]
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-300])
+    def test_norm_scales_with_the_data(self, random_field, norm, scale):
+        tiny = random_field.with_coeffs(scale * random_field.coeffs)
+        assert norm(tiny) > 0.0
+        assert norm(tiny) == pytest.approx(scale * norm(random_field), rel=1e-13,
+                                          abs=0.0)
+
+    def test_a_tiny_row_moves_no_bit_of_the_others(self, random_field):
+        # the rescaled sum is taken for the tiny row alone
+        coeffs = random_field.coeffs
+        stack = np.stack([coeffs, 1e-170 * coeffs, 0.0 * coeffs, 2.0 * coeffs])
+        rows = _hs_norms(random_field.grid, stack, 1.0)
+        assert rows[0] == hs_norm(random_field, 1.0)
+        assert rows[1] == pytest.approx(1e-170 * rows[0], rel=1e-13, abs=0.0)
+        assert rows[2] == 0.0
+        assert rows[3] == hs_norm(random_field.with_coeffs(2.0 * coeffs), 1.0)
+
+    def test_tiny_data_has_a_finite_lifespan(self, grid64):
+        # a zero norm once made the lifespan of nonzero data +inf
+        u0 = gaussian_data(grid64, 1e-170, 4.0)
+        delta = lifespan(u0, GevreyWeight(0.1), 2.0, 0.2)
+        assert math.isfinite(delta)
+        assert delta == pytest.approx(
+            1e170 * lifespan(gaussian_data(grid64, 1.0, 4.0),
+                             GevreyWeight(0.1), 2.0, 0.2), rel=1e-13)
 
 
 class TestGevreyNorm:

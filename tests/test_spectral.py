@@ -15,6 +15,7 @@ from gevrey_bbm.spectral import (
     SpectralField,
     _rfft,
     _Scales,
+    _scales,
     _to_samples,
     dealias,
     forward_transform,
@@ -197,6 +198,24 @@ class TestPrivateKernels:
             real_ends = coeffs.copy()
             real_ends[..., [0, n // 2]] = real_ends[..., [0, n // 2]].real
             assert got.tobytes() == np.fft.irfft(real_ends, n).tobytes()
+
+
+    @pytest.mark.parametrize("n", [96, 100, 128, 1024])
+    def test_irfft_reads_a_band_as_zero_padded_bitwise(self, n, rng):
+        # the RK4 kernel hands the inverse transform the modes j <= n/3
+        # alone: the kernel must read every mode above them as zero, under
+        # np.fft's scales and under the grid's own
+        band, m = n // 3 + 1, n // 2 + 1
+        coeffs = rng.standard_normal((3, 2 * band)) + 1j * rng.standard_normal((3, 2 * band))
+        for rows in (0, slice(None)):
+            for given in (coeffs[rows, :band], coeffs[rows, ::2]):
+                padded = np.zeros(given.shape[:-1] + (m,), dtype=complex)
+                padded[..., :band] = given
+                want = np.fft.irfft(padded, n)
+                assert _irfft(given, n).tobytes() == want.tobytes()
+                scales = _scales(Grid(n))
+                assert (_to_samples(given, scales).tobytes()
+                        == _to_samples(padded, scales).tobytes())
 
 
 class TestScaledTransforms:
