@@ -58,12 +58,6 @@ TRIAD_BLOCK = 2 ** 14  # triads per block of the triad route
 # --- energy defect rate: two independent routes ----------------------------
 
 
-def _active_band(grid: Grid) -> int:
-    """Largest |j| for which triple products stay alias-free in quadrature."""
-    cutoff = grid.dealias_cutoff
-    return cutoff if 3 * cutoff < grid.n_points else cutoff - 1
-
-
 def _defect_rate_physical(field: SpectralField, sigma: float) -> tuple[float, float]:
     """-2 * integral( u * u_x * I^2 u ) dx via pointwise products, and the
     integral of the integrand's modulus, which sets the sum's round-off."""
@@ -94,7 +88,7 @@ def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
     """
     grid = field.grid
     L = grid.domain_length
-    band = _active_band(grid)
+    band = grid.dealias_cutoff
     if sigma == 0.0:
         return 0.0  # empty series: exact conservation
     # Fourier-series coefficients a(j) and wavenumbers of |j| <= band, at j + band
@@ -124,12 +118,15 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
     inverse transforms; route (b) sums the symmetrized weight series over
     every on-grid frequency triad, once per conjugate pair, in blocks of at
     most TRIAD_BLOCK triads: O(b^2) time in the band b, O(max(TRIAD_BLOCK,
-    b)) memory (see _defect_rate_triads).  The field is dealiased first so
-    the quadrature in (a) is exact.  Returns the physical-space value after
-    asserting agreement; the rate does not depend on alpha (the dispersive
-    term cancels exactly in the energy).  A non-finite or negative sigma,
-    a NaN or negative rtol and a field with a non-finite coefficient are
-    InvalidInput, raised before either route runs.
+    b)) memory (see _defect_rate_triads).  The field is first projected
+    onto the alias-free band |j| <= K, K = Grid.dealias_cutoff = (n-1)//3
+    (spectral.dealias), the band that the flow evolves: a triple product
+    on it reaches no mode beyond 3K < n, so the quadrature in (a) is exact
+    and both routes see the flow's own energy.  Returns the physical-space
+    value after asserting agreement; the rate does not depend on alpha (the
+    dispersive term cancels exactly in the energy).  A non-finite or
+    negative sigma, a NaN or negative rtol and a field with a non-finite
+    coefficient are InvalidInput, raised before either route runs.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
@@ -137,9 +134,7 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
         raise InvalidInput(f"rtol must be >= 0, got {rtol}")
     if not np.isfinite(field.coeffs).all():
         raise InvalidInput("field has a non-finite coefficient")
-    coeffs = field.coeffs.copy()
-    coeffs[_active_band(field.grid) + 1:] = 0.0
-    field = field.with_coeffs(coeffs)
+    field = dealias(field)
     value_a, magnitude = _defect_rate_physical(field, sigma)
     value_b = _defect_rate_triads(field, sigma)
     # where the exact rate is 0 (even data, sigma = 0, one mode) only the
@@ -176,7 +171,7 @@ def measure_defects(runs, grid: Grid, dt: float,
 
     sigma does not enter the flow, so each run is one row of a single
     batched RK4 march (evolution._march) to its longest window, from the
-    projection of its u0 onto the modes j <= n/3 (spectral.dealias), the
+    projection of its u0 onto the alias-free band (spectral.dealias), the
     Galerkin flow that simulate steps.  A window of
     n_steps = round(delta/dt) steps is sampled every n_steps // DEFECT_SAMPLES
     steps and at its last step, and only these states are kept.
@@ -303,7 +298,7 @@ def _random_fields(grid: Grid, rng: np.random.Generator,
     draws = rng.uniform([[0.1], [0.0]], [[1.0], [2.0 * np.pi]], (count, 2, n))
     coeffs = draws[:, 0] * np.exp(-RANDOM_FIELD_DECAY * np.abs(xi))
     coeffs = coeffs * np.exp(1j * draws[:, 1])
-    coeffs[:, np.abs(modes) > _active_band(grid)] = 0.0
+    coeffs[:, np.abs(modes) > grid.dealias_cutoff] = 0.0
     # hermitian-symmetrize and rescale the modes j = 0..n/2; take, unlike
     # fancy indexing, keeps the rows contiguous, so that a row's norm sums
     # in the order of a single field's

@@ -10,22 +10,25 @@ Two solvers are provided:
   on a uniform time sub-grid with composite trapezoidal quadrature.  Used
   for verification over a single local-existence window, not for long runs.
 
-The flow is the Galerkin truncation of the equation onto the modes
-|j| <= n/3 that the 2/3 rule keeps: ``simulate``, ``step_rk4``,
+The flow is the Galerkin truncation of the equation onto the alias-free
+band |j| <= K that the 2/3 rule keeps, K = ``Grid.dealias_cutoff`` =
+(n-1)//3, the largest K with 3K < n: ``simulate``, ``step_rk4``,
 ``picard_solve``, ``analytics.measure_defects`` and the data factories all
-project onto them (``spectral.dealias``, which clears j = n/2 too).  On
-that band u^2 is computed without aliasing, and J = -d(1 + D^alpha)^-1 is
-skew and commutes with the projection, so the mass, the quadratic
-invariant energy(u, 0, alpha) and the Hamiltonian are invariants of the
-semi-discrete flow for every datum, left only to the time stepper's error.
-Stepped with its modes in (n/3, n/2), a datum that is not resolved there
-aliases them into u^2 and loses all three.
+project onto it (``spectral.dealias``, which clears j = n/2 too).  On
+that band u^2 is computed without aliasing onto the band, and
+J = -d(1 + D^alpha)^-1 is skew and commutes with the projection, so the
+mass, the quadratic invariant energy(u, 0, alpha) and the Hamiltonian are
+invariants of the semi-discrete flow for every datum and on every grid,
+left only to the time stepper's error.  Stepped with its modes in (K, n/2),
+a datum that is not resolved there aliases them into u^2 and loses all
+three; so does a band with K = n/3 when 3 divides n, whose modes +-n/3
+square onto -+n/3.
 
 Both solvers run on one private kernel over raw arrays: ``_square`` is the
 dealiased u^2 of half-spectra (the last axis holds the modes j = 0..n/2;
 linear multipliers need no dealiasing), written into the buffers its
 caller passes or into fresh ones, and ``_rk4`` is one step on the band
-alone (the last axis holds j = 0..n/3, ``_band`` of them), with the same
+alone (the last axis holds j = 0..K, ``_band`` of them), with the same
 square written inline, in the scratch of a ``_workspace``.  ``_workspace``
 and ``_rk4`` know the workspace's whole layout; ``_march`` knows one slot of
 it, the real samples (slot 5), which are free between steps and into which
@@ -58,7 +61,7 @@ takes a step past its own.  A blowup names the first failing row.
 The kernel allocates nothing it does not return, and at small n a step
 pays for its arithmetic, not for numpy's set-up of its calls or for Python
 frames: 8 FFTs and 22 ufunc calls on a power-of-two grid, 26 on any other,
-each complex one over the band only, so the modes above n/3 are never
+each complex one over the band only, so the modes above K are never
 stored, cleared or stepped (``_rk4`` says why that keeps every bit).
 ``_rk4`` runs its four stages as one flat loop with the dealiased square
 written inline.  ``_march``
@@ -171,14 +174,15 @@ class PicardDiagnostics:
 
 
 def _band(grid: Grid) -> int:
-    """The number of modes j = 0..n/3 that the 2/3 rule keeps: the length
-    of the last axis that _rk4 steps."""
+    """The number of modes j = 0..K of the alias-free band
+    (K = Grid.dealias_cutoff): the length of the last axis that _rk4
+    steps."""
     return grid.dealias_cutoff + 1
 
 
 def _workspace(shape: tuple[int, ...], grid: Grid, dt: float) -> tuple:
     """Scratch for RK4 steps of size dt on band half-spectra of the given
-    shape (the last axis holds the modes j <= n/3, see _band), built once
+    shape (the last axis holds the modes j <= K, see _band), built once
     per run (per stack of _march, and per change of step_rk4's idle
     workspace) so that a step makes no array but its new state and converts
     no Python float.  _rk4 reads it all; _march reads only the real samples
@@ -224,7 +228,7 @@ def _square(coeffs: np.ndarray, grid: Grid, scale: np.ndarray | None = None,
 def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
          out: np.ndarray | None = None) -> np.ndarray:
     """One classical RK4 step of size dt on band half-spectra (modes
-    j <= n/3), with the scratch arrays and the dt of work.  Returns the new
+    j <= K), with the scratch arrays and the dt of work.  Returns the new
     state, written into out (a fresh array when None).  minus_phi is -phi on
     the band and broadcasts to coeffs; it is fastest in coeffs' own shape.
 
@@ -232,8 +236,8 @@ def _rk4(coeffs: np.ndarray, minus_phi: np.ndarray, work: tuple,
     dealiased square, inline.  The inverse FFT reads the band and takes
     every mode above it as zero; the forward FFT, with the scale L/(2n),
     writes the full half-spectrum, and only its band is read.  So no ufunc
-    touches a mode above n/3, and each band mode is bit for bit what the
-    full-length step gives a state whose modes above n/3 are zero."""
+    touches a mode above K, and each band mode is bit for bit what the
+    full-length step gives a state whose modes above K are zero."""
     (stages, middle, stage, rows, forward, samples, band, scales,
      half_forward, half_dt, dt, two, sixth_dt) = work
     u = coeffs
@@ -290,9 +294,10 @@ _idle: list[tuple[tuple, tuple]] = []
 
 def step_rk4(field: SpectralField, dt: float, alpha: float) -> SpectralField:
     """One classical RK4 step of the spectral ODE system from the projection
-    of field onto the modes j <= n/3 (spectral.dealias): the Galerkin flow
-    that simulate steps.  The new state's modes above n/3 are zero, and a dt
-    of 0 returns field as it is.  Warns when dt*max|phi| >= 1.
+    of field onto the alias-free band j <= K (spectral.dealias): the
+    Galerkin flow that simulate steps.  The new state's modes above K are
+    zero, and a dt of 0 returns field as it is.  Warns when
+    dt*max|phi| >= 1.
 
     A call takes the idle workspace out when its (shape, grid, dt) match,
     and leaves its own as the idle one after its step, so a re-entrant or
@@ -359,7 +364,7 @@ def picard_solve(
 
     Gamma(u)(t) = S(t) u0 - (1/2) int_0^t S(t-tau) phi(D)(u(tau)^2) dtau,
     with composite trapezoidal quadrature on n_nodes+1 uniform tau nodes,
-    from the projection of u0 onto the modes j <= n/3 (spectral.dealias):
+    from the projection of u0 onto the alias-free band (spectral.dealias):
     the Galerkin flow that the RK4 route steps, by an independent route.
     phi is imaginary, so S(t) = exp(-t*phi) is unimodular and
     S(-t) = conj(S(t)); with g_m = S(-t_m) phi(D)(u_m^2) the trapezoid at
@@ -483,9 +488,9 @@ def _march(u0s: list[SpectralField], alphas, steps, grid: Grid,
     """RK4 from each initial state in u0s, under its own alpha, to the
     largest step of its own step set in steps, keeping the state (step 0
     included) at each of them; one kept-state dict per state.  Only each
-    state's band j <= n/3 is stepped, so callers pass projected states
-    (spectral.dealias); step 0 is kept as given, and every later kept state
-    is zero above n/3.
+    state's alias-free band j <= K is stepped, so callers pass projected
+    states (spectral.dealias); step 0 is kept as given, and every later kept
+    state is zero above K.
 
     A single state is stepped as its 1-D band.  Several are stacked to shape
     (rows, band) and stepped together; a row leaves the stack after its last
@@ -558,10 +563,11 @@ def simulate(
     sample_every: int = 1,
 ) -> Trajectory:
     """RK4 driver recording states and NormReports every sample_every steps
-    and at the last step, from the projection of u0 onto the modes j <= n/3
-    (spectral.dealias), which is the first state; a report that overflows
-    raises OverflowRisk."""
-    if sample_every < 1:
+    and at the last step, from the projection of u0 onto the alias-free
+    band (spectral.dealias), which is the first state; a report that
+    overflows raises OverflowRisk; a sample_every that is not an integer
+    >= 1 is InvalidInput."""
+    if _index(sample_every, "sample_every") < 1:
         raise InvalidInput(f"sample_every must be >= 1, got {sample_every}")
     steps = _sample_steps(_step_count(params.t_end, params.dt), sample_every)
     times = [step * params.dt for step in steps]
@@ -574,8 +580,8 @@ def simulate(
 
 
 # --- initial-data library -------------------------------------------------
-# Each profile is sampled on the grid and projected onto the modes j <= n/3
-# (spectral.dealias), the band that the flow evolves.
+# Each profile is sampled on the grid and projected onto the alias-free band
+# j <= K (spectral.dealias), the band that the flow evolves.
 
 
 def gaussian_data(grid: Grid, amplitude: float = 1.0,
@@ -589,11 +595,13 @@ def gaussian_data(grid: Grid, amplitude: float = 1.0,
 
 
 def cosine_data(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> SpectralField:
-    """a * cos(2*pi*mode*x / L); a mode above n/3, which the 2/3 rule
-    projects to zero, is InvalidInput."""
+    """a * cos(2*pi*mode*x / L); a mode outside the alias-free band, which
+    the 2/3 rule projects to zero, or one that is not an integer, and so
+    not periodic on the box, is InvalidInput."""
+    mode = _index(mode, "mode")
     if not abs(mode) <= grid.dealias_cutoff:
-        raise InvalidInput(f"mode must be at most n/3 = {grid.dealias_cutoff} "
-                           f"in magnitude, got {mode}")
+        raise InvalidInput(f"mode must lie in the alias-free band |j| <= "
+                           f"(n-1)//3 = {grid.dealias_cutoff}, got {mode}")
     samples = amplitude * np.cos(2.0 * np.pi * mode * grid.points / grid.domain_length)
     return dealias(forward_transform(samples, grid))
 

@@ -17,11 +17,14 @@ and its mirror -j, so coefficient-space sums weight it by multiplicity 2
     integral |u|^2 dx  =  (1/L) * sum_j multiplicity(j) * |coeff(j)|^2.
 
 The mode j = n/2 has no partner on the grid and the inverse transform reads
-only its real part.  The flow (see the evolution module) lives on the modes
-j <= n/3 that the 2/3 rule keeps: ``dealias`` projects onto them, which
-clears j = n/2 too, and an inverse transform of a shorter, band-length
-half-spectrum reads every mode above it as zero, bit for bit as if it were
-padded with zeros.
+only its real part.  The flow (see the evolution module) lives on the
+alias-free band |j| <= K that the 2/3 rule keeps, with K = (n-1)//3
+(``Grid.dealias_cutoff``), the largest K with 3K < n: the square of a field
+on that band puts none of its modes back onto the band by aliasing.  This
+module is the one place that derives K from n.  ``dealias`` projects onto
+the band, which clears j = n/2 too, and an inverse transform of a shorter,
+band-length half-spectrum reads every mode above it as zero, bit for bit
+as if it were padded with zeros.
 
 Every FFT of the package goes through ``_rfft`` and ``_to_samples``, which
 call numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``) directly:
@@ -140,8 +143,12 @@ class Grid:
 
     @property
     def dealias_cutoff(self) -> int:
-        """Largest mode index |j| kept by the 2/3 rule."""
-        return self.n_points // 3
+        """K, the largest mode index |j| kept by the 2/3 rule: (n-1)//3, the
+        largest K with 3K < n, so that the product of two modes of the band
+        |j| <= K aliases onto no mode of it (Orszag 1971).  This is n//3
+        unless 3 divides n, where K = n/3 would fold +-n/3 times +-n/3 onto
+        -+n/3.  Every truncation of the package reads this one value."""
+        return (self.n_points - 1) // 3
 
 
 @dataclass(frozen=True)
@@ -213,8 +220,8 @@ def _to_samples(coeffs: np.ndarray, scales: _Scales,
     convention, and under np.fft's 1/n with no remainder it is bit for bit
     np.fft.irfft(coeffs, n).  The imaginary parts of j = 0 and j = n/2 are
     ignored.  Half-spectra shorter than n/2 + 1 modes are read as if padded
-    with zeros, which the RK4 kernel relies on to step the band j <= n/3
-    alone."""
+    with zeros, which the RK4 kernel relies on to step the band
+    j <= Grid.dealias_cutoff alone."""
     if out is None:
         out = np.empty(coeffs.shape[:-1] + (scales.n,))
     _pocketfft_umath.irfft(coeffs, scales.inverse, out)
@@ -242,8 +249,9 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 
 
 def dealias(field: SpectralField) -> SpectralField:
-    """Zero all modes with j > n/3 (2/3 rule for the quadratic term): the
-    projection onto the band that the flow evolves."""
+    """Zero all modes with j > K = Grid.dealias_cutoff (the 2/3 rule for the
+    quadratic term): the projection onto the alias-free band |j| <= K that
+    the flow evolves."""
     coeffs = field.coeffs.copy()
     coeffs[field.grid.dealias_cutoff + 1:] = 0.0
     return field.with_coeffs(coeffs)

@@ -53,7 +53,7 @@ def _full_plane_triads(field, sigma):
     every triad on its own: the oracle of the conjugate-pair blocked sum."""
     grid = field.grid
     n, L = grid.n_points, grid.domain_length
-    band = analytics._active_band(grid)
+    band = grid.dealias_cutoff
     c = field.coeffs
     a = np.concatenate([c, np.conj(c[-2:0:-1])]) / L
     j = np.arange(-band, band + 1)
@@ -126,10 +126,10 @@ class TestTrilinearDefectRate:
         params = ModelParams(alpha, grid, dt, 2.0)
         traj = simulate(gaussian_data(grid, 1.0, 4.0), params,
                         GevreyWeight(sigma), sample_every=1)
-        band = analytics._active_band(grid)
+        band = grid.dealias_cutoff
 
         def band_energy(state):
-            # the rate sees the state truncated to the active band; so must E
+            # the rate sees the state on the alias-free band; so must E
             coeffs = state.coeffs.copy()
             coeffs[band + 1:] = 0.0
             return energy(state.with_coeffs(coeffs), sigma, alpha)
@@ -141,6 +141,25 @@ class TestTrilinearDefectRate:
                                + 2.0 * np.sum(rates[2:-1:2]))
         defect = band_energy(traj.states[-1]) - band_energy(traj.states[0])
         assert abs(defect - integral) < 1e-8 * abs(defect)
+
+    @pytest.mark.parametrize("sigma, alpha", [(0.3, 2.0), (0.5, 1.5), (0.2, 3.0)])
+    def test_the_rate_is_the_flows_on_a_grid_that_3_divides(self, sigma,
+                                                            alpha):
+        # the flow and the triad route truncate to one band: at n = 96 a
+        # narrow Gaussian has content at the cutoff, and the rate equals a
+        # centred difference of E along simulate to the difference's O(dt^2)
+        # error, 1e-7 here.  With the flow on |j| <= 32 and the triads on
+        # |j| <= 31 the two disagreed by 4e-2 to 9e-2, relative
+        dt, grid = 1e-3, Grid(96, 48.0)
+        u0 = gaussian_data(grid, 0.8, 0.7)
+        assert abs(u0.coeffs[grid.dealias_cutoff]) > 1e-3 * abs(u0.coeffs[0])
+        states = simulate(u0, ModelParams(alpha, grid, dt, 0.2),
+                          GevreyWeight(sigma)).states
+        for k in (1, 100, 199):
+            change = (energy(states[k + 1], sigma, alpha)
+                      - energy(states[k - 1], sigma, alpha))
+            rate = trilinear_defect_rate(states[k], sigma, alpha)
+            assert change / (2.0 * dt) == pytest.approx(rate, rel=1e-6)
 
     def test_negative_sigma_rejected(self, random_field):
         with pytest.raises(InvalidInput):
@@ -178,7 +197,8 @@ class TestTrilinearDefectRate:
     @pytest.mark.parametrize("n", [64, 96, 128, 256, 1024])
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_blocked_route_equals_the_full_plane_sum(self, rng, n, sigma):
-        # n = 96 has the band cutoff - 1; n = 1024 spans several blocks
+        # 3 divides n = 96, whose band stops short of n/3; n = 1024 spans
+        # several blocks
         field = random_band_limited_field(Grid(n), rng)
         oracle = _full_plane_triads(field, sigma)
         assert analytics._defect_rate_triads(field, sigma) == pytest.approx(
@@ -189,7 +209,7 @@ class TestTrilinearDefectRate:
                                                                monkeypatch, n):
         grid = Grid(n)
         field = random_band_limited_field(grid, rng)
-        band = analytics._active_band(grid)
+        band = grid.dealias_cutoff
         plane = (2 * band + 1) ** 2 - band * (band + 1)
         evaluated = []
 
@@ -382,7 +402,7 @@ class TestMeasureDefect:
 
     def test_reports_equal_per_state_energies(self, grid64):
         # sigma = 96 puts sigma * xi_max = 301.6 past the crossover; a
-        # dealiased datum keeps the modes above n/3 exactly zero, so the
+        # dealiased datum keeps the modes above K exactly zero, so the
         # log-domain energies have zero moduli and stay finite
         u0 = dealias(gaussian_data(grid64, 0.5, 4.0))
         assert 96.0 * np.max(grid64.wavenumbers) > LOG_DOMAIN_CROSSOVER
@@ -504,7 +524,7 @@ class TestBilinearCalibration:
         cal = default_calibration()
         grid = Grid(cal.n_points, cal.domain_length)
         sigma, alpha, s = cal.sigma_ref, cal.alpha, cal.alpha / 2.0
-        band = analytics._active_band(grid)
+        band = grid.dealias_cutoff
         assert (grid.n_points, grid.domain_length, sigma, alpha, band) == (
             128, 64.0, 0.1, 2.0, 42)
         xi = grid.wavenumbers

@@ -272,6 +272,27 @@ def test_only_spectral_imports_the_private_kernels():
     assert [name for name, lines in found.items() if lines] == ["spectral.py"]
 
 
+def test_only_spectral_derives_the_cutoff_from_n():
+    # Grid.dealias_cutoff is the one definition of the alias-free band, so
+    # no other module floor-divides by 3 (scanned by syntax tree)
+    def divides_by_3(node):
+        if isinstance(node, ast.BinOp):
+            op, right = node.op, node.right
+        elif isinstance(node, ast.AugAssign):
+            op, right = node.op, node.value
+        else:
+            return False
+        return (isinstance(op, ast.FloorDiv) and isinstance(right, ast.Constant)
+                and right.value == 3)
+
+    package = pathlib.Path(spectral.__file__).parent
+    found = {path.name: [node.lineno for node in ast.walk(ast.parse(
+        path.read_text())) if divides_by_3(node)]
+        for path in package.glob("*.py")}
+    assert found["spectral.py"]
+    assert [name for name, lines in found.items() if lines] == ["spectral.py"]
+
+
 def test_only_spectral_applies_the_inverse_scaling():
     # every inverse transform goes through _to_samples, so the power-of-two
     # rule for its scaling sits in one module: no other reads the scalings
@@ -304,10 +325,13 @@ class TestDealias:
         assert np.all(dealias(SpectralField(grid64, coeffs)).coeffs == 0)
 
     def test_survivor_count(self):
+        # 3 divides 48, so the alias-free band stops one mode short of n/3:
+        # |j| <= 15, 31 survivors
         grid = Grid(48)
         field = SpectralField(grid, np.ones(25, dtype=complex))
         kept = dealias(field).coeffs != 0
-        assert np.sum(grid.multiplicity[kept]) == 2 * (48 // 3) + 1
+        assert grid.dealias_cutoff == 15
+        assert np.sum(grid.multiplicity[kept]) == 2 * grid.dealias_cutoff + 1
 
 
 def test_zero_nyquist_clears_unpaired_mode(grid64):
