@@ -19,6 +19,7 @@ from .errors import (
     CrossCheckFailure,
     InsufficientData,
     InvalidInput,
+    OverflowRisk,
     _overflow_guard,
 )
 from .evolution import (
@@ -30,7 +31,7 @@ from .evolution import (
     lifespan,
     sech2_data,
 )
-from .identities import fractional_bound_exponents, symmetrized_weight
+from .identities import _coordinate_term, fractional_bound_exponents
 from .multipliers import GevreyWeight, ModelParams, phi_symbol
 from .norms import _energies, _gevrey_norms, _hs_norms, gevrey_norm
 from .spectral import (
@@ -52,7 +53,6 @@ RANDOM_FIELD_DECAY = 0.5  # e^(-decay |xi|) envelope of the random fields
 CALIBRATION_SAMPLES = 200  # random pairs behind C1
 CALIBRATION_BLOCK = 32  # pairs per block of calibrate_bilinear_constant
 CALIBRATION_DT = 2e-3  # RK4 step of the defect suite behind C2
-TRIAD_BLOCK = 2 ** 14  # triads per block of the triad route
 
 
 # --- energy defect rate: two independent routes ----------------------------
@@ -72,42 +72,34 @@ def _defect_rate_physical(field: SpectralField, sigma: float) -> tuple[float, fl
 
 
 def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
-    """(i L / 6) * sum over grid triads of the symmetrized weight series.
+    """(i L / 6) * sum over the band's triads of the symmetrized weight
+    series times a(j1) a(j2) a(j3), as one convolution.
 
-    Once per conjugate pair: the field is real, a(-j) = conj a(j), and the
-    series is odd in xi, so the triads (j1, j2, j3) and (-j1, -j2, -j3) add
-    the same real part, -(L/6) * series * Im(a1 a2 a3).  The sum runs over
-    the rows j1 >= 1 and is doubled: (T - 2b - 1) / 2 of the
-    T = (2b+1)^2 - b(b+1) triads of the band |j| <= b.  Row j1 = 0, its own
-    mirror image, adds nothing: its triads (0, j, -j) have series 0 and a
-    real a(0)|a(j)|^2.  The rows are walked in blocks of at most TRIAD_BLOCK
-    triads (one row at least), so every temporary is O(max(TRIAD_BLOCK, b)),
-    not O(b^2); the blocks' partial sums are added in row order, so reruns
-    are bitwise identical.  The series is evaluated by symmetrized_weight on
-    each block's triads, which raises OverflowRisk; no transform is made.
+    The closed form 2 sum_i t(xi_i), t(x) = x sinh(sigma x)^2
+    (identities._coordinate_term), is a sum of one term per coordinate, and
+    the three coordinates of the triads play the same part, so the sum over
+    the triads j1 + j2 + j3 = 0 of the band |j| <= K is
+    3 sum_j 2 t(xi_j) a(j) P(-j), with P(m) = sum_{j1 + j2 = m} a(j1) a(j2).
+    P is one np.convolve of the band's coefficients with themselves: a
+    direct O(K^2) sum, not an FFT, so the route makes no transform and
+    checks the physical route's transforms instead of sharing them; its
+    memory is O(K).  The field is real and t is odd, so the sum is
+    imaginary, and (i L / 6) times it is -L Im sum_j t(xi_j) a(j) P(-j).
+    A weight or a sum that overflows raises OverflowRisk.
     """
-    grid = field.grid
-    L = grid.domain_length
-    band = grid.dealias_cutoff
-    if sigma == 0.0:
-        return 0.0  # empty series: exact conservation
+    L = field.grid.domain_length
+    band = field.grid.dealias_cutoff
     # Fourier-series coefficients a(j) and wavenumbers of |j| <= band, at j + band
     c = field.coeffs[:band + 1] / L
     a = np.concatenate([np.conj(c[:0:-1]), c])
     x = 2.0 * np.pi / L * np.arange(-band, band + 1)
-    width = 2 * band + 1  # row j1 >= 0 holds j2 = -band .. band - j1
-    rows_per_block = max(1, TRIAD_BLOCK // width)
-    total = 0.0
-    for first in range(1, band + 1, rows_per_block):
-        rows = np.arange(first, min(first + rows_per_block, band + 1))
-        lengths = width - rows
-        starts = np.cumsum(lengths) - lengths
-        i1 = np.repeat(rows + band, lengths)
-        i2 = np.arange(lengths.sum()) - np.repeat(starts, lengths)
-        i3 = 3 * band - i1 - i2  # j3 = -j1 - j2
-        series = symmetrized_weight(x[i1], x[i2], x[i3], sigma)
-        total += float(np.sum(series * (a[i1] * a[i2] * a[i3]).imag))
-    return -L / 3.0 * total
+    with _overflow_guard("sinh(sigma*xi)^2 or the triad sum"):
+        # P(m) sits at m + 2 band of the convolution: P(-j) at 3 band - (j + band)
+        pairs = np.convolve(a, a)[band:3 * band + 1][::-1]
+        total = float(np.sum(_coordinate_term(x, sigma) * a * pairs).imag)
+    if not math.isfinite(total):  # np.convolve overflows without a flag
+        raise OverflowRisk("the triad sum overflows double precision")
+    return -L * total
 
 
 def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
@@ -116,9 +108,10 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
 
     Route (a) evaluates -2*int(u u_x I^2 u) dx in physical space, with three
     inverse transforms; route (b) sums the symmetrized weight series over
-    every on-grid frequency triad, once per conjugate pair, in blocks of at
-    most TRIAD_BLOCK triads: O(b^2) time in the band b, O(max(TRIAD_BLOCK,
-    b)) memory (see _defect_rate_triads).  The field is first projected
+    every on-grid frequency triad with no transform: the series' closed
+    form is a sum of one term per coordinate, so the triad sum is one
+    convolution of the band's coefficients with themselves, O(K^2) time and
+    O(K) memory (see _defect_rate_triads).  The field is first projected
     onto the alias-free band |j| <= K, K = Grid.dealias_cutoff = (n-1)//3
     (spectral.dealias), the band that the flow evolves: a triple product
     on it reaches no mode beyond 3K < n, so the quadrature in (a) is exact
@@ -426,7 +419,11 @@ def _sample_radius(field: SpectralField, noise_floor: float) -> tuple | None:
 
 @dataclass(frozen=True)
 class RadiusFit:
-    """Per-time radius estimates with the fitted decay law sigma = c * t^-mu."""
+    """Per-time radius estimates with the fitted decay law sigma = c * t^-mu.
+
+    band is the (xi_lo, xi_hi) fit band of the last sample that had one,
+    i.e. the last entry of samples, whatever its r^2 or t.
+    """
 
     samples: list[tuple[float, float, float]]  # (t, sigma_est, r2)
     mu_fit: float

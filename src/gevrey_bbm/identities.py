@@ -16,7 +16,9 @@ tested against, and the ones the proof evaluates.  Integer triads stay
 plain int, so the exhaustive check and the defect it reports are int; a
 Triad turns only non-integer input into Fraction.  The weighted series
 built from the power sums, sum_k (2 sigma)^{2k}/(2k)! * (power sum), has
-the closed form 2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight);
+the closed form 2 sum_i xi_i sinh(sigma xi_i)^2 (symmetrized_weight), a
+sum of one term per coordinate (_coordinate_term), so analytics' triad
+route sums it over every triad of a band by one convolution;
 check_fab_bounds measures its empirical constant against the sigma^{3/2}
 envelope for several sigma on one seeded draw of triads.
 """
@@ -231,17 +233,22 @@ def verify_factor_identity(k_max: int, coordinate_range: int,
     return IdentityReport(triads_tested=int(i1.size), all_equal=True, max_defect=0)
 
 
+def _coordinate_term(x, sigma: float):
+    """x sinh(sigma x)^2: the closed form's term of one coordinate."""
+    return x * np.sinh(sigma * x) ** 2
+
+
 def symmetrized_weight(x1, x2, x3, sigma: float) -> np.ndarray:
     """Closed form of the symmetrized weight series at triads (x1, x2, x3).
 
     sum_{k>=1} (2 sigma)^{2k} / (2k)! * (x1^{2k+1} + x2^{2k+1} + x3^{2k+1})
-    = sum_i x_i (cosh(2 sigma x_i) - 1) = 2 sum_i x_i sinh(sigma x_i)^2.
-    Raises OverflowRisk rather than return inf or NaN.
+    = sum_i x_i (cosh(2 sigma x_i) - 1) = 2 sum_i x_i sinh(sigma x_i)^2,
+    one _coordinate_term per coordinate.  Raises OverflowRisk rather than
+    return inf or NaN.
     """
     with _overflow_guard("sinh(sigma*xi)^2"):
-        return 2.0 * (x1 * np.sinh(sigma * x1) ** 2
-                      + x2 * np.sinh(sigma * x2) ** 2
-                      + x3 * np.sinh(sigma * x3) ** 2)
+        return 2.0 * (_coordinate_term(x1, sigma) + _coordinate_term(x2, sigma)
+                      + _coordinate_term(x3, sigma))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import peak_bytes
 
-from gevrey_bbm import analytics, evolution, norms
+from gevrey_bbm import analytics, evolution, norms, spectral
 from gevrey_bbm.analytics import (
     Calibration,
     calibrate_bilinear_constant,
@@ -27,7 +27,11 @@ from gevrey_bbm.errors import (
     OverflowRisk,
 )
 from gevrey_bbm.evolution import Trajectory, gaussian_data, sech2_data, simulate
-from gevrey_bbm.identities import fractional_bound_exponents, symmetrized_weight
+from gevrey_bbm.identities import (
+    _coordinate_term,
+    fractional_bound_exponents,
+    symmetrized_weight,
+)
 from gevrey_bbm.multipliers import (
     GevreyWeight,
     ModelParams,
@@ -50,7 +54,7 @@ from gevrey_bbm.spectral import (
 
 def _full_plane_triads(field, sigma):
     """The triad route as one sum over the whole (2b+1)^2 plane of triads,
-    every triad on its own: the oracle of the conjugate-pair blocked sum."""
+    every triad on its own: the oracle of the convolution."""
     grid = field.grid
     n, L = grid.n_points, grid.domain_length
     band = grid.dealias_cutoff
@@ -197,41 +201,60 @@ class TestTrilinearDefectRate:
     @pytest.mark.parametrize("n", [64, 96, 128, 256, 1024])
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_blocked_route_equals_the_full_plane_sum(self, rng, n, sigma):
-        # 3 divides n = 96, whose band stops short of n/3; n = 1024 spans
-        # several blocks
+        # the convolution adds the full plane's terms in another order; 3
+        # divides n = 96, whose band stops short of n/3
         field = random_band_limited_field(Grid(n), rng)
         oracle = _full_plane_triads(field, sigma)
         assert analytics._defect_rate_triads(field, sigma) == pytest.approx(
             oracle, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [64, 96, 1024])
-    def test_triad_route_sums_half_the_triads_and_no_transform(self, rng,
-                                                               monkeypatch, n):
+    def test_triad_route_weighs_each_band_mode_once_and_makes_no_transform(
+            self, rng, monkeypatch, n):
         grid = Grid(n)
         field = random_band_limited_field(grid, rng)
         band = grid.dealias_cutoff
-        plane = (2 * band + 1) ** 2 - band * (band + 1)
         evaluated = []
 
-        def counting(x1, x2, x3, sigma):
-            evaluated.append(np.size(x1))
-            return symmetrized_weight(x1, x2, x3, sigma)
+        def counting(x, sigma):
+            evaluated.append(np.size(x))
+            return _coordinate_term(x, sigma)
 
         def no_transform(*args, **kwargs):
             raise AssertionError("the triad route made a transform")
 
-        monkeypatch.setattr(analytics, "symmetrized_weight", counting)
+        monkeypatch.setattr(analytics, "_coordinate_term", counting)
         for name in ("inverse_transform", "_to_samples", "_rfft"):
             monkeypatch.setattr(analytics, name, no_transform)
         analytics._defect_rate_triads(field, 0.1)
-        assert 0 < sum(evaluated) <= (plane + 2 * band + 1) // 2
-        assert max(evaluated) <= max(analytics.TRIAD_BLOCK, 2 * band + 1)
+        assert evaluated == [2 * band + 1]
 
     def test_triad_route_memory_is_bounded(self, rng):
-        # O(block), not O(band^2): the full plane at n = 2048 peaks near 98 MiB
+        # O(band), not O(band^2): the full plane at n = 2048 peaks near 98 MiB
         field = random_band_limited_field(Grid(2048), rng)
         assert peak_bytes(lambda: analytics._defect_rate_triads(field, 0.1)) \
-            < 4 * 2 ** 20
+            < 256 * 2 ** 10
+
+    def test_a_fault_in_the_transforms_fails_the_cross_check(self, rng,
+                                                             monkeypatch):
+        # every inverse transform goes through spectral._to_samples; a
+        # relative fault of twice rtol there moves the physical route's
+        # triple product alone, since the triad route makes no transform
+        to_samples = spectral._to_samples
+        monkeypatch.setattr(spectral, "_to_samples",
+                            lambda *args: to_samples(*args) * (1 + 2e-6))
+        for _ in range(5):
+            field = random_band_limited_field(Grid(128), rng)
+            with pytest.raises(CrossCheckFailure):
+                trilinear_defect_rate(field, 0.1, 2.0, rtol=1e-6)
+
+    def test_an_overflowing_triad_sum_raises(self, grid64):
+        # sinh stays finite at sigma = 0.1; the products of the coefficients
+        # overflow in np.convolve, which sets no floating-point flag
+        coeffs = np.zeros(33, dtype=complex)
+        coeffs[1:4] = 1e160j
+        with pytest.raises(OverflowRisk):
+            analytics._defect_rate_triads(SpectralField(grid64, coeffs), 0.1)
 
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
     def test_closed_form_matches_the_series(self, sigma):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevrey_bbm import spectral
+from gevrey_bbm import evolution, spectral
 from gevrey_bbm.errors import InvalidInput
 from gevrey_bbm.norms import l2_norm
 from gevrey_bbm.spectral import (
@@ -202,10 +202,11 @@ class TestPrivateKernels:
 
     @pytest.mark.parametrize("n", [96, 100, 128, 1024])
     def test_irfft_reads_a_band_as_zero_padded_bitwise(self, n, rng):
-        # the RK4 kernel hands the inverse transform the modes j <= n/3
-        # alone: the kernel must read every mode above them as zero, under
-        # np.fft's scales and under the grid's own
-        band, m = n // 3 + 1, n // 2 + 1
+        # the RK4 kernel hands the inverse transform the band's modes
+        # alone, evolution._band of them (32 at n = 96): the kernel must
+        # read every mode above them as zero, under np.fft's scales and
+        # under the grid's own
+        band, m = evolution._band(Grid(n)), n // 2 + 1
         coeffs = rng.standard_normal((3, 2 * band)) + 1j * rng.standard_normal((3, 2 * band))
         for rows in (0, slice(None)):
             for given in (coeffs[rows, :band], coeffs[rows, ::2]):
@@ -268,6 +269,33 @@ def test_only_spectral_imports_the_private_kernels():
     # every FFT goes through _rfft and _to_samples, so a numpy that moves
     # the private kernels breaks one module
     found = users(lambda name: "_pocketfft" in name)
+    assert found["spectral.py"]
+    assert [name for name, lines in found.items() if lines] == ["spectral.py"]
+
+
+def test_only_spectral_makes_an_fft():
+    # the triad route of the defect rate checks the transforms only while
+    # it makes none, so no other module may call a numpy FFT (an FFT-based
+    # convolution would merge the two routes) nor import one by name; the
+    # module np.fft and np.fft.fftfreq are no transform
+    transforms = {prefix + "fft" + suffix for prefix in ("", "i", "r", "ir")
+                  for suffix in ("", "2", "n")} | {"hfft", "ihfft"}
+
+    def fft_lines(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names = [func.attr if isinstance(func, ast.Attribute)
+                         else getattr(func, "id", "")]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if transforms.intersection(names):
+                yield node.lineno
+
+    package = pathlib.Path(spectral.__file__).parent
+    found = {path.name: list(fft_lines(path)) for path in package.glob("*.py")}
     assert found["spectral.py"]
     assert [name for name, lines in found.items() if lines] == ["spectral.py"]
 
