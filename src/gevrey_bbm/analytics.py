@@ -15,6 +15,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import spectral
 from .errors import (
     CrossCheckFailure,
     InsufficientData,
@@ -41,7 +42,6 @@ from .spectral import (
     _scales,
     _to_samples,
     dealias,
-    inverse_transform,
 )
 
 DEFAULT_NOISE_FLOOR = 1e-14
@@ -60,15 +60,24 @@ CALIBRATION_DT = 2e-3  # RK4 step of the defect suite behind C2
 
 def _defect_rate_physical(field: SpectralField, sigma: float) -> tuple[float, float]:
     """-2 * integral( u * u_x * I^2 u ) dx via pointwise products, and the
-    integral of the integrand's modulus, which sets the sum's round-off."""
+    integral of the integrand's modulus, which sets the sum's round-off.
+
+    Only the band |j| <= K is read and weighted by cosh(sigma xi)^2, so a
+    mode above it, which the projection zeroes, cannot turn an infinite
+    weight into NaN; u, u_x and I^2 u are one batched inverse transform of
+    the three band rows.  A weight or a product that overflows raises
+    OverflowRisk.
+    """
     grid = field.grid
-    xi = grid.wavenumbers
-    u = inverse_transform(field)
-    ux = inverse_transform(field.with_coeffs(1j * xi * field.coeffs))
-    i2u = inverse_transform(field.with_coeffs(np.cosh(sigma * xi) ** 2 * field.coeffs))
-    product = u * ux * i2u
-    return (float(-2.0 * grid.dx * np.sum(product)),
-            float(2.0 * grid.dx * np.sum(np.abs(product))))
+    band = grid.dealias_cutoff + 1
+    a, xi = field.coeffs[:band], grid.wavenumbers[:band]
+    with _overflow_guard("cosh(sigma*xi)^2 or the triple product"):
+        u, ux, i2u = spectral._to_samples(
+            np.stack([a, 1j * xi * a, np.cosh(sigma * xi) ** 2 * a]),
+            _scales(grid))
+        product = u * ux * i2u
+        return (float(-2.0 * grid.dx * np.sum(product)),
+                float(2.0 * grid.dx * np.sum(np.abs(product))))
 
 
 def _defect_rate_triads(field: SpectralField, sigma: float) -> float:
@@ -106,20 +115,22 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
                           rtol: float = 1e-6) -> float:
     """dE/dt of the I-weighted energy, computed two independent ways.
 
-    Route (a) evaluates -2*int(u u_x I^2 u) dx in physical space, with three
-    inverse transforms; route (b) sums the symmetrized weight series over
-    every on-grid frequency triad with no transform: the series' closed
-    form is a sum of one term per coordinate, so the triad sum is one
-    convolution of the band's coefficients with themselves, O(K^2) time and
-    O(K) memory (see _defect_rate_triads).  The field is first projected
-    onto the alias-free band |j| <= K, K = Grid.dealias_cutoff = (n-1)//3
-    (spectral.dealias), the band that the flow evolves: a triple product
-    on it reaches no mode beyond 3K < n, so the quadrature in (a) is exact
+    Route (a) evaluates -2*int(u u_x I^2 u) dx in physical space, with one
+    batched inverse transform of three rows; route (b) sums the symmetrized
+    weight series over every on-grid frequency triad with no transform: the
+    series' closed form is a sum of one term per coordinate, so the triad
+    sum is one convolution of the band's coefficients with themselves,
+    O(K^2) time and O(K) memory (see _defect_rate_triads).  Both routes read
+    the field's alias-free band |j| <= K alone, K = Grid.dealias_cutoff =
+    (n-1)//3, and evaluate their weight on it alone: they see the projection
+    (spectral.dealias) onto the band that the flow evolves, where a triple
+    product reaches no mode beyond 3K < n, so the quadrature in (a) is exact
     and both routes see the flow's own energy.  Returns the physical-space
     value after asserting agreement; the rate does not depend on alpha (the
     dispersive term cancels exactly in the energy).  A non-finite or
     negative sigma, a NaN or negative rtol and a field with a non-finite
-    coefficient are InvalidInput, raised before either route runs.
+    coefficient are InvalidInput, raised before either route runs; a weight
+    or a sum of either route that overflows is OverflowRisk.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
@@ -127,7 +138,6 @@ def trilinear_defect_rate(field: SpectralField, sigma: float, alpha: float,
         raise InvalidInput(f"rtol must be >= 0, got {rtol}")
     if not np.isfinite(field.coeffs).all():
         raise InvalidInput("field has a non-finite coefficient")
-    field = dealias(field)
     value_a, magnitude = _defect_rate_physical(field, sigma)
     value_b = _defect_rate_triads(field, sigma)
     # where the exact rate is 0 (even data, sigma = 0, one mode) only the
@@ -172,7 +182,8 @@ def measure_defects(runs, grid: Grid, dt: float,
     defect is sup_t E(t) - E(0); defect_abs is sup_t |E(t) - E(0)| (the
     magnitude used for scaling fits, since the signed defect can vanish when
     the energy only decreases).  The bound check uses the calibrated c_cal:
-    defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}}.
+    defect_abs <= c_cal * delta * sigma^beta * ||I u0||^3_{H^{alpha/2}},
+    with the norm of the projected datum, the one the flow starts from.
     An energy or a bound that overflows raises OverflowRisk; a dt or c_cal
     that is not finite and positive raises InvalidInput before any step.
     """
@@ -187,8 +198,8 @@ def measure_defects(runs, grid: Grid, dt: float,
     kept = _march([dealias(u0) for u0, _, _ in runs],
                   [alpha for _, alpha, _ in runs],
                   [{0}.union(*steps) for steps in run_steps], grid, dt)
-    return [_defect_reports(u0, windows, steps, states, alpha, c_cal)
-            for (u0, alpha, windows), steps, states
+    return [_defect_reports(windows, steps, states, alpha, c_cal)
+            for (_, alpha, windows), steps, states
             in zip(runs, run_steps, kept)]
 
 
@@ -208,13 +219,15 @@ def _window_steps(windows, dt: float) -> list[list[int]]:
     return window_steps
 
 
-def _defect_reports(u0: SpectralField, windows, window_steps, kept,
-                    alpha: float, c_cal: float) -> list[ConservationReport]:
-    """The ConservationReport of each window, from the kept states of u0's
-    flow at its sample steps.  The moduli of all kept states are taken once,
-    as one stacked array, and each window's energies are one batched energy
-    over its rows (norms._energies, energy's formula)."""
+def _defect_reports(windows, window_steps, kept, alpha: float,
+                    c_cal: float) -> list[ConservationReport]:
+    """The ConservationReport of each window, from the kept states of a flow
+    at its sample steps; the bound's norm is that of the kept step 0, the
+    datum the flow starts from.  The moduli of all kept states are taken
+    once, as one stacked array, and each window's energies are one batched
+    energy over its rows (norms._energies, energy's formula)."""
     _, beta, _ = fractional_bound_exponents(alpha)
+    u0 = kept[0]
     row = {step: i for i, step in enumerate(kept)}
     mags = np.abs(np.stack([state.coeffs for state in kept.values()]))
     reports = []

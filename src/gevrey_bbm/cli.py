@@ -20,9 +20,10 @@ are (``_fields``), beside any input it echoes, so a field list lives only in
 its dataclass (the simulate CSV's columns are NormReport's).  ``main`` alone
 adds the full resolved config (seed included) and writes the JSON.
 
-Exit-code map (public contract): 0 ok, 2 config error, 3 simulation failure,
-4 identity violation, 5 insufficient data, 6 cross-check failure.  A size
-too large to allocate is a config error.
+Exit codes (public contract): 0 ok.  A failure's code and the label of its
+one stderr line are those of the first row of FAILURES that names its
+class: 2 config error (a size too large to allocate included), 3 simulation
+failure, 4 identity violation, 5 insufficient data, 6 cross-check failure.
 """
 
 from __future__ import annotations
@@ -40,12 +41,19 @@ from .multipliers import GevreyWeight, ModelParams
 from .norms import NormReport
 from .spectral import Grid
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SIMULATION = 3
-EXIT_IDENTITY = 4
-EXIT_DATA = 5
-EXIT_CROSSCHECK = 6
+# Each failure main reports, checked in order: its exception classes, its
+# exit code and the label that starts its one stderr line.
+FAILURES = (
+    ((errors.InvalidInput, ValueError, KeyError, OSError), 2, "config error"),
+    ((MemoryError,), 2, "config error: out of memory"),
+    ((errors.BlowupDetected, errors.NoConvergence, errors.OverflowRisk), 3,
+     "simulation failure"),
+    ((errors.IdentityViolation,), 4, "identity violation"),
+    ((errors.InsufficientData,), 5, "insufficient data"),
+    ((errors.CrossCheckFailure,), 6, "cross-check failure"),
+)
+_FAILING = tuple(cls for classes, _, _ in FAILURES for cls in classes)
+
 
 def _check_key(key: str) -> str:
     if key not in KEYS:
@@ -337,26 +345,12 @@ def main(argv: list[str] | None = None) -> int:
                        {"config": config, "error": "blowup", "time": exc.time})
             raise
         write_json(config["output_json"], {"config": config, **report})
-        return EXIT_OK
-    except (errors.InvalidInput, ValueError, KeyError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        print(f"config error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (errors.BlowupDetected, errors.NoConvergence,
-            errors.OverflowRisk) as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except errors.IdentityViolation as exc:
-        print(f"identity violation: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
-    except errors.InsufficientData as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except errors.CrossCheckFailure as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
+        return 0
+    except _FAILING as exc:
+        code, label = next((code, label) for classes, code, label in FAILURES
+                           if isinstance(exc, classes))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

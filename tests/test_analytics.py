@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,8 +225,9 @@ class TestTrilinearDefectRate:
             raise AssertionError("the triad route made a transform")
 
         monkeypatch.setattr(analytics, "_coordinate_term", counting)
-        for name in ("inverse_transform", "_to_samples", "_rfft"):
-            monkeypatch.setattr(analytics, name, no_transform)
+        for module in (analytics, spectral):
+            for name in ("_to_samples", "_rfft"):
+                monkeypatch.setattr(module, name, no_transform)
         analytics._defect_rate_triads(field, 0.1)
         assert evaluated == [2 * band + 1]
 
@@ -280,12 +282,44 @@ class TestTrilinearDefectRate:
             symmetrized_weight(x, -0.5 * x, -0.5 * x, 1.0)
 
     def test_overflowing_triad_route_raises(self, random_field):
-        # the physical route overflows quietly here; the triad route must not
+        # each route's guard raises whatever the caller's floating-point state
         with np.errstate(all="ignore"), pytest.raises(OverflowRisk):
             trilinear_defect_rate(random_field, 400.0, 2.0)
 
+    @pytest.mark.parametrize("n", [128, 256, 96])
+    def test_no_weight_above_the_band(self, rng, n):
+        # sigma xi_K = 300 keeps the band's weight finite, but cosh(sigma
+        # xi)^2 overflows on the modes above it, which the projection zeroes:
+        # an inf weight times 0 there made the physical route NaN
+        grid = Grid(n)
+        sigma = 300.0 / grid.wavenumbers[grid.dealias_cutoff]
+        assert sigma * grid.wavenumbers[-1] > 360.0  # cosh^2 overflows past 355.6
+        field = random_band_limited_field(grid, rng)
+        assert trilinear_defect_rate(field, sigma, 2.0) == pytest.approx(
+            analytics._defect_rate_triads(field, sigma), rel=1e-6)
+
+    def test_an_overflowing_band_weight_raises_with_no_warning(self, rng):
+        grid = Grid(128)
+        sigma = 400.0 / grid.wavenumbers[grid.dealias_cutoff]
+        field = random_band_limited_field(grid, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRisk):
+                trilinear_defect_rate(field, sigma, 2.0)
+
 
 class TestMeasureDefect:
+    def test_the_bound_is_the_projected_datums(self):
+        # the flow starts from dealias(u0), and so does the bound's norm: a
+        # datum with 33% of its peak above the band gave a bound 28% above
+        # its projection's
+        grid = Grid(64, 64.0)
+        u0 = forward_transform(0.5 * np.exp(-((grid.points - 32.0) / 1.0) ** 2),
+                               grid)
+        runs = [(u0, 2.0, [(0.1, 0.5)]), (dealias(u0), 2.0, [(0.1, 0.5)])]
+        raw, projected = measure_defects(runs, grid, 1e-2)
+        assert raw == projected
+
     def test_sigma_zero_below_discretization_floor(self):
         grid = Grid(128)
         u0 = gaussian_data(grid, 0.5, 4.0)
@@ -433,7 +467,7 @@ class TestMeasureDefect:
         window_steps = analytics._window_steps(windows, 1e-2)
         (kept,) = evolution._march([u0], [2.0], [set().union(*window_steps)],
                                    grid64, 1e-2)
-        reports = analytics._defect_reports(u0, windows, window_steps, kept,
+        reports = analytics._defect_reports(windows, window_steps, kept,
                                             2.0, 0.01)
         assert len(reports) == len(windows)
         for (sigma, delta), steps, report in zip(windows, window_steps, reports):
